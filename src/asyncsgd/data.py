@@ -265,9 +265,6 @@ class AssignmentTable:
     def rounds(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
-
     def _build_index(self) -> None:
         cum = np.zeros(len(self.rows) + 1, dtype=np.int64)
         occ, pos = [], []
@@ -291,11 +288,6 @@ class AssignmentTable:
         if self._cum is None:
             self._build_index()
         return self._cum, self._occ, self._pos
-
-
-def per_node_sizes(table: AssignmentTable, i: int, c: int) -> int:
-    """s_{i,c} = |{t : a(i,t) = c}|."""
-    return int(np.sum(table.rows[i] == c))
 
 
 def build_assignment(sched: SampleSchedule, p: Sequence[float], n: int,

@@ -11,14 +11,24 @@ The server applies eta_bar_i-scaled round updates to the global model v_hat
 and broadcasts (v_hat, k) once round k has been received from every node.
 Each node runs local SGD on its shard, gated so that the staleness of its
 local model never exceeds the configured delay function.
+
+The event backend reads everything that depends only on the round from
+tables built once at entry, each bounded by the assignment table's rounds:
+the prefix sums sum_{j<i} s_j, the round steps eta_bar_i, the delay-draw
+bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  The server
+counts the updates applied per round instead of scanning the applied set.
+Each node draws its sample indices from its stream in chunks; the indices
+consumed are exactly those of one scalar draw per gradient.
 """
 from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import queue as queue_mod
 import threading
+import time as time_mod
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -28,7 +38,8 @@ from . import rng
 from .data import AssignmentTable, Partition
 from .problems import Problem, grad
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
-                        PER_ITERATION, eval_delay, round_step, sample_size)
+                        PER_ITERATION, eval_delay, per_iteration_step,
+                        round_step)
 
 GATE_LAG = "lag"  # wait while i > k + d
 GATE_TAU = "tau"  # wait while tau(t_glob) < t_delay
@@ -169,11 +180,12 @@ def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
     Iteration t gets the round step of the round that contains t, which is
     exactly what a distributed run applies to that gradient.
     """
+    cum = [0]  # cum[j] = prefix_sum(j), extended on demand
+
     def step(t: int) -> float:
-        i = 0
-        while samples.prefix_sum(i + 1) <= t:
-            i += 1
-        return round_step(steps, samples, i)
+        while cum[-1] <= t:
+            cum.append(samples.prefix_sum(len(cum)))
+        return round_step(steps, samples, bisect.bisect_right(cum, t) - 1)
     return step
 
 
@@ -181,24 +193,38 @@ def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
 # Event-driven backend
 # ---------------------------------------------------------------------------
 
+# Sample indices a node draws ahead from its stream at a time.  The values
+# consumed are those of one scalar draw per gradient; only the generator's
+# final state depends on the chunk size.
+_DRAW_CHUNK = 1024
+
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "gen", "bcast_id",
-                 "acc_round", "waiting", "done_rounds")
+                 "acc_round", "waiting", "done_rounds", "X", "y", "draws")
 
-    def __init__(self, c: int, dim: int, w0: np.ndarray,
+    def __init__(self, c: int, w0: np.ndarray, local,
                  gen: np.random.Generator):
         self.c = c
         self.i = 0
         self.h = 0
         self.s_ic = 0
         self.w = w0.copy()
-        self.U = np.zeros(dim)
+        self.U = np.zeros_like(self.w)
         self.k = 0
         self.gen = gen
         self.bcast_id = 0
         self.acc_round = 0
         self.waiting = False
         self.done_rounds = 0
+        self.X = local.X
+        self.y = local.y.astype(float).tolist()
+        self.draws: list = []  # pending sample indices, next one last
+
+    def next_index(self) -> int:
+        if not self.draws:
+            chunk = self.gen.integers(0, len(self.y), size=_DRAW_CHUNK)
+            self.draws = chunk.tolist()[::-1]
+        return self.draws.pop()
 
 
 def run(problem: Problem, partition: Partition, table: AssignmentTable,
@@ -224,50 +250,58 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         raise EngineError(f"unknown gate {gate!r}")
     if gate == GATE_TAU and delay_fn is None:
         raise EngineError("the tau gate needs a delay function")
+    t_start = time_mod.perf_counter()
 
     n = partition.n
     dim = problem.dim
     base_w = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=float)
     per_iter = steps.mode == PER_ITERATION
+    tau_gate = gate == GATE_TAU
+    need_t = tau_gate or record_trace  # t_glob/t_delay per gradient
+
+    # Per-round tables.  They stop at the table's last round: an explicit
+    # schedule has no sample size beyond its values.
+    rounds = table.rounds
+    if rounds == 0:
+        raise EngineError("assignment table exhausted before the gradient "
+                          "budget; build more rounds")
+    P = [samples.prefix_sum(i) for i in range(rounds + 1)]
+    eta_bar = None if per_iter else \
+        [round_step(steps, samples, i) for i in range(rounds)]
+    delay_hi = [2 * max(P[i + 1] - P[i], 1) + 1 for i in range(rounds)]
+    s_rows = [np.bincount(row, minlength=n + 1).tolist()
+              for row in table.rows]                  # s_rows[i][c] = s_{i,c}
+    arrived = [0] * (rounds + 1)  # round updates applied, per round
 
     inter = rng.stream(seed, rng.INTERLEAVE)
-    nodes = [_Node(c, dim, base_w, rng.stream(seed, rng.NODE_SAMPLING, c))
+    nodes = [_Node(c, base_w, partition.local(c),
+                   rng.stream(seed, rng.NODE_SAMPLING, c))
              for c in range(1, n + 1)]
     for nd in nodes:
-        nd.s_ic = int(np.sum(table.rows[0] == nd.c)) if table.rounds else 0
+        nd.s_ic = s_rows[0][nd.c]
 
     v_hat = base_w.copy()
     k_srv = 0
-    H: set = set()            # applied (i, c) pairs with i >= k_srv
+    H: set = set()            # applied (i, c) pairs with i >= k_srv (trace)
     pending: dict = {}        # (i, c) -> scaled payload, sent but not applied
     applied: dict = {}        # audit-ledger copy of applied scaled payloads
     trace = RunTrace(table=table, sample_sched=samples) if record_trace else None
     if trace is not None:
         trace.broadcasts.append(BroadcastInfo(0, 0, frozenset()))
     checkpoints = []
-    round_eta = {}            # round -> eta_bar cache
-
-    def eta_bar(i: int) -> float:
-        e = round_eta.get(i)
-        if e is None:
-            e = round_step(steps, samples, i)
-            round_eta[i] = e
-        return e
 
     grads = 0
     messages = 0
     bcast_seq = 0
     iterates: list = []
     heap: list = []
-    seq = 0
+    seq = itertools.count()
 
     def push(time: float, kind: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time, inter.random(), seq, kind, payload))
-        seq += 1
+        heapq.heappush(heap, (time, inter.random(), next(seq), kind, payload))
 
     def delay_draw(i: int) -> int:
-        return int(inter.integers(0, 2 * max(sample_size(samples, i), 1) + 1))
+        return int(inter.integers(0, delay_hi[i]))
 
     def check_ledger() -> None:
         total = base_w.copy()
@@ -282,100 +316,98 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     def server_apply(time: float, msg) -> None:
         nonlocal k_srv, bcast_seq
         i, c, payload = msg
-        v_hat[:] = v_hat - payload
-        H.add((i, c))
+        np.subtract(v_hat, payload, out=v_hat)
+        if trace is not None:
+            H.add((i, c))
         if audit_ledger:
             applied[(i, c)] = payload
             check_ledger()
-        pending.pop((i, c), None)
-        if not np.all(np.isfinite(v_hat)):
+        del pending[(i, c)]
+        if not np.isfinite(v_hat).all():
             raise NonFiniteError(f"server model non-finite after round {i} "
                                  f"from node {c}")
+        arrived[i] += 1
         # emit broadcasts for every newly completed round
-        while all((k_srv, cc) in H for cc in range(1, n + 1)):
-            for cc in range(1, n + 1):
-                H.discard((k_srv, cc))
+        while arrived[k_srv] == n:
             k_srv += 1
             bcast_seq += 1
             if trace is not None:
+                H.difference_update([(k_srv - 1, cc)
+                                     for cc in range(1, n + 1)])
                 trace.broadcasts.append(
                     BroadcastInfo(bcast_seq, k_srv, frozenset(H)))
             if checkpoint_interval and k_srv % checkpoint_interval == 0:
-                checkpoints.append((k_srv, samples.prefix_sum(k_srv),
-                                    v_hat.copy()))
+                checkpoints.append((k_srv, P[k_srv], v_hat.copy()))
             snapshot = v_hat.copy()
             for cc in range(1, n + 1):
                 push(time + 1 + delay_draw(k_srv),
                      "bcast", (cc, bcast_seq, k_srv, snapshot))
 
-    def gate_blocked(nd: _Node) -> bool:
-        if gate == GATE_LAG:
-            return nd.i > nd.k + d
-        t_glob = samples.prefix_sum(nd.i + 1) - (nd.s_ic - nd.h) - 1
-        t_delay = (samples.prefix_sum(nd.i + 1) - samples.prefix_sum(nd.k)
-                   - (nd.s_ic - nd.h))
-        return eval_delay(delay_fn, float(max(t_glob, 0))) < t_delay
+    def ship_round(time: float, nd: _Node) -> None:
+        # round finished (possibly empty): ship U and advance
+        nonlocal messages
+        i, c = nd.i, nd.c
+        payload = nd.U if per_iter else eta_bar[i] * nd.U
+        if not np.isfinite(payload).all():
+            raise NonFiniteError(f"node {c} produced a non-finite "
+                                 f"round update in round {i}")
+        pending[(i, c)] = payload
+        messages += 1
+        push(time + 1 + delay_draw(i), "update", (i, c, payload))
+        nd.done_rounds += 1
+        nd.i = i = i + 1
+        if i >= rounds:
+            raise EngineError("assignment table exhausted before the "
+                              "gradient budget; build more rounds")
+        nd.h = 0
+        nd.s_ic = s_rows[i][c]
+        nd.U = np.zeros(dim)
+        push(time + 1, "node", nd)
 
     def node_step(time: float, nd: _Node) -> None:
-        nonlocal grads, messages
-        if nd.h >= nd.s_ic:
-            # round finished (possibly empty): ship U and advance
-            if per_iter:
-                payload = nd.U.copy()
-            else:
-                payload = eta_bar(nd.i) * nd.U
-            if not np.all(np.isfinite(payload)):
-                raise NonFiniteError(f"node {nd.c} produced a non-finite "
-                                     f"round update in round {nd.i}")
-            pending[(nd.i, nd.c)] = payload
-            messages += 1
-            push(time + 1 + delay_draw(nd.i), "update", (nd.i, nd.c, payload))
-            nd.done_rounds += 1
-            nd.i += 1
-            if nd.i >= table.rounds:
-                raise EngineError("assignment table exhausted before the "
-                                  "gradient budget; build more rounds")
-            nd.h = 0
-            nd.s_ic = int(np.sum(table.rows[nd.i] == nd.c))
-            nd.U = np.zeros(dim)
-            push(time + 1, "node", nd.c)
+        nonlocal grads
+        i, h = nd.i, nd.h
+        if h >= nd.s_ic:
+            ship_round(time, nd)
             return
-        if gate_blocked(nd):
+        if need_t:
+            # global index of this gradient and its distance to the prefix
+            # the local model is known to contain
+            t_glob = P[i + 1] - (nd.s_ic - h) - 1
+            t_delay = t_glob + 1 - P[nd.k]
+        if tau_gate:
+            blocked = eval_delay(delay_fn, float(max(t_glob, 0))) < t_delay
+        else:
+            blocked = i > nd.k + d
+        if blocked:
             nd.waiting = True
             return
         # one gradient computation
-        local = partition.local(nd.c)
-        x, y = local.sample(int(nd.gen.integers(0, len(local))))
-        g = grad(problem, nd.w, x, y)
+        idx = nd.next_index()
+        g = grad(problem, nd.w, nd.X[idx], nd.y[idx])
         if per_iter:
-            t_iter = samples.prefix_sum(nd.i) + n * nd.h
-            from .schedules import per_iteration_step
-            eta = per_iteration_step(steps, t_iter)
+            eta = per_iteration_step(steps, rho(table, nd.c, i, h))
         else:
-            eta = eta_bar(nd.i)
+            eta = eta_bar[i]
         if trace is not None:
-            t_glob = samples.prefix_sum(nd.i + 1) - (nd.s_ic - nd.h) - 1
-            t_delay = (samples.prefix_sum(nd.i + 1)
-                       - samples.prefix_sum(nd.k) - (nd.s_ic - nd.h))
             trace.records.append(GradRecord(
-                c=nd.c, i=nd.i, h=nd.h, eta=eta, t_glob=t_glob,
-                t_delay=t_delay, bcast_id=nd.bcast_id,
-                acc_round=nd.acc_round,
-                g=g.copy() if record_gradients else None))
+                nd.c, i, h, eta, t_glob, t_delay, nd.bcast_id, nd.acc_round,
+                g.copy() if record_gradients else None))
         if per_iter:
-            nd.U = nd.U + eta * g
+            nd.U += eta * g
         else:
-            nd.U = nd.U + g
-        nd.w = nd.w - eta * g
+            nd.U += g
+        nd.w -= eta * g
         if record_iterates:
             iterates.append(nd.w.copy())
-        nd.h += 1
+        nd.h = h + 1
         grads += 1
         if grads < K:
-            push(time + 1, "node", nd.c)
+            push(time + 1, "node", nd)
 
-    def node_receive(time: float, nd: _Node, bcast_id: int, kb: int,
-                     model: np.ndarray) -> None:
+    def node_receive(time: float, msg) -> None:
+        c, bcast_id, kb, model = msg
+        nd = nodes[c - 1]
         if kb <= nd.k:
             return
         nd.k = kb
@@ -384,7 +416,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             if per_iter:
                 nd.w = model - nd.U
             else:
-                nd.w = model - eta_bar(nd.i) * nd.U
+                nd.w = model - eta_bar[nd.i] * nd.U
             nd.bcast_id = bcast_id
             nd.acc_round = nd.i
         # with a single node every aggregated update is the node's own, so
@@ -392,10 +424,10 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         # stream bit-identical to serial SGD
         if nd.waiting:
             nd.waiting = False
-            push(time + 1, "node", nd.c)
+            push(time + 1, "node", nd)
 
     for nd in nodes:
-        push(0.0, "node", nd.c)
+        push(0.0, "node", nd)
 
     while grads < K:
         if not heap:
@@ -406,12 +438,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 f"server k={k_srv}, nodes={stuck}")
         time, _prio, _seq, kind, payload = heapq.heappop(heap)
         if kind == "node":
-            node_step(time, nodes[payload - 1])
+            node_step(time, payload)
         elif kind == "update":
             server_apply(time, payload)
         else:
-            c, bid, kb, model = payload
-            node_receive(time, nodes[c - 1], bid, kb, model)
+            node_receive(time, payload)
 
     # serialize: flush in-flight round updates and unsent partials; with a
     # single node its local model already is the exact serial iterate
@@ -423,15 +454,16 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             w_final -= pending[key]
         for nd in nodes:
             if nd.h > 0:
-                w_final -= nd.U if per_iter else eta_bar(nd.i) * nd.U
-    if not np.all(np.isfinite(w_final)):
+                w_final -= nd.U if per_iter else eta_bar[nd.i] * nd.U
+    if not np.isfinite(w_final).all():
         raise NonFiniteError("final model non-finite")
 
     return RunResult(
         w_final=w_final, v_hat=v_hat, k_final=k_srv, grads=grads,
         messages=messages,
         rounds_completed={nd.c: nd.done_rounds for nd in nodes},
-        checkpoints=checkpoints, trace=trace, iterates=iterates)
+        checkpoints=checkpoints, trace=trace, iterates=iterates,
+        wall_time=time_mod.perf_counter() - t_start)
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +521,6 @@ def audit_gate_equivalence(run_kwargs: dict, df: DelayFunction) -> bool:
     return True
 
 
-def round_block_sums(trace: RunTrace, upto_round: int) -> dict:
-    """Per-round scaled gradient sums reconstructed from a gradient trace.
-
-    Needs record_gradients.  Returns {round: sum of eta * g over the round's
-    contiguous global block}, for complete rounds below upto_round.
-    """
-    sums: dict = {}
-    for rec in trace.records:
-        if rec.i >= upto_round:
-            continue
-        if rec.g is None:
-            raise EngineError("trace was recorded without gradients")
-        if rec.i not in sums:
-            sums[rec.i] = np.zeros_like(rec.g)
-        sums[rec.i] += rec.eta * rec.g
-    return sums
-
-
 # ---------------------------------------------------------------------------
 # Threaded backend (wall-clock smoke runs only)
 # ---------------------------------------------------------------------------
@@ -520,8 +534,6 @@ def run_threaded(problem: Problem, partition: Partition,
     Nondeterministic by nature: used to check that the protocol also
     terminates under genuine concurrency, and to measure wall time.
     """
-    import time as time_mod
-
     n = partition.n
     dim = problem.dim
     per_iter = steps.mode == PER_ITERATION

@@ -5,7 +5,7 @@ import pytest
 
 from asyncsgd import data, rng
 from asyncsgd.data import (DataFormatError, DataSet, parse_libsvm, partition,
-                           build_assignment, per_node_sizes, draw_sample,
+                           build_assignment, draw_sample,
                            synthetic_logistic, synthetic_quadratic)
 from asyncsgd.schedules import SampleSchedule
 
@@ -147,7 +147,7 @@ def test_assignment_binomial_concentration():
     passed = 0
     for seed in range(20):
         table = build_assignment(sched, [0.5, 0.5], 2, rounds=1, seed=seed)
-        count = per_node_sizes(table, 0, 1)
+        count = int(np.sum(table.rows[0] == 1))
         if abs(count - 5000) <= 3 * np.sqrt(10 ** 4 * 0.25):
             passed += 1
     assert passed >= 19  # 3-sigma: > 99% of seeds
@@ -167,9 +167,9 @@ def test_assignment_deterministic_split():
     sched = SampleSchedule.explicit([10, 7])
     table = build_assignment(sched, [0.5, 0.5], 2, rounds=2, seed=0,
                              deterministic_split=True)
-    assert per_node_sizes(table, 0, 1) == 5
+    assert np.sum(table.rows[0] == 1) == 5
     # largest-remainder: 7 splits as 4 + 3 in some order
-    assert sorted([per_node_sizes(table, 1, c) for c in (1, 2)]) == [3, 4]
+    assert sorted(int(np.sum(table.rows[1] == c)) for c in (1, 2)) == [3, 4]
 
 
 def test_assignment_row_lengths_and_range():

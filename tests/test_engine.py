@@ -1,5 +1,7 @@
 """Engine semantics: rho, serial oracle, gates, audits, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,67 @@ def test_trace_record_count_and_determinism():
             (b.c, b.i, b.h, b.eta, b.bcast_id)
 
 
+# Fingerprints of three small runs, recorded before the event loop read its
+# per-round quantities from precomputed tables.  Any change to event order,
+# stream consumption or floating-point arithmetic shows up here.
+
+def sha256_of(w):
+    return hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
+
+
+def trace_digest(trace):
+    h = hashlib.sha256()
+    for r in trace.records:
+        h.update(repr((r.c, r.i, r.h, r.eta, r.t_glob, r.t_delay, r.bcast_id,
+                       r.acc_round)).encode())
+    for b in trace.broadcasts:
+        h.update(repr((b.bcast_id, b.k, sorted(b.extras))).encode())
+    return h.hexdigest()
+
+
+def test_determinism_pinned_lag_gate_five_nodes():
+    df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
+    _ds, prob, part = quadratic_setup(5, 3, M=200, dim=4)
+    table = build_assignment(sam, part.p, 5, rounds=200, seed=3)
+    res = run(prob, part, table, sam, st, df, K=2000, seed=3,
+              gate=engine.GATE_LAG, d=1, record_trace=False,
+              checkpoint_interval=5)
+    assert sha256_of(res.w_final) == ("cc9cdb7cd66ba0d17b1a74fc9f259908"
+                                      "85ec102588dedafbded816d84a9ad25d")
+    assert (res.messages, res.k_final) == (589, 116)
+    assert res.rounds_completed == {1: 118, 2: 117, 3: 118, 4: 119, 5: 117}
+
+
+def test_determinism_pinned_tau_gate_four_nodes_traced():
+    df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
+    _ds, prob, part = quadratic_setup(4, 4, M=160, dim=3)
+    table = build_assignment(sam, part.p, 4, rounds=200, seed=4)
+    res = run(prob, part, table, sam, st, df, K=1500, seed=4,
+              gate=engine.GATE_TAU, d=1, record_trace=True)
+    assert sha256_of(res.w_final) == ("24b9ab74bc21761227c2a3d17b9b54ab"
+                                      "e6764cc0cd0f58b719273825013bbfb0")
+    assert (res.messages, res.k_final) == (354, 78)
+    assert trace_digest(res.trace) == ("ff7b0b3b7621a18233cce9be35ebf0a5"
+                                       "59019452297bf76e65cd4a70ccefe5da")
+
+
+def test_determinism_pinned_explicit_schedule_exact_rounds():
+    """The table has exactly len(values) rounds, so nothing may evaluate
+    the schedule past its last value."""
+    vals = [3, 5, 4, 6, 7, 5, 8, 6, 9, 7]
+    sam = SampleSchedule.explicit(vals)
+    st = StepSchedule.inverse_t(0.1, 0.01)
+    _ds, prob, part = quadratic_setup(3, 5, M=90, dim=2)
+    table = build_assignment(sam, part.p, 3, rounds=len(vals), seed=5)
+    res = run(prob, part, table, sam, st, None, K=sum(vals[:7]), seed=5,
+              record_trace=True)
+    assert sha256_of(res.w_final) == ("707bf08e3f6133331cc274064e7d9c10"
+                                      "6c60cc086a59bd51d5d744a35328aa83")
+    assert (res.messages, res.k_final) == (20, 6)
+    assert trace_digest(res.trace) == ("123e26dd39a9064b574864b6f86b2127"
+                                       "84d164cb5c38c0a83e1f123c2c1a65d2")
+
+
 def test_node_source_frequencies_match_p():
     sam = SampleSchedule.constant(50)
     st = StepSchedule.inverse_t(0.05, 0.01)
@@ -342,6 +405,33 @@ def test_per_iteration_mode_runs():
     assert res.grads == 100
     etas = {rec.eta for rec in res.trace.records}
     assert len(etas) > 5  # per-iteration steps vary within rounds
+
+
+def test_per_iteration_step_uses_exact_global_index():
+    """Each gradient's step is eta(rho(c, i, h)), not eta(prefix + n*h)."""
+    sam = SampleSchedule.constant(12)
+    st = StepSchedule.inverse_t(0.1, 0.05, mode=schedules.PER_ITERATION)
+    ds = synthetic_quadratic(120, 2, seed=11)
+    part = partition(ds, 3, p=[0.6, 0.3, 0.1], seed=11)
+    table = build_assignment(sam, part.p, 3, rounds=30, seed=11)
+    res = run(Problem.quadratic_mean(2), part, table, sam, st, None, K=200,
+              seed=11, record_trace=True)
+    assert len(res.trace.records) == 200
+    for rec in res.trace.records:
+        assert rec.eta == schedules.per_iteration_step(
+            st, rho(table, rec.c, rec.i, rec.h))
+    # node 1 holds more than s_i/n slots, so the old approximation differs
+    assert any(rec.eta != schedules.per_iteration_step(
+        st, sam.prefix_sum(rec.i) + 3 * rec.h) for rec in res.trace.records)
+
+
+def test_event_backend_reports_wall_time():
+    sam = SampleSchedule.constant(10)
+    st = StepSchedule.inverse_t(0.1, 0.01)
+    _ds, prob, part = quadratic_setup(2, 12)
+    table = build_assignment(sam, part.p, 2, rounds=30, seed=12)
+    res = run(prob, part, table, sam, st, None, K=200, seed=12)
+    assert res.wall_time > 0.0
 
 
 def test_threaded_backend_smoke():
