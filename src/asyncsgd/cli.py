@@ -5,7 +5,8 @@ Subcommands:
   schedule    print a per-round schedule table as CSV
   experiment  run a named experiment suite and print its CSV
   audit       run with full tracing and check the staleness contract
-  optimum     estimate (or compute) the optimum of a configured problem
+  optimum     solve for the optimum of a configured problem, with its
+              gradient-norm certificate
 
 Exit codes: 0 ok, 1 config error, 2 runtime error (deadlock, non-finite
 model), 3 audit failure.
@@ -162,8 +163,7 @@ def cmd_optimum(args) -> int:
     cfg = _load_config(args.config, args.seed, None)
     ds = harness.build_dataset(cfg.dataset)
     problem = harness.build_problem(cfg.problem, ds)
-    info = problems.find_optimum(problem, ds, budget=args.budget,
-                                 seed=cfg.seed)
+    info = problems.find_optimum(problem, ds, budget=args.budget)
     _write_out(args.out, json.dumps(info.to_dict(), sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -214,10 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_aud.add_argument("--seed", type=int)
     p_aud.set_defaults(func=cmd_audit)
 
-    p_opt = sub.add_parser("optimum", help="estimate the optimum")
+    p_opt = sub.add_parser("optimum", help="solve for the optimum")
     p_opt.add_argument("--config", required=True)
     p_opt.add_argument("--seed", type=int)
-    p_opt.add_argument("--budget", type=int, default=200000)
+    p_opt.add_argument("--budget", type=int, default=200000,
+                       help="cap on Newton iterations for logistic problems "
+                            "(0 returns the initial point)")
     p_opt.add_argument("--out")
     p_opt.set_defaults(func=cmd_optimum)
     return parser

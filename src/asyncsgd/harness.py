@@ -190,6 +190,18 @@ def prepare(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(f"gate must be 'lag' or 'tau', got {cfg.gate!r}")
     if cfg.backend not in (engine.BACKEND_EVENT, engine.BACKEND_THREADED):
         raise ConfigError(f"unknown backend {cfg.backend!r}")
+    threaded = cfg.backend == engine.BACKEND_THREADED
+    # the threaded backend runs the lag gate with per-round steps and no
+    # checkpoints; reject what it would otherwise silently ignore
+    if threaded and cfg.gate != engine.GATE_LAG:
+        raise ConfigError(f"gate {cfg.gate!r} is not supported by backend "
+                          f"'threaded' (lag gate only)")
+    if threaded and cfg.delay is not None:
+        raise ConfigError("delay spec is not supported by backend "
+                          "'threaded'")
+    if threaded and cfg.checkpoint_interval != 1:
+        raise ConfigError("checkpoint_interval is not supported by backend "
+                          "'threaded' (it records no checkpoints)")
 
     ds = build_dataset(cfg.dataset)
     test_ds = build_dataset(cfg.test_dataset) if cfg.test_dataset else None
@@ -216,6 +228,9 @@ def prepare(cfg: RunConfig) -> PreparedRun:
                 if cfg.delay else None
     except schedules.ScheduleError as exc:
         raise ConfigError(f"samples/steps: {exc}")
+    if threaded and steps.mode == schedules.PER_ITERATION:
+        raise ConfigError(f"steps mode {steps.mode!r} is not supported by "
+                          f"backend 'threaded'")
 
     s0 = schedules.sample_size(samples, 0)
     if s0 > 0 and cfg.K < s0:
@@ -326,7 +341,7 @@ def execute(cfg: RunConfig, record_trace: bool = False,
     opt = None
     if with_optimum:
         opt = problems.find_optimum(prep.problem, prep.dataset,
-                                    budget=cfg.optimum_budget, seed=cfg.seed)
+                                    budget=cfg.optimum_budget)
     metrics = compute_metrics(prep, result, opt)
     return prep, result, metrics, opt
 

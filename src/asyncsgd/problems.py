@@ -17,7 +17,7 @@ full concatenated vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,11 @@ LOGISTIC_RIDGE = "logistic_ridge"
 QUADRATIC_MEAN = "quadratic_mean"
 
 _SIGMA_CLAMP = 1e-12  # loss only; gradients need no clamp
+
+OPTIMUM_TOL = 1e-10   # ||grad F(w*)|| at or below this certifies w*
+_ARMIJO = 1e-4        # sufficient-decrease constant of the line search
+_MAX_HALVINGS = 40    # smallest step tried is 2^-39 of the Newton step
+_ROUNDING = 16 * np.finfo(float).eps  # relative change of F lost to rounding
 
 
 @dataclass(frozen=True)
@@ -55,17 +60,20 @@ class Problem:
 
 @dataclass
 class OptimumInfo:
-    """Optimum location w*, value F* and the variance constant N at w*."""
+    """Optimum location w*, value F*, the variance constant N at w*, and
+    the certificate ||grad F(w*)||."""
 
     w_star: np.ndarray
     F_star: float
     N: float
-    exact: bool = False       # closed form (quadratic_mean) vs SGD estimate
+    grad_norm: float
+    exact: bool = False       # certified: grad_norm <= OPTIMUM_TOL
     degenerate: bool = False  # budget 0: this is just the initial point
 
     def to_dict(self) -> dict:
         return {"w_star": self.w_star.tolist(), "F_star": self.F_star,
-                "N": self.N, "exact": self.exact, "degenerate": self.degenerate}
+                "N": self.N, "grad_norm": self.grad_norm, "exact": self.exact,
+                "degenerate": self.degenerate}
 
 
 def _sigmoid(z: float) -> float:
@@ -164,39 +172,94 @@ def smoothness_constants(p: Problem, dataset) -> tuple:
     return p.lam, L
 
 
-def find_optimum(p: Problem, dataset, budget: int, seed: int,
-                 eta0: Optional[float] = None,
-                 beta: Optional[float] = None) -> OptimumInfo:
-    """Estimate (or compute exactly) the optimum and the constant N.
+def _hessian(p: Problem, w: np.ndarray, dataset) -> np.ndarray:
+    """Hessian of F for logistic problems: X~^T diag(s) X~ / M + lambda I.
+
+    X~ is X with the bias column of ones; the blocks are formed from X
+    directly, so no augmented copy of the data is made.
+    """
+    X = dataset.X
+    z = X @ w[:-1] + w[-1]
+    sig = 1.0 / (1.0 + np.exp(-z))
+    s = sig * (1.0 - sig)
+    Xs = X * s[:, None]
+    H = np.empty((p.dim, p.dim))
+    H[:-1, :-1] = X.T @ Xs
+    H[-1, :-1] = H[:-1, -1] = Xs.sum(axis=0)
+    H[-1, -1] = s.sum()
+    H /= len(dataset)
+    H[np.diag_indices(p.dim)] += p.lam
+    return H
+
+
+def _newton(p: Problem, dataset, max_iter: int) -> tuple:
+    """Damped Newton from w = 0 with an Armijo backtracking line search.
+
+    Stops when ||grad F|| <= OPTIMUM_TOL, after `max_iter` Newton steps,
+    or when no step length along the Newton direction is accepted.  A step
+    whose objective change is within rounding of F is accepted when it
+    lowers the gradient norm, so the solve is not stalled by the last
+    digits of F.  Returns (w, ||grad F(w)||).
+    """
+    w = np.zeros(p.dim)
+    F = objective(p, w, dataset)
+    g = full_gradient(p, w, dataset)
+    g_norm = float(np.linalg.norm(g))
+    for _ in range(max_iter):
+        if g_norm <= OPTIMUM_TOL:
+            break
+        d = np.linalg.lstsq(_hessian(p, w, dataset), -g, rcond=None)[0]
+        slope = float(g @ d)
+        if not slope < 0.0:
+            break
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            w_new = w + alpha * d
+            F_new = objective(p, w_new, dataset)
+            g_new = full_gradient(p, w_new, dataset)
+            g_new_norm = float(np.linalg.norm(g_new))
+            if F_new <= F + _ARMIJO * alpha * slope or (
+                    abs(F_new - F) <= _ROUNDING * abs(F)
+                    and g_new_norm < g_norm):
+                break
+            alpha *= 0.5
+        else:
+            break
+        w, F, g, g_norm = w_new, F_new, g_new, g_new_norm
+    return w, g_norm
+
+
+def find_optimum(p: Problem, dataset, budget: int) -> OptimumInfo:
+    """Solve for the optimum w*, with F*, N and a gradient-norm certificate.
 
     quadratic_mean has the closed form w* = sample mean.  Logistic problems
-    run the serial reference SGD with inverse-t diminishing steps for
-    `budget` iterations from w = 0.
+    run at most `budget` damped Newton steps from w = 0 (budget 0 returns
+    the initial point, marked degenerate).  `exact` is true when
+    ||grad F(w*)|| <= OPTIMUM_TOL.  Plain logistic regression on linearly
+    separable data has no finite minimizer: when every sample has a
+    positive margin at the returned point, `exact` is false whatever the
+    certificate says.
     """
     if p.kind == QUADRATIC_MEAN:
         w_star = dataset.X.mean(axis=0)
-        return OptimumInfo(w_star=w_star, F_star=objective(p, w_star, dataset),
-                           N=variance_constant(p, w_star, dataset), exact=True)
-
-    w0 = np.zeros(p.dim)
+        return _optimum_info(p, w_star, dataset, exact=True)
     if budget <= 0:
-        return OptimumInfo(w_star=w0, F_star=objective(p, w0, dataset),
-                           N=variance_constant(p, w0, dataset),
-                           degenerate=True)
+        return _optimum_info(p, np.zeros(p.dim), dataset, degenerate=True)
+    with np.errstate(over="ignore"):
+        w, g_norm = _newton(p, dataset, budget)
+    exact = g_norm <= OPTIMUM_TOL
+    if exact and p.kind == LOGISTIC_PLAIN:
+        margins = (2.0 * dataset.y - 1.0) * (dataset.X @ w[:-1] + w[-1])
+        exact = not bool(np.all(margins > 0.0))
+    return _optimum_info(p, w, dataset, exact=exact)
 
-    from . import engine, rng, schedules  # local import avoids a cycle
 
-    _, L = smoothness_constants(p, dataset)
-    if eta0 is None:
-        eta0 = 1.0 / L
-    if beta is None:
-        beta = max(p.mu, 1.0 / len(dataset))
-    steps = schedules.StepSchedule.inverse_t(eta0=eta0, beta=beta)
-    gen = rng.stream(seed, rng.OPTIMUM)
-    w = engine.serial_sgd(p, dataset, lambda t: schedules.per_iteration_step(steps, t),
-                          budget, gen, w0=w0)
+def _optimum_info(p: Problem, w: np.ndarray, dataset, exact: bool = False,
+                  degenerate: bool = False) -> OptimumInfo:
     F = objective(p, w, dataset)
     if not np.isfinite(F):
-        raise FloatingPointError("objective became non-finite during the "
-                                 "reference SGD run")
-    return OptimumInfo(w_star=w, F_star=F, N=variance_constant(p, w, dataset))
+        raise FloatingPointError("objective is non-finite at the optimum")
+    return OptimumInfo(
+        w_star=w, F_star=F, N=variance_constant(p, w, dataset),
+        grad_norm=float(np.linalg.norm(full_gradient(p, w, dataset))),
+        exact=exact, degenerate=degenerate)

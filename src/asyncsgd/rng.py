@@ -18,7 +18,6 @@ PARTITION = "partition"
 ASSIGNMENT = "assignment"
 NODE_SAMPLING = "node"
 INTERLEAVE = "interleave"
-OPTIMUM = "optimum"
 
 
 def stream_key(seed: int, purpose: str, index: int = 0) -> int:

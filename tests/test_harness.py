@@ -125,6 +125,15 @@ def test_metrics_nonnegative_for_exact_optimum():
     assert all(v >= -1e-9 for v in metrics.Y_F)
 
 
+def test_metrics_nonnegative_for_certified_logistic_optimum():
+    cfg = quad_config(problem={"kind": "logistic_ridge"},
+                      dataset={"synthetic": "logistic", "M": 300, "dim": 4,
+                               "seed": 2}, K=600)
+    _prep, _res, metrics, opt = harness.execute(cfg)
+    assert opt.exact and opt.grad_norm <= 1e-10
+    assert all(v >= -1e-12 for v in metrics.Y_F)
+
+
 def test_metrics_json_serializes():
     cfg = quad_config()
     _prep, _res, metrics, _opt = harness.execute(cfg)
@@ -137,7 +146,7 @@ def test_accuracy_threshold():
     ds = harness.build_dataset({"synthetic": "logistic", "M": 400, "dim": 4,
                                 "seed": 3, "separation": 4.0, "noise": 0.5})
     prob = harness.build_problem({"kind": "logistic_ridge"}, ds)
-    info = problems.find_optimum(prob, ds, budget=50000, seed=0)
+    info = problems.find_optimum(prob, ds, budget=50000)
     acc = harness.accuracy(prob, info.w_star, ds)
     assert acc > 0.95  # well-separated clusters classify cleanly
 
@@ -250,6 +259,29 @@ def test_cli_optimum(tmp_path, capsys):
         cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact"]
+    assert doc["grad_norm"] <= 1e-12
+
+
+@pytest.mark.parametrize("overrides,field", [
+    (dict(gate="tau", delay={"g": 2.0, "M0": 0.0, "M1": 0.0}), "gate"),
+    (dict(delay={"g": 2.0, "M0": 0.0, "M1": 0.0}), "delay"),
+    (dict(checkpoint_interval=5), "checkpoint_interval"),
+    (dict(steps={"kind": "inverse_t", "eta0": 0.1, "beta": 0.01,
+                 "mode": "per_iteration"}), "per_iteration"),
+], ids=["gate", "delay", "checkpoint_interval", "per_iteration"])
+def test_cli_threaded_rejects_ignored_setting(tmp_path, capsys, overrides,
+                                              field):
+    path = write_config(tmp_path, quad_config(**overrides))
+    assert cli.main(["run", "--config", path, "--backend", "threaded"]) == \
+        cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert field in err and "threaded" in err
+
+
+def test_cli_threaded_accepts_supported_config(tmp_path):
+    path = write_config(tmp_path, quad_config())
+    assert cli.main(["run", "--config", path, "--backend", "threaded",
+                     "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
 
 
 def test_cli_trace_file(tmp_path):

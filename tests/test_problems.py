@@ -1,6 +1,7 @@
 """Gradient/loss correctness and the curvature constants."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_quadratic_objective_is_half_variance():
     X = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
     ds = DataSet(X=X, y=np.zeros(3, dtype=np.int8))
     p = Problem.quadratic_mean(2)
-    info = find_optimum(p, ds, budget=0, seed=0)
+    info = find_optimum(p, ds, budget=0)
     assert np.allclose(info.w_star, [1.0, 1.0])
     assert info.F_star == pytest.approx(4.0 / 3.0)
     assert info.N == pytest.approx(16.0 / 3.0)
@@ -175,7 +176,7 @@ def test_per_sample_smoothness(name):
 def test_quadratic_optimum_gradient_is_zero():
     ds = small_dataset("quadratic", M=200)
     p = Problem.quadratic_mean(3)
-    info = find_optimum(p, ds, budget=0, seed=0)
+    info = find_optimum(p, ds, budget=0)
     g = full_gradient(p, info.w_star, ds)
     assert np.max(np.abs(g)) < 1e-12 * len(ds)
 
@@ -189,7 +190,7 @@ def test_find_optimum_separable_ridge():
     y = np.array([1, 1, 0, 0], dtype=np.int8)
     ds = DataSet(X=X, y=y)
     p = Problem.logistic_ridge(2, lam=0.25)
-    info = find_optimum(p, ds, budget=400000, seed=5)
+    info = find_optimum(p, ds, budget=400000)
     assert not info.degenerate
     assert np.all(np.isfinite(info.w_star))
     assert np.linalg.norm(full_gradient(p, info.w_star, ds)) < 1e-4
@@ -198,7 +199,52 @@ def test_find_optimum_separable_ridge():
 def test_find_optimum_zero_budget_is_degenerate():
     ds = small_dataset("plain")
     p = Problem.logistic_plain(3)
-    info = find_optimum(p, ds, budget=0, seed=0)
+    info = find_optimum(p, ds, budget=0)
     assert info.degenerate
     assert np.array_equal(info.w_star, np.zeros(4))
     assert info.F_star == pytest.approx(objective(p, np.zeros(4), ds))
+
+
+SEPARABLE_4 = DataSet(
+    X=np.array([[1.0, 1.0], [2.0, 1.5], [-1.0, -1.0], [-2.0, -0.5]]),
+    y=np.array([1, 1, 0, 0], dtype=np.int8))
+
+
+def test_find_optimum_ridge_certified():
+    ds = small_dataset("ridge")
+    p = Problem.logistic_ridge(3, lam=0.1)
+    info = find_optimum(p, ds, budget=100)
+    assert info.exact and not info.degenerate
+    assert info.grad_norm <= 1e-8
+    assert info.grad_norm == np.linalg.norm(full_gradient(p, info.w_star, ds))
+    assert info.F_star == objective(p, info.w_star, ds)
+
+
+@pytest.mark.parametrize("ds", [SEPARABLE_4, small_dataset("plain")],
+                         ids=["four-points", "small-M40"])
+def test_find_optimum_plain_separable_not_certified(ds):
+    p = Problem.logistic_plain(ds.dim)
+    t0 = time.perf_counter()
+    info = find_optimum(p, ds, budget=200000)
+    assert time.perf_counter() - t0 < 0.5
+    assert np.all(np.isfinite(info.w_star))
+    assert not info.exact and not info.degenerate
+    margins = (2.0 * ds.y - 1.0) * (ds.X @ info.w_star[:-1]
+                                    + info.w_star[-1])
+    assert np.all(margins > 0)  # w* separates the data: no finite optimum
+
+
+def test_find_optimum_plain_non_separable_certified():
+    ds = small_dataset("plain", M=400)
+    p = Problem.logistic_plain(3)
+    info = find_optimum(p, ds, budget=200000)
+    assert info.exact
+    assert info.grad_norm <= 1e-10
+
+
+def test_find_optimum_budget_caps_newton_steps():
+    ds = small_dataset("plain", M=400)
+    p = Problem.logistic_plain(3)
+    one = find_optimum(p, ds, budget=1)
+    assert not one.exact and not one.degenerate
+    assert one.grad_norm < find_optimum(p, ds, budget=0).grad_norm
