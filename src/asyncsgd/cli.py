@@ -160,7 +160,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_optimum(args) -> int:
-    cfg = _load_config(args.config, args.seed, None)
+    cfg = _load_config(args.config)
     ds = harness.build_dataset(cfg.dataset)
     problem = harness.build_problem(cfg.problem, ds)
     info = problems.find_optimum(problem, ds, budget=args.budget)
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimum", help="solve for the optimum")
     p_opt.add_argument("--config", required=True)
-    p_opt.add_argument("--seed", type=int)
     p_opt.add_argument("--budget", type=int, default=200000,
                        help="cap on Newton iterations for logistic problems "
                             "(0 returns the initial point)")

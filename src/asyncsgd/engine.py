@@ -19,6 +19,14 @@ bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  The server
 counts the updates applied per round instead of scanning the applied set.
 Each node draws its sample indices from its stream in chunks; the indices
 consumed are exactly those of one scalar draw per gradient.
+
+Events are heap entries (time, draw, seq, handler, payload): ties in time
+break on a uniform draw from the interleave stream, then on push order, and
+the loop calls handler(time, payload).  The interleave draws and message
+delays come from `rng.Replay`, which returns exactly what the Generator's
+scalar random() and integers(0, hi) would.  Round updates and the server
+model are checked for inf and NaN as isfinite(x @ zeros), which is NaN
+exactly when some entry is not finite.
 """
 from __future__ import annotations
 
@@ -273,7 +281,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
               for row in table.rows]                  # s_rows[i][c] = s_{i,c}
     arrived = [0] * (rounds + 1)  # round updates applied, per round
 
-    inter = rng.stream(seed, rng.INTERLEAVE)
+    inter = rng.Replay(rng.stream(seed, rng.INTERLEAVE))
+    draw, randint = inter.random, inter.integers
     nodes = [_Node(c, base_w, partition.local(c),
                    rng.stream(seed, rng.NODE_SAMPLING, c))
              for c in range(1, n + 1)]
@@ -294,14 +303,14 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     messages = 0
     bcast_seq = 0
     iterates: list = []
+    zeros = np.zeros(dim)  # x @ zeros is NaN iff x has an inf or a NaN
     heap: list = []
-    seq = itertools.count()
+    heappush, heappop = heapq.heappush, heapq.heappop
+    isfinite = math.isfinite
+    seq = itertools.count().__next__
 
-    def push(time: float, kind: str, payload) -> None:
-        heapq.heappush(heap, (time, inter.random(), next(seq), kind, payload))
-
-    def delay_draw(i: int) -> int:
-        return int(inter.integers(0, delay_hi[i]))
+    def push(time: float, handler, payload) -> None:
+        heappush(heap, (time, draw(), seq(), handler, payload))
 
     def check_ledger() -> None:
         total = base_w.copy()
@@ -323,7 +332,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             applied[(i, c)] = payload
             check_ledger()
         del pending[(i, c)]
-        if not np.isfinite(v_hat).all():
+        if not isfinite(v_hat.dot(zeros)):
             raise NonFiniteError(f"server model non-finite after round {i} "
                                  f"from node {c}")
         arrived[i] += 1
@@ -339,21 +348,24 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             if checkpoint_interval and k_srv % checkpoint_interval == 0:
                 checkpoints.append((k_srv, P[k_srv], v_hat.copy()))
             snapshot = v_hat.copy()
+            hi = delay_hi[k_srv]
             for cc in range(1, n + 1):
-                push(time + 1 + delay_draw(k_srv),
-                     "bcast", (cc, bcast_seq, k_srv, snapshot))
+                push(time + 1 + randint(0, hi),
+                     node_receive, (cc, bcast_seq, k_srv, snapshot))
 
     def ship_round(time: float, nd: _Node) -> None:
         # round finished (possibly empty): ship U and advance
         nonlocal messages
         i, c = nd.i, nd.c
-        payload = nd.U if per_iter else eta_bar[i] * nd.U
-        if not np.isfinite(payload).all():
+        payload = nd.U
+        if not per_iter:
+            payload *= eta_bar[i]
+        if not isfinite(payload.dot(zeros)):
             raise NonFiniteError(f"node {c} produced a non-finite "
                                  f"round update in round {i}")
         pending[(i, c)] = payload
         messages += 1
-        push(time + 1 + delay_draw(i), "update", (i, c, payload))
+        push(time + 1 + randint(0, delay_hi[i]), server_apply, (i, c, payload))
         nd.done_rounds += 1
         nd.i = i = i + 1
         if i >= rounds:
@@ -362,7 +374,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         nd.h = 0
         nd.s_ic = s_rows[i][c]
         nd.U = np.zeros(dim)
-        push(time + 1, "node", nd)
+        push(time + 1, node_step, nd)
 
     def node_step(time: float, nd: _Node) -> None:
         nonlocal grads
@@ -403,7 +415,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         nd.h = h + 1
         grads += 1
         if grads < K:
-            push(time + 1, "node", nd)
+            push(time + 1, node_step, nd)
 
     def node_receive(time: float, msg) -> None:
         c, bcast_id, kb, model = msg
@@ -424,10 +436,10 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         # stream bit-identical to serial SGD
         if nd.waiting:
             nd.waiting = False
-            push(time + 1, "node", nd)
+            push(time + 1, node_step, nd)
 
     for nd in nodes:
-        push(0.0, "node", nd)
+        push(0.0, node_step, nd)
 
     while grads < K:
         if not heap:
@@ -436,13 +448,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             raise DeadlockError(
                 f"no runnable events with {grads}/{K} gradients done; "
                 f"server k={k_srv}, nodes={stuck}")
-        time, _prio, _seq, kind, payload = heapq.heappop(heap)
-        if kind == "node":
-            node_step(time, payload)
-        elif kind == "update":
-            server_apply(time, payload)
-        else:
-            node_receive(time, payload)
+        time, _draw, _seq, handler, payload = heappop(heap)
+        handler(time, payload)
 
     # serialize: flush in-flight round updates and unsent partials; with a
     # single node its local model already is the exact serial iterate

@@ -303,10 +303,11 @@ def compute_metrics(prep: PreparedRun, result: engine.RunResult,
             Yw.append(float("nan"))
             YF.append(float("nan"))
     # windowed average: Y_A[j] = mean of Y_F over checkpoints (j, 2j]
+    YF_arr = np.array(YF)
     YA = []
     for j in range(len(YF)):
         if j >= 1 and 2 * j < len(YF):
-            YA.append(float(np.mean(YF[j + 1:2 * j + 1])))
+            YA.append(float(YF_arr[j + 1:2 * j + 1].mean()))
         else:
             YA.append(float("nan"))
     acc = None

@@ -371,6 +371,46 @@ def test_divergence_raises_non_finite():
             record_trace=False)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_round_update_raises(bad):
+    """One non-finite entry in a shipped round update is caught."""
+    sam = SampleSchedule.constant(4)
+    _ds, prob, part = quadratic_setup(2, 6)
+    table = build_assignment(sam, part.p, 2, rounds=10, seed=6)
+    w0 = np.zeros(3)
+    w0[1] = bad  # the gradient w - x inherits it, and so does U
+    with pytest.raises(NonFiniteError, match="round update"):
+        run(prob, part, table, sam, StepSchedule.constant(0.1), None, K=30,
+            seed=6, w0=w0, record_trace=False)
+
+
+def huge_setup(n):
+    """Quadratic data at 1e308 everywhere: one unit step reaches it."""
+    ds = data.DataSet(X=np.full((8, 3), 1e308), y=np.zeros(8))
+    part = partition(ds, n, seed=0)
+    sam = SampleSchedule.constant(4)
+    table = build_assignment(sam, part.p, n, rounds=20, seed=0)
+    return Problem.quadratic_mean(3), part, table, sam
+
+
+def test_huge_finite_updates_pass_the_check():
+    prob, part, table, sam = huge_setup(1)
+    res = run(prob, part, table, sam, StepSchedule.constant(1.0), None, K=40,
+              seed=0, record_trace=False)
+    assert np.all(res.w_final == 1e308)
+    assert np.all(res.v_hat == 1e308)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_server_overflow_raises():
+    # each node ships -1e308 per coordinate; their sum overflows at the server
+    prob, part, table, sam = huge_setup(2)
+    with pytest.raises(NonFiniteError, match="server model"):
+        run(prob, part, table, sam, StepSchedule.constant(1.0), None, K=40,
+            seed=0, record_trace=False)
+
+
 def test_table_exhaustion_raises():
     sam = SampleSchedule.constant(4)
     st = StepSchedule.constant(0.1)

@@ -106,6 +106,17 @@ def test_metrics_recomputation_from_checkpoints():
             yw, rel=1e-9, abs=1e-15)
 
 
+def test_windowed_average_matches_list_mean_bitwise():
+    _prep, _res, metrics, _opt = harness.execute(quad_config(K=2400))
+    YF = metrics.Y_F
+    assert len(YF) >= 100
+    for j, ya in enumerate(metrics.Y_A):
+        if j >= 1 and 2 * j < len(YF):
+            assert ya == float(np.mean(YF[j + 1:2 * j + 1]))
+        else:
+            assert np.isnan(ya)
+
+
 def test_metrics_T_matches_budget_rounds():
     cfg = quad_config(K=400, samples={"kind": "constant", "s": 20})
     _prep, _res, metrics, _opt = harness.execute(cfg)
@@ -260,6 +271,13 @@ def test_cli_optimum(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact"]
     assert doc["grad_norm"] <= 1e-12
+
+
+def test_cli_optimum_has_no_seed_option(tmp_path):
+    path = write_config(tmp_path, quad_config())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["optimum", "--config", path, "--seed", "3"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("overrides,field", [
