@@ -1,8 +1,8 @@
 """Asynchronous distributed SGD simulator.
 
 A central aggregator and n compute nodes run the increasing-sample-size /
-diminishing-round-step-size protocol; the event-driven backend makes every
-run deterministic and auditable against the configured delay function.
+diminishing-round-step-size protocol in a discrete-event simulation that
+is deterministic and auditable against the configured delay function.
 """
 
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
@@ -15,7 +15,7 @@ from .problems import Problem, OptimumInfo, grad, loss, objective, \
 from .data import (DataSet, Partition, AssignmentTable, parse_libsvm,
                    load_libsvm, partition, build_assignment, draw_sample,
                    synthetic_quadratic, synthetic_logistic)
-from .engine import (run, run_threaded, serial_sgd, rho, rho_inverse,
+from .engine import (run, serial_sgd, rho, rho_inverse,
                      audit_consistency, audit_gate_invariant,
                      audit_gate_equivalence, RunTrace, RunResult)
 from .harness import RunConfig, RunMetrics, prepare, execute, run_suite
@@ -30,7 +30,7 @@ __all__ = [
     "DataSet", "Partition", "AssignmentTable", "parse_libsvm", "load_libsvm",
     "partition", "build_assignment", "draw_sample", "synthetic_quadratic",
     "synthetic_logistic",
-    "run", "run_threaded", "serial_sgd", "rho", "rho_inverse",
+    "run", "serial_sgd", "rho", "rho_inverse",
     "audit_consistency", "audit_gate_invariant", "audit_gate_equivalence",
     "RunTrace", "RunResult",
     "RunConfig", "RunMetrics", "prepare", "execute", "run_suite",

@@ -27,13 +27,11 @@ EXIT_AUDIT = 3
 DEFAULT_GRID = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 0.0003, 0.0001)
 
 
-def _load_config(path: str, seed=None, backend=None) -> harness.RunConfig:
+def _load_config(path: str, seed=None) -> harness.RunConfig:
     with open(path) as fh:
         cfg = harness.RunConfig.from_json(fh.read())
     if seed is not None:
         cfg.seed = seed
-    if backend is not None:
-        cfg.backend = backend
     return cfg
 
 
@@ -46,7 +44,7 @@ def _write_out(out, text: str) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.backend)
+    cfg = _load_config(args.config, args.seed)
     if args.grid:
         cfg = _grid_search(cfg)
     prep, result, metrics, _opt = harness.execute(
@@ -150,7 +148,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = _load_config(args.config, args.seed, None)
+    cfg = _load_config(args.config, args.seed)
     prep, result, _metrics, _opt = harness.execute(
         cfg, record_trace=True, with_optimum=False)
     code = _run_audits(prep, result)
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one simulation")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--backend", choices=["event", "threaded"])
     p_run.add_argument("--audit", action="store_true",
                        help="record a full trace and check the staleness "
                             "contract")

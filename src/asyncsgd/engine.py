@@ -1,19 +1,16 @@
 """Execution engine: server/node state machines, audits, and the serial oracle.
 
-Two backends share the same algorithm semantics:
-
-* event-driven (default) -- a single-threaded discrete-event scheduler with a
-  seeded priority queue and seeded message delays.  Fully deterministic for a
-  given (config, seed), which is what makes the delay audits possible.
-* threaded -- real threads and queues, for wall-clock smoke runs only.
+`run` is a single-threaded discrete-event simulator with a seeded event
+queue and seeded message delays.  It is fully deterministic for a given
+(config, seed), which is what makes the delay audits possible.
 
 The server applies eta_bar_i-scaled round updates to the global model v_hat
 and broadcasts (v_hat, k) once round k has been received from every node.
 Each node runs local SGD on its shard, gated so that the staleness of its
 local model never exceeds the configured delay function.
 
-The event backend reads everything that depends only on the round from
-tables built once at entry, each bounded by the assignment table's rounds:
+The engine reads everything that depends only on the round from tables
+built once at entry, each bounded by the assignment table's rounds:
 the prefix sums sum_{j<i} s_j, the round steps eta_bar_i, the delay-draw
 bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  The server
 counts the updates applied per round instead of scanning the applied set.
@@ -34,8 +31,6 @@ import bisect
 import heapq
 import itertools
 import math
-import queue as queue_mod
-import threading
 import time as time_mod
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -51,9 +46,6 @@ from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
 
 GATE_LAG = "lag"  # wait while i > k + d
 GATE_TAU = "tau"  # wait while tau(t_glob) < t_delay
-
-BACKEND_EVENT = "event"
-BACKEND_THREADED = "threaded"
 
 
 class EngineError(RuntimeError):
@@ -198,7 +190,7 @@ def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
 
 
 # ---------------------------------------------------------------------------
-# Event-driven backend
+# Event-driven engine
 # ---------------------------------------------------------------------------
 
 # Sample indices a node draws ahead from its stream at a time.  The values
@@ -527,125 +519,3 @@ def audit_gate_equivalence(run_kwargs: dict, df: DelayFunction) -> bool:
             return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# Threaded backend (wall-clock smoke runs only)
-# ---------------------------------------------------------------------------
-
-def run_threaded(problem: Problem, partition: Partition,
-                 table: AssignmentTable, samples: SampleSchedule,
-                 steps: StepSchedule, K: int, seed: int, d: int = 1,
-                 timeout: float = 60.0) -> RunResult:
-    """Real threads and queues; same protocol, no trace, lag gate only.
-
-    Nondeterministic by nature: used to check that the protocol also
-    terminates under genuine concurrency, and to measure wall time.
-    """
-    n = partition.n
-    dim = problem.dim
-    per_iter = steps.mode == PER_ITERATION
-    update_q: queue_mod.Queue = queue_mod.Queue()
-    inboxes = [queue_mod.Queue() for _ in range(n)]
-    stop = threading.Event()
-    lock = threading.Lock()
-    counters = {"grads": 0, "messages": 0}
-    errors: list = []
-
-    def eta_bar(i: int) -> float:
-        return round_step(steps, samples, i)
-
-    v_hat = np.zeros(dim)
-    state = {"k": 0, "H": set()}
-
-    def server() -> None:
-        while not stop.is_set():
-            try:
-                i, c, payload = update_q.get(timeout=0.05)
-            except queue_mod.Empty:
-                continue
-            v_hat[:] = v_hat - payload
-            state["H"].add((i, c))
-            while all((state["k"], cc) in state["H"]
-                      for cc in range(1, n + 1)):
-                for cc in range(1, n + 1):
-                    state["H"].discard((state["k"], cc))
-                state["k"] += 1
-                snap = v_hat.copy()
-                for box in inboxes:
-                    box.put((snap, state["k"]))
-
-    def node(c: int) -> None:
-        gen = rng.stream(seed, rng.NODE_SAMPLING, c)
-        local = partition.local(c)
-        w = np.zeros(dim)
-        k = 0
-        try:
-            for i in range(table.rounds):
-                if stop.is_set():
-                    return
-                s_ic = int(np.sum(table.rows[i] == c))
-                U = np.zeros(dim)
-                for h in range(s_ic):
-                    while i > k + d and not stop.is_set():
-                        try:
-                            model, kb = inboxes[c - 1].get(timeout=0.05)
-                        except queue_mod.Empty:
-                            continue
-                        if kb > k:
-                            k = kb
-                            if n > 1:
-                                w = model - eta_bar(i) * U
-                    if stop.is_set():
-                        return
-                    # drain without blocking so fresh models are still used
-                    while True:
-                        try:
-                            model, kb = inboxes[c - 1].get_nowait()
-                        except queue_mod.Empty:
-                            break
-                        if kb > k:
-                            k = kb
-                            if n > 1:
-                                w = model - eta_bar(i) * U
-                    x, y = local.sample(int(gen.integers(0, len(local))))
-                    g = grad(problem, w, x, y)
-                    eta = eta_bar(i)
-                    U = U + g
-                    w = w - eta * g
-                    with lock:
-                        counters["grads"] += 1
-                        if counters["grads"] >= K:
-                            stop.set()
-                update_q.put((i, c, (U * eta_bar(i)) if not per_iter else U))
-                with lock:
-                    counters["messages"] += 1
-            raise EngineError("assignment table exhausted")
-        except Exception as exc:  # surfaced to the caller below
-            errors.append(exc)
-            stop.set()
-
-    t0 = time_mod.monotonic()
-    threads = [threading.Thread(target=server, daemon=True)]
-    threads += [threading.Thread(target=node, args=(c,), daemon=True)
-                for c in range(1, n + 1)]
-    for th in threads:
-        th.start()
-    deadline = t0 + timeout
-    while not stop.is_set():
-        if time_mod.monotonic() > deadline:
-            stop.set()
-            raise DeadlockError(f"threaded run exceeded {timeout}s with "
-                                f"{counters['grads']}/{K} gradients")
-        stop.wait(0.02)
-    for th in threads[1:]:
-        th.join(timeout=5.0)
-    threads[0].join(timeout=5.0)
-    if errors:
-        raise errors[0]
-    if not np.all(np.isfinite(v_hat)):
-        raise NonFiniteError("threaded run produced a non-finite model")
-    return RunResult(w_final=v_hat.copy(), v_hat=v_hat.copy(),
-                     k_final=state["k"], grads=counters["grads"],
-                     messages=counters["messages"], rounds_completed={},
-                     checkpoints=[], trace=None,
-                     wall_time=time_mod.monotonic() - t0)

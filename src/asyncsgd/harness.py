@@ -34,6 +34,14 @@ DEFAULT_ETA0 = 0.1
 BETA_STRONGLY_CONVEX = 0.001
 BETA_PLAIN = 0.01
 
+# JSON value types accepted per RunConfig annotation, and their JSON names
+_JSON_TYPES = {"int": (int,), "str": (str,), "bool": (bool,),
+               "dict": (dict,), "Optional[dict]": (dict, type(None)),
+               "Optional[list]": (list, type(None))}
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "a boolean", dict: "an object", list: "an array",
+               type(None): "null"}
+
 
 @dataclass
 class RunConfig:
@@ -51,7 +59,6 @@ class RunConfig:
     d: int = DEFAULT_D
     checkpoint_interval: int = 1
     test_dataset: Optional[dict] = None
-    backend: str = engine.BACKEND_EVENT
     allow_incompatible: bool = False
     deterministic_split: bool = False
     optimum_budget: int = 200000
@@ -64,10 +71,16 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = set(RunConfig.__dataclass_fields__)
-        for key in raw:
-            if key not in known:
+        fields = RunConfig.__dataclass_fields__
+        for key, value in raw.items():
+            if key not in fields:
                 raise ConfigError(f"unknown config field {key!r}")
+            # exact types: json.loads gives bool for true/false, never int
+            allowed = _JSON_TYPES[fields[key].type]
+            if type(value) not in allowed:
+                want = " or ".join(_JSON_NAMES[t] for t in allowed)
+                raise ConfigError(f"config field {key!r} must be {want}, "
+                                  f"got {_JSON_NAMES[type(value)]}")
         for req in ("problem", "dataset", "samples"):
             if req not in raw:
                 raise ConfigError(f"missing required config field {req!r}")
@@ -175,7 +188,6 @@ class PreparedRun:
     samples: schedules.SampleSchedule
     steps: schedules.StepSchedule
     delay_fn: Optional[schedules.DelayFunction]
-    rounds: int
 
 
 def prepare(cfg: RunConfig) -> PreparedRun:
@@ -188,20 +200,6 @@ def prepare(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(f"d must be >= 0, got {cfg.d}")
     if cfg.gate not in (engine.GATE_LAG, engine.GATE_TAU):
         raise ConfigError(f"gate must be 'lag' or 'tau', got {cfg.gate!r}")
-    if cfg.backend not in (engine.BACKEND_EVENT, engine.BACKEND_THREADED):
-        raise ConfigError(f"unknown backend {cfg.backend!r}")
-    threaded = cfg.backend == engine.BACKEND_THREADED
-    # the threaded backend runs the lag gate with per-round steps and no
-    # checkpoints; reject what it would otherwise silently ignore
-    if threaded and cfg.gate != engine.GATE_LAG:
-        raise ConfigError(f"gate {cfg.gate!r} is not supported by backend "
-                          f"'threaded' (lag gate only)")
-    if threaded and cfg.delay is not None:
-        raise ConfigError("delay spec is not supported by backend "
-                          "'threaded'")
-    if threaded and cfg.checkpoint_interval != 1:
-        raise ConfigError("checkpoint_interval is not supported by backend "
-                          "'threaded' (it records no checkpoints)")
 
     ds = build_dataset(cfg.dataset)
     test_ds = build_dataset(cfg.test_dataset) if cfg.test_dataset else None
@@ -228,9 +226,6 @@ def prepare(cfg: RunConfig) -> PreparedRun:
                 if cfg.delay else None
     except schedules.ScheduleError as exc:
         raise ConfigError(f"samples/steps: {exc}")
-    if threaded and steps.mode == schedules.PER_ITERATION:
-        raise ConfigError(f"steps mode {steps.mode!r} is not supported by "
-                          f"backend 'threaded'")
 
     s0 = schedules.sample_size(samples, 0)
     if s0 > 0 and cfg.K < s0:
@@ -263,8 +258,7 @@ def prepare(cfg: RunConfig) -> PreparedRun:
         deterministic_split=cfg.deterministic_split)
     return PreparedRun(config=cfg, dataset=ds, test_dataset=test_ds,
                        problem=problem, partition=part, table=table,
-                       samples=samples, steps=steps, delay_fn=delay_fn,
-                       rounds=rounds)
+                       samples=samples, steps=steps, delay_fn=delay_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +323,11 @@ def execute(cfg: RunConfig, record_trace: bool = False,
     Returns (PreparedRun, RunResult, RunMetrics, OptimumInfo or None).
     """
     prep = prepare(cfg)
-    if cfg.backend == engine.BACKEND_THREADED:
-        result = engine.run_threaded(prep.problem, prep.partition, prep.table,
-                                     prep.samples, prep.steps, cfg.K,
-                                     cfg.seed, d=cfg.d)
-    else:
-        result = engine.run(prep.problem, prep.partition, prep.table,
-                            prep.samples, prep.steps, prep.delay_fn, cfg.K,
-                            cfg.seed, gate=cfg.gate, d=cfg.d,
-                            checkpoint_interval=cfg.checkpoint_interval,
-                            record_trace=record_trace)
+    result = engine.run(prep.problem, prep.partition, prep.table,
+                        prep.samples, prep.steps, prep.delay_fn, cfg.K,
+                        cfg.seed, gate=cfg.gate, d=cfg.d,
+                        checkpoint_interval=cfg.checkpoint_interval,
+                        record_trace=record_trace)
     opt = None
     if with_optimum:
         opt = problems.find_optimum(prep.problem, prep.dataset,
@@ -372,7 +361,7 @@ def run_suite(name: str, seed: int = 0,
               dataset_path: Optional[str] = None,
               K: int = 4000) -> str:
     """Run one named experiment grid; returns CSV text (setting, accuracy,
-    T, K).  Deterministic for a fixed (suite, seed) on the event backend."""
+    T, K).  Deterministic for a fixed (suite, seed)."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
     ds_spec = _suite_dataset(dataset_path)

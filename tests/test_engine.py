@@ -10,7 +10,7 @@ from asyncsgd.data import AssignmentTable, build_assignment, partition, \
     synthetic_quadratic, synthetic_logistic
 from asyncsgd.engine import (DeadlockError, EngineError, NonFiniteError,
                              GradRecord, BroadcastInfo, RunTrace, rho,
-                             rho_inverse, run, run_threaded, serial_sgd,
+                             rho_inverse, run, serial_sgd,
                              make_step_fn, audit_consistency,
                              audit_gate_invariant, audit_gate_equivalence)
 from asyncsgd.problems import Problem
@@ -473,13 +473,3 @@ def test_event_backend_reports_wall_time():
     res = run(prob, part, table, sam, st, None, K=200, seed=12)
     assert res.wall_time > 0.0
 
-
-def test_threaded_backend_smoke():
-    sam = SampleSchedule.constant(10)
-    st = StepSchedule.inverse_t(0.1, 0.01)
-    _ds, prob, part = quadratic_setup(2, 12)
-    table = build_assignment(sam, part.p, 2, rounds=60, seed=12)
-    res = run_threaded(prob, part, table, sam, st, K=200, seed=12, d=1)
-    assert res.grads >= 200
-    assert np.all(np.isfinite(res.w_final))
-    assert res.wall_time > 0.0

@@ -46,12 +46,20 @@ def test_config_rejects_bad_json():
         RunConfig.from_json("not json")
 
 
+@pytest.mark.parametrize("backend", ["threaded", "event"])
+def test_config_rejects_backend_field(backend):
+    doc = json.loads(quad_config().to_json())
+    doc["backend"] = backend
+    with pytest.raises(ConfigError, match="unknown config field 'backend'"):
+        RunConfig.from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("overrides,fragment", [
     (dict(K=0), "K"),
     (dict(n=0), "n"),
     (dict(d=-1), "d"),
     (dict(gate="sideways"), "gate"),
-    (dict(backend="gpu"), "backend"),
+    (dict(gate="tau"), "delay"),
     (dict(problem={"kind": "cubic"}), "problem"),
     (dict(dataset={"synthetic": "mystery"}), "dataset"),
     (dict(samples={"kind": "constant", "s": 0}), "samples"),
@@ -280,26 +288,37 @@ def test_cli_optimum_has_no_seed_option(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("overrides,field", [
-    (dict(gate="tau", delay={"g": 2.0, "M0": 0.0, "M1": 0.0}), "gate"),
-    (dict(delay={"g": 2.0, "M0": 0.0, "M1": 0.0}), "delay"),
-    (dict(checkpoint_interval=5), "checkpoint_interval"),
-    (dict(steps={"kind": "inverse_t", "eta0": 0.1, "beta": 0.01,
-                 "mode": "per_iteration"}), "per_iteration"),
-], ids=["gate", "delay", "checkpoint_interval", "per_iteration"])
-def test_cli_threaded_rejects_ignored_setting(tmp_path, capsys, overrides,
-                                              field):
-    path = write_config(tmp_path, quad_config(**overrides))
-    assert cli.main(["run", "--config", path, "--backend", "threaded"]) == \
-        cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert field in err and "threaded" in err
+def write_raw_config(tmp_path, **fields) -> str:
+    """quad_config's JSON with fields set to raw JSON values, unchecked."""
+    doc = json.loads(quad_config().to_json())
+    doc.update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
-def test_cli_threaded_accepts_supported_config(tmp_path):
+def test_cli_run_rejects_backend_field(tmp_path, capsys):
+    path = write_raw_config(tmp_path, backend="threaded")
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    assert "backend" in capsys.readouterr().err
+
+
+def test_cli_run_has_no_backend_option(tmp_path):
     path = write_config(tmp_path, quad_config())
-    assert cli.main(["run", "--config", path, "--backend", "threaded",
-                     "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", path, "--backend", "threaded"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("K", "100"), ("n", "2"), ("d", None), ("checkpoint_interval", "x"),
+    ("samples", [1]), ("problem", None), ("seed", "a"),
+    ("K", 100.0), ("n", True), ("allow_incompatible", 1),
+])
+def test_cli_run_rejects_mistyped_field(tmp_path, capsys, field, value):
+    path = write_raw_config(tmp_path, **{field: value})
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    assert repr(field) in capsys.readouterr().err
 
 
 def test_cli_trace_file(tmp_path):
