@@ -130,11 +130,16 @@ def cmd_schedule(args) -> int:
     if args.strongly_convex:
         delay_fn, samples, steps = schedules.make_strongly_convex_schedules(
             mu=args.mu, L=args.L, d=args.d, m=args.m)
+    elif args.samples is None or args.steps is None:
+        raise harness.ConfigError("schedule needs --samples and --steps, or "
+                                  "--strongly-convex")
     else:
-        samples = schedules.SampleSchedule.from_dict(json.loads(args.samples))
-        steps = schedules.StepSchedule.from_dict(json.loads(args.steps))
-        delay_fn = schedules.DelayFunction.from_dict(json.loads(args.delay)) \
-            if args.delay else None
+        samples = harness.build_spec("samples", harness.SAMPLES,
+                                     json.loads(args.samples))
+        steps = harness.build_spec("steps", harness.STEPS,
+                                   json.loads(args.steps))
+        delay_fn = None if args.delay is None else harness.build_spec(
+            "delay", harness.DELAYS, json.loads(args.delay), key=None)
     text = harness.schedule_table(samples, steps, delay_fn, args.d, args.rows)
     _write_out(args.out, text)
     return EXIT_OK

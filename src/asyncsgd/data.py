@@ -333,7 +333,7 @@ def draw_sample(local: LocalView, gen: np.random.Generator):
 # Synthetic data sets (used by tests and the experiment suites)
 # ---------------------------------------------------------------------------
 
-def synthetic_quadratic(M: int, dim: int, seed: int = 0,
+def synthetic_quadratic(M: int = 1000, dim: int = 10, seed: int = 0,
                         scale: float = 1.0) -> DataSet:
     """Gaussian feature cloud for the quadratic-mean problem."""
     gen = rng.stream(seed, "synthetic-quadratic")
@@ -342,7 +342,7 @@ def synthetic_quadratic(M: int, dim: int, seed: int = 0,
     return DataSet(X=X, y=y, name=f"quadratic-{M}x{dim}")
 
 
-def synthetic_logistic(M: int, dim: int, seed: int = 0,
+def synthetic_logistic(M: int = 1000, dim: int = 10, seed: int = 0,
                        separation: float = 2.0, noise: float = 1.5,
                        center_seed: Optional[int] = None) -> DataSet:
     """Two overlapping Gaussian clusters with balanced binary labels.

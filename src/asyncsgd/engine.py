@@ -103,7 +103,7 @@ class GradRecord:
     eta: float
     t_glob: int
     t_delay: int
-    bcast_id: int   # broadcast applied to the local model (0 = initial w0)
+    bcast_id: int   # last broadcast the local model contains (0 = initial w0)
     acc_round: int  # first local round whose own updates survive in w_hat
     g: Optional[np.ndarray] = None  # only with record_gradients
 
@@ -200,7 +200,7 @@ _DRAW_CHUNK = 1024
 
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "gen", "bcast_id",
-                 "acc_round", "waiting", "done_rounds", "X", "y", "draws")
+                 "acc_round", "waiting", "X", "y", "draws")
 
     def __init__(self, c: int, w0: np.ndarray, local,
                  gen: np.random.Generator):
@@ -215,7 +215,6 @@ class _Node:
         self.bcast_id = 0
         self.acc_round = 0
         self.waiting = False
-        self.done_rounds = 0
         self.X = local.X
         self.y = local.y.astype(float).tolist()
         self.draws: list = []  # pending sample indices, next one last
@@ -241,8 +240,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
 
     Stops after exactly K gradient computations across all nodes.  The
     returned final model is the serialized recursion's w_K: the server
-    model with all in-flight and unsent round updates flushed in node-major
-    order.
+    model with the in-flight round updates flushed in (round, node) order,
+    then the unsent partial rounds in node order.
     """
     if K < 1:
         raise EngineError("gradient budget K must be >= 1")
@@ -358,7 +357,6 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         pending[(i, c)] = payload
         messages += 1
         push(time + 1 + randint(0, delay_hi[i]), server_apply, (i, c, payload))
-        nd.done_rounds += 1
         nd.i = i = i + 1
         if i >= rounds:
             raise EngineError("assignment table exhausted before the "
@@ -415,17 +413,17 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         if kb <= nd.k:
             return
         nd.k = kb
+        nd.bcast_id = bcast_id
         if n > 1:
             # replace the local model, re-applying the current partial round
             if per_iter:
                 nd.w = model - nd.U
             else:
                 nd.w = model - eta_bar[nd.i] * nd.U
-            nd.bcast_id = bcast_id
             nd.acc_round = nd.i
         # with a single node every aggregated update is the node's own, so
         # replacement is a mathematical no-op; skipping it keeps the iterate
-        # stream bit-identical to serial SGD
+        # stream bit-identical to serial SGD, and acc_round stays 0
         if nd.waiting:
             nd.waiting = False
             push(time + 1, node_step, nd)
@@ -460,7 +458,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     return RunResult(
         w_final=w_final, v_hat=v_hat, k_final=k_srv, grads=grads,
         messages=messages,
-        rounds_completed={nd.c: nd.done_rounds for nd in nodes},
+        rounds_completed={nd.c: nd.i for nd in nodes},
         checkpoints=checkpoints, trace=trace, iterates=iterates,
         wall_time=time_mod.perf_counter() - t_start)
 

@@ -9,6 +9,8 @@ accuracy and the communication-round count T.
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import io
 import json
 import math
@@ -34,9 +36,13 @@ DEFAULT_ETA0 = 0.1
 BETA_STRONGLY_CONVEX = 0.001
 BETA_PLAIN = 0.01
 
-# JSON value types accepted per RunConfig annotation, and their JSON names
-_JSON_TYPES = {"int": (int,), "str": (str,), "bool": (bool,),
-               "dict": (dict,), "Optional[dict]": (dict, type(None)),
+# JSON types accepted per parameter annotation, and their names; json.loads
+# gives bool for true/false, never int, and an integer is also a number
+_JSON_TYPES = {"int": (int,), "float": (float, int), "str": (str,),
+               "bool": (bool,), "dict": (dict,), "list": (list,),
+               "Optional[int]": (int, type(None)),
+               "Optional[float]": (float, int, type(None)),
+               "Optional[dict]": (dict, type(None)),
                "Optional[list]": (list, type(None))}
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string",
                bool: "a boolean", dict: "an object", list: "an array",
@@ -69,22 +75,7 @@ class RunConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        fields = RunConfig.__dataclass_fields__
-        for key, value in raw.items():
-            if key not in fields:
-                raise ConfigError(f"unknown config field {key!r}")
-            # exact types: json.loads gives bool for true/false, never int
-            allowed = _JSON_TYPES[fields[key].type]
-            if type(value) not in allowed:
-                want = " or ".join(_JSON_NAMES[t] for t in allowed)
-                raise ConfigError(f"config field {key!r} must be {want}, "
-                                  f"got {_JSON_NAMES[type(value)]}")
-        for req in ("problem", "dataset", "samples"):
-            if req not in raw:
-                raise ConfigError(f"missing required config field {req!r}")
-        return RunConfig(**raw)
+        return build_spec("config", {None: RunConfig}, raw, key=None)
 
     def to_json(self) -> str:
         out = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -130,43 +121,105 @@ class RunMetrics:
 # Config -> runnable pieces
 # ---------------------------------------------------------------------------
 
-def build_dataset(spec: dict) -> data_mod.DataSet:
-    if "path" in spec:
-        return data_mod.load_libsvm(spec["path"])
-    kind = spec.get("synthetic")
-    M = int(spec.get("M", 1000))
-    dim = int(spec.get("dim", 10))
-    seed = int(spec.get("seed", 0))
-    if kind == "quadratic":
-        return data_mod.synthetic_quadratic(M, dim, seed=seed,
-                                            scale=spec.get("scale", 1.0))
-    if kind == "logistic":
-        return data_mod.synthetic_logistic(
-            M, dim, seed=seed,
-            separation=spec.get("separation", 2.0),
-            noise=spec.get("noise", 1.5),
-            center_seed=spec.get("center_seed"))
-    raise ConfigError(f"dataset spec needs 'path' or a known 'synthetic' "
-                      f"kind, got {spec!r}")
+@functools.cache
+def _parameters(builder, skip: int) -> dict:
+    """{name: (annotation, required)} of the parameters after `skip`."""
+    params = list(inspect.signature(builder).parameters.values())[skip:]
+    return {p.name: (p.annotation, p.default is p.empty) for p in params}
+
+
+def build_spec(what: str, builders: dict, spec: dict, *context,
+               key: Optional[str] = "kind"):
+    """Build the object that the JSON object `spec` describes.
+
+    spec[key] selects a builder (builders[None] without key) and every other
+    field is a keyword argument of it, checked against its signature: an
+    unknown field, a missing required one, a JSON type that does not match
+    the annotation or a ValueError from the builder is a ConfigError naming
+    `what` and the field.  `context` fills the builder's first parameters.
+    """
+    if type(spec) is not dict:
+        raise ConfigError(f"{what} must be a JSON object")
+    kind = spec.get(key)
+    try:
+        builder = builders[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        if key not in spec:
+            raise ConfigError(f"missing required {what} field {key!r}")
+        raise ConfigError(f"unknown {what} {key} {kind!r}; choose from "
+                          f"{sorted(k for k in builders if k)}")
+    params = _parameters(builder, len(context))
+    kwargs = {name: v for name, v in spec.items() if name != key}
+    for name, value in kwargs.items():
+        if name not in params:
+            raise ConfigError(f"unknown {what} field {name!r}")
+        allowed = _JSON_TYPES[params[name][0]]
+        if type(value) not in allowed:
+            want = " or ".join(_JSON_NAMES[t] for t in allowed
+                               if t is not int or float not in allowed)
+            got = _JSON_NAMES.get(type(value), type(value).__name__)
+            raise ConfigError(f"{what} field {name!r} must be {want}, "
+                              f"got {got}")
+    for name, (_annotation, required) in params.items():
+        if required and name not in kwargs:
+            raise ConfigError(f"missing required {what} field {name!r}")
+    try:
+        return builder(*context, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _quadratic_mean(ds: data_mod.DataSet) -> problems.Problem:
+    return problems.Problem.quadratic_mean(ds.dim)
+
+
+def _logistic_plain(ds: data_mod.DataSet) -> problems.Problem:
+    p = problems.Problem.logistic_plain(ds.dim)
+    return problems.Problem.logistic_plain(
+        ds.dim, L=problems.smoothness_constants(p, ds)[1])
+
+
+def _logistic_ridge(ds: data_mod.DataSet,
+                    lam: Optional[float] = None) -> problems.Problem:
+    lam = 1.0 / len(ds) if lam is None else lam
+    p = problems.Problem.logistic_ridge(ds.dim, lam=lam)
+    return problems.Problem.logistic_ridge(
+        ds.dim, lam, L=problems.smoothness_constants(p, ds)[1])
+
+
+def _strongly_convex(problem: problems.Problem, d: int, m: int = 7747):
+    """(delay, samples, steps) matched to the problem's mu and L."""
+    if problem.mu <= 0:
+        raise ConfigError("kind 'strongly_convex' needs a strongly convex "
+                          "problem")
+    return schedules.make_strongly_convex_schedules(
+        mu=problem.mu, L=problem.L, d=d, m=m)
+
+
+# The builders of each spec, keyed by the value of the spec's key; a
+# schedule kind is the name of its constructor
+DATASETS = {"quadratic": data_mod.synthetic_quadratic,
+            "logistic": data_mod.synthetic_logistic,
+            None: data_mod.load_libsvm}
+PROBLEMS = {problems.QUADRATIC_MEAN: _quadratic_mean,
+            problems.LOGISTIC_PLAIN: _logistic_plain,
+            problems.LOGISTIC_RIDGE: _logistic_ridge}
+STRONGLY_CONVEX = "strongly_convex"
+SAMPLES = {kind: getattr(schedules.SampleSchedule, kind) for kind in (
+    schedules.CONSTANT, schedules.POWER_LAW, schedules.MATCHED_POWER,
+    schedules.MATCHED_LOG, schedules.EXPLICIT)}
+STEPS = {kind: getattr(schedules.StepSchedule, kind) for kind in (
+    schedules.STEP_CONSTANT, schedules.INVERSE_T, schedules.INVERSE_SQRT_T,
+    schedules.STRONGLY_CONVEX_ROUND)}
+DELAYS = {None: schedules.DelayFunction}
+
+
+def build_dataset(spec: dict, what: str = "dataset") -> data_mod.DataSet:
+    return build_spec(what, DATASETS, spec, key="synthetic")
 
 
 def build_problem(spec: dict, ds: data_mod.DataSet) -> problems.Problem:
-    kind = spec.get("kind")
-    if kind == problems.QUADRATIC_MEAN:
-        return problems.Problem.quadratic_mean(ds.dim)
-    if kind == problems.LOGISTIC_PLAIN:
-        p = problems.Problem.logistic_plain(ds.dim)
-        _mu, L = problems.smoothness_constants(p, ds)
-        return problems.Problem(kind=kind, dim=ds.dim + 1, mu=0.0, L=L)
-    if kind == problems.LOGISTIC_RIDGE:
-        lam = spec.get("lam")
-        if lam is None:
-            lam = 1.0 / len(ds)
-        p = problems.Problem.logistic_ridge(ds.dim, lam=lam)
-        _mu, L = problems.smoothness_constants(p, ds)
-        return problems.Problem(kind=kind, dim=ds.dim + 1, mu=lam, L=L,
-                                lam=lam)
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    return build_spec("problem", PROBLEMS, spec, ds)
 
 
 def default_steps(problem: problems.Problem) -> dict:
@@ -202,50 +255,42 @@ def prepare(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(f"gate must be 'lag' or 'tau', got {cfg.gate!r}")
 
     ds = build_dataset(cfg.dataset)
-    test_ds = build_dataset(cfg.test_dataset) if cfg.test_dataset else None
+    test_ds = None if cfg.test_dataset is None \
+        else build_dataset(cfg.test_dataset, "test_dataset")
     problem = build_problem(cfg.problem, ds)
 
-    try:
-        if cfg.samples.get("kind") == "strongly_convex":
-            if problem.mu <= 0:
-                raise ConfigError("samples kind 'strongly_convex' needs a "
-                                  "strongly convex problem")
-            m = int(cfg.samples.get("m", 7747))
-            delay_fn, samples, steps = schedules.make_strongly_convex_schedules(
-                mu=problem.mu, L=problem.L, d=cfg.d, m=m)
-            if cfg.steps is not None:
-                steps = schedules.StepSchedule.from_dict(cfg.steps)
-            if cfg.delay is not None:
-                delay_fn = schedules.DelayFunction.from_dict(cfg.delay)
-        else:
-            samples = schedules.SampleSchedule.from_dict(cfg.samples)
-            steps_spec = cfg.steps if cfg.steps is not None \
-                else default_steps(problem)
-            steps = schedules.StepSchedule.from_dict(steps_spec)
-            delay_fn = schedules.DelayFunction.from_dict(cfg.delay) \
-                if cfg.delay else None
-    except schedules.ScheduleError as exc:
-        raise ConfigError(f"samples/steps: {exc}")
+    steps = delay_fn = None
+    if cfg.samples.get("kind") == STRONGLY_CONVEX:
+        delay_fn, samples, steps = build_spec(
+            "samples", {STRONGLY_CONVEX: _strongly_convex}, cfg.samples,
+            problem, cfg.d)
+    else:
+        samples = build_spec("samples", SAMPLES, cfg.samples)
+    if cfg.steps is not None:
+        steps = build_spec("steps", STEPS, cfg.steps)
+    elif steps is None:
+        steps = build_spec("steps", STEPS, default_steps(problem))
+    if cfg.delay is not None:
+        delay_fn = build_spec("delay", DELAYS, cfg.delay, key=None)
 
     s0 = schedules.sample_size(samples, 0)
     if s0 > 0 and cfg.K < s0:
         raise ConfigError(f"K={cfg.K} is smaller than the first round "
                           f"sample size s_0={s0}")
-    try:
-        T = schedules.rounds_for_budget(samples, cfg.K)
-    except schedules.ScheduleError as exc:
-        raise ConfigError(f"samples: schedule cannot cover K={cfg.K}: {exc}")
-    rounds = T + cfg.d + 5
+    if samples.kind == schedules.EXPLICIT and \
+            samples.prefix_sum(len(samples.values)) < cfg.K:
+        raise ConfigError("samples: explicit schedule does not cover K")
+    # T + d + 6 table rows let nodes run ahead of the server; an explicit
+    # schedule has only as many rows as values
+    rows = schedules.rounds_for_budget(samples, cfg.K) + cfg.d + 6
     if samples.kind == schedules.EXPLICIT:
-        rounds = min(rounds, len(samples.values))
-        if samples.prefix_sum(len(samples.values)) < cfg.K:
-            raise ConfigError("samples: explicit schedule does not cover K")
+        rows = min(rows, len(samples.values))
 
     if cfg.gate == engine.GATE_TAU and delay_fn is None:
         raise ConfigError("gate 'tau' needs a 'delay' spec")
     if delay_fn is not None and not cfg.allow_incompatible:
         ok, bad = schedules.verify_delay_compatibility(
-            samples, delay_fn, cfg.d, i_max=max(rounds, cfg.d))
+            samples, delay_fn, cfg.d, i_max=max(rows - 1, cfg.d))
         if not ok:
             raise ConfigError(f"samples/delay: delay compatibility fails at "
                               f"round {bad}; set allow_incompatible to "
@@ -254,7 +299,7 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     part = data_mod.partition(ds, cfg.n, mode=cfg.partition, p=cfg.p,
                               seed=cfg.seed)
     table = data_mod.build_assignment(
-        samples, part.p, cfg.n, rounds=rounds + 1, seed=cfg.seed,
+        samples, part.p, cfg.n, rounds=rows, seed=cfg.seed,
         deterministic_split=cfg.deterministic_split)
     return PreparedRun(config=cfg, dataset=ds, test_dataset=test_ds,
                        problem=problem, partition=part, table=table,

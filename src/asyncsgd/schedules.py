@@ -15,6 +15,7 @@ boundary (the strongly convex schedule must give s_0 = 16 exactly).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,33 +54,15 @@ class DelayFunction:
     g: float
     M0: float
     M1: float
-    gamma_kind: str = GAMMA_ONE
+    gamma: str = GAMMA_ONE
 
     def __post_init__(self) -> None:
         if self.g <= 1:
             raise ScheduleError(f"exponent g must be > 1, got {self.g}")
         if self.M0 < 0 or self.M1 < 0:
             raise ScheduleError("M0 and M1 must be non-negative")
-        if self.gamma_kind not in (GAMMA_ONE, GAMMA_FOUR_LOG):
-            raise ScheduleError(f"unknown gamma kind {self.gamma_kind!r}")
-
-    def gamma(self, z: float) -> float:
-        if self.gamma_kind == GAMMA_ONE:
-            return 1.0
-        if z <= 1.0:
-            raise DomainError(f"4*ln(z) undefined or <= 0 for z={z}")
-        return 4.0 * math.log(z)
-
-    def __call__(self, x: float) -> float:
-        return eval_delay(self, x)
-
-    def to_dict(self) -> dict:
-        return {"g": self.g, "M0": self.M0, "M1": self.M1, "gamma": self.gamma_kind}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DelayFunction":
-        return DelayFunction(g=d["g"], M0=d["M0"], M1=d["M1"],
-                             gamma_kind=d.get("gamma", GAMMA_ONE))
+        if self.gamma not in (GAMMA_ONE, GAMMA_FOUR_LOG):
+            raise ScheduleError(f"unknown gamma kind {self.gamma!r}")
 
 
 def eval_delay(df: DelayFunction, x: float) -> float:
@@ -87,9 +70,12 @@ def eval_delay(df: DelayFunction, x: float) -> float:
     if x < 0:
         raise DomainError(f"delay function evaluated at negative x={x}")
     z = x + df.M0
-    gam = df.gamma(z)  # raises DomainError for four_log with z <= 1
-    if gam <= 0:
-        raise DomainError(f"gamma({z}) = {gam} <= 0")
+    if df.gamma == GAMMA_ONE:
+        gam = 1.0
+    elif z <= 1.0:
+        raise DomainError(f"4*ln(z) undefined or <= 0 for z={z}")
+    else:
+        gam = 4.0 * math.log(z)
     if z == 0.0:
         return df.M1
     return df.M1 + (z / gam) ** (1.0 / df.g)
@@ -102,7 +88,7 @@ def verify_delay_monotonicity(df: DelayFunction, x_max: float,
     Uses a geometric grid of `points` points on (x_lo, x_max] where x_lo is
     the smallest admissible argument for the gamma family.
     """
-    x_lo = 0.0 if df.gamma_kind == GAMMA_ONE else max(0.0, 1.0 + 1e-9 - df.M0)
+    x_lo = 0.0 if df.gamma == GAMMA_ONE else max(0.0, 1.0 + 1e-9 - df.M0)
     xs = [x_lo + (x_max - x_lo) * ((1.02 ** k - 1) / (1.02 ** points - 1))
           for k in range(points + 1)]
     prev_tau = None
@@ -135,7 +121,7 @@ class SampleSchedule:
     s: int = 0
     a: float = 0.0
     b: float = 0.0
-    c_exp: float = 1.0
+    c: float = 1.0
     g: float = 2.0
     m: int = 0
     d: int = 0
@@ -151,15 +137,15 @@ class SampleSchedule:
         return SampleSchedule(kind=CONSTANT, s=int(s), d=d)
 
     @staticmethod
-    def power_law(a: float, b: float = 0.0, c_exp: float = 1.0,
+    def power_law(a: float, b: float = 0.0, c: float = 1.0,
                   d: int = 0) -> "SampleSchedule":
         # Note: with b = 0 round 0 is empty (s_0 = 0); the first non-empty
         # round is i = 1, matching the a*i^c + b family evaluated literally.
-        if a < 0 or b < 0:
-            raise ScheduleError("power-law coefficients must be non-negative")
+        if a < 0 or b < 0 or c < 0:
+            raise ScheduleError("power-law a, b and c must be non-negative")
         if a == 0 and b == 0:
             raise ScheduleError("power-law schedule is identically zero")
-        return SampleSchedule(kind=POWER_LAW, a=a, b=b, c_exp=c_exp, d=d)
+        return SampleSchedule(kind=POWER_LAW, a=a, b=b, c=c, d=d)
 
     @staticmethod
     def matched_power(g: float, m: int = 0, d: int = 0) -> "SampleSchedule":
@@ -180,11 +166,13 @@ class SampleSchedule:
         return SampleSchedule(kind=MATCHED_LOG, m=int(m), d=int(d))
 
     @staticmethod
-    def explicit(values, d: int = 0) -> "SampleSchedule":
-        vals = tuple(int(v) for v in values)
-        if not vals or any(v < 1 for v in vals):
-            raise ScheduleError("explicit schedule needs values >= 1")
-        return SampleSchedule(kind=EXPLICIT, values=vals, d=d)
+    def explicit(values: list, d: int = 0) -> "SampleSchedule":
+        vals = tuple(values)
+        if not vals or any(isinstance(v, bool) or not isinstance(
+                v, numbers.Integral) or v < 1 for v in vals):
+            raise ScheduleError("explicit schedule needs integer values >= 1")
+        return SampleSchedule(kind=EXPLICIT, values=tuple(map(int, vals)),
+                              d=d)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -199,37 +187,6 @@ class SampleSchedule:
             cum.append(cum[-1] + sample_size(self, j))
         return cum[i]
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "d": self.d}
-        if self.kind == CONSTANT:
-            d["s"] = self.s
-        elif self.kind == POWER_LAW:
-            d.update(a=self.a, b=self.b, c=self.c_exp)
-        elif self.kind == MATCHED_POWER:
-            d.update(g=self.g, m=self.m)
-        elif self.kind == MATCHED_LOG:
-            d.update(m=self.m)
-        elif self.kind == EXPLICIT:
-            d["values"] = list(self.values)
-        return d
-
-    @staticmethod
-    def from_dict(spec: dict) -> "SampleSchedule":
-        kind = spec["kind"]
-        d = int(spec.get("d", 0))
-        if kind == CONSTANT:
-            return SampleSchedule.constant(spec["s"], d=d)
-        if kind == POWER_LAW:
-            return SampleSchedule.power_law(spec["a"], spec.get("b", 0.0),
-                                            spec.get("c", 1.0), d=d)
-        if kind == MATCHED_POWER:
-            return SampleSchedule.matched_power(spec["g"], spec.get("m", 0), d=d)
-        if kind == MATCHED_LOG:
-            return SampleSchedule.matched_log(spec["m"], d=d)
-        if kind == EXPLICIT:
-            return SampleSchedule.explicit(spec["values"], d=d)
-        raise ScheduleError(f"unknown sample schedule kind {kind!r}")
-
 
 def sample_size(sched: SampleSchedule, i: int) -> int:
     """Evaluate s_i for the schedule's closed form."""
@@ -238,7 +195,7 @@ def sample_size(sched: SampleSchedule, i: int) -> int:
     if sched.kind == CONSTANT:
         return sched.s
     if sched.kind == POWER_LAW:
-        return _ceil(sched.a * float(i) ** sched.c_exp + sched.b)
+        return _ceil(sched.a * float(i) ** sched.c + sched.b)
     if sched.kind == MATCHED_POWER:
         g, m, d = sched.g, sched.m, sched.d
         base = (m + i + 1) / (d + 1) * (g - 1) / g
@@ -307,6 +264,11 @@ class StepSchedule:
     m: int = 0
     mode: str = PER_ROUND
 
+    def __post_init__(self) -> None:
+        if self.mode not in (PER_ROUND, PER_ITERATION):
+            raise ScheduleError(f"unknown mode {self.mode!r}; use "
+                                f"{PER_ROUND!r} or {PER_ITERATION!r}")
+
     @staticmethod
     def constant(eta: float) -> "StepSchedule":
         if eta <= 0:
@@ -333,31 +295,6 @@ class StepSchedule:
             raise ScheduleError("mu must be positive")
         return StepSchedule(kind=STRONGLY_CONVEX_ROUND, mu=mu, M0=M0, M1=M1,
                             m=m, mode=PER_ROUND)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "mode": self.mode}
-        if self.kind == STEP_CONSTANT:
-            d["eta"] = self.eta
-        elif self.kind in (INVERSE_T, INVERSE_SQRT_T):
-            d.update(eta0=self.eta0, beta=self.beta)
-        else:
-            d.update(mu=self.mu, M0=self.M0, M1=self.M1, m=self.m)
-        return d
-
-    @staticmethod
-    def from_dict(spec: dict) -> "StepSchedule":
-        kind = spec["kind"]
-        mode = spec.get("mode", PER_ROUND)
-        if kind == STEP_CONSTANT:
-            return StepSchedule.constant(spec["eta"])
-        if kind == INVERSE_T:
-            return StepSchedule.inverse_t(spec["eta0"], spec["beta"], mode)
-        if kind == INVERSE_SQRT_T:
-            return StepSchedule.inverse_sqrt_t(spec["eta0"], spec["beta"], mode)
-        if kind == STRONGLY_CONVEX_ROUND:
-            return StepSchedule.strongly_convex_round(
-                spec["mu"], spec["M0"], spec["M1"], spec["m"])
-        raise ScheduleError(f"unknown step schedule kind {kind!r}")
 
 
 def per_iteration_step(sched: StepSchedule, t: int) -> float:
@@ -403,7 +340,7 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
     s0_term = _ceil((m + 1) / (16 * (d + 1) ** 2)
                     / math.log((m + 1) / (2 * (d + 1))))
     M1 = max(d + 2.0, 72.0 * L / mu, s0_term / 2.0)
-    df = DelayFunction(g=2.0, M0=M0, M1=M1, gamma_kind=GAMMA_FOUR_LOG)
+    df = DelayFunction(g=2.0, M0=M0, M1=M1, gamma=GAMMA_FOUR_LOG)
     steps = StepSchedule.strongly_convex_round(mu=mu, M0=M0, M1=M1, m=m)
     ok, bad = verify_delay_compatibility(samples, df, d, i_max=max(2000, 2 * d))
     if not ok:

@@ -216,7 +216,7 @@ def test_criterion_6_convergence_rate():
 
 def test_criterion_7_communication_sublinearity():
     K = 20000
-    linear = SampleSchedule.power_law(a=50.0, c_exp=1.0)
+    linear = SampleSchedule.power_law(a=50.0, c=1.0)
     T_linear = harness.rounds_used(linear, K)
     T_const = harness.rounds_used(SampleSchedule.constant(100), K)
     cap = 2.0 * math.sqrt(2.0 * K / 50.0)

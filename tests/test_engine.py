@@ -420,6 +420,28 @@ def test_table_exhaustion_raises():
         run(prob, part, table, sam, st, None, K=50, seed=7)
 
 
+def test_single_node_trace_names_received_broadcasts():
+    """One node keeps its own model on a broadcast, but its records still
+    name the last broadcast received, so the consistency audit replays
+    only the updates after that broadcast's prefix."""
+    df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
+    _ds, prob, part = quadratic_setup(1, 3, M=200, dim=3)
+    K = 600
+    rounds = schedules.rounds_for_budget(sam, K) + 7
+    table = build_assignment(sam, part.p, 1, rounds=rounds, seed=3)
+    res = run(prob, part, table, sam, st, df, K=K, seed=3, gate="tau",
+              d=1, record_trace=True)
+    trace = res.trace
+    assert trace.records[-1].bcast_id > 0
+    for rec in trace.records:
+        # the gate's prefix P[k] is that of the broadcast the record names
+        k = trace.broadcast(rec.bcast_id).k
+        assert sam.prefix_sum(k) == rec.t_glob + 1 - rec.t_delay
+        assert rec.acc_round == 0
+    assert audit_consistency(trace, df) == (True, None)
+    assert audit_gate_invariant(trace, df) == (True, None)
+
+
 # ---------------------------------------------------------------------------
 # other run modes
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Config validation, metrics, suites, and the CLI surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asyncsgd import cli, harness, problems, schedules
 from asyncsgd.harness import ConfigError, RunConfig
@@ -65,10 +67,23 @@ def test_config_rejects_backend_field(backend):
     (dict(samples={"kind": "constant", "s": 0}), "samples"),
     (dict(samples={"kind": "strongly_convex"},
           problem={"kind": "logistic_plain"}), "strongly convex"),
+    (dict(samples={"kind": "power_law", "a": 1.0, "c": -1.0}), "samples"),
 ])
 def test_prepare_validation_errors(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
         harness.prepare(quad_config(**overrides))
+
+
+@pytest.mark.parametrize("builders,context", [
+    (harness.DATASETS, 0), (harness.PROBLEMS, 1), (harness.SAMPLES, 0),
+    (harness.STEPS, 0), (harness.DELAYS, 0), ({None: RunConfig}, 0),
+    ({harness.STRONGLY_CONVEX: harness._strongly_convex}, 2),
+])
+def test_every_spec_field_has_a_json_type(builders, context):
+    for builder in builders.values():
+        for annotation, _required in harness._parameters(
+                builder, context).values():
+            assert annotation in harness._JSON_TYPES
 
 
 def test_prepare_rejects_budget_below_s0():
@@ -254,6 +269,8 @@ def test_cli_schedule_bad_params(capsys):
     assert cli.main(["schedule", "--samples", '{"kind": "constant", "s": 0}',
                      "--steps", '{"kind": "constant", "eta": 0.1}']) == \
         cli.EXIT_CONFIG
+    assert cli.main(["schedule", "--rows", "2"]) == cli.EXIT_CONFIG
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_cli_experiment(tmp_path):
@@ -319,6 +336,125 @@ def test_cli_run_rejects_mistyped_field(tmp_path, capsys, field, value):
     path = write_raw_config(tmp_path, **{field: value})
     assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
     assert repr(field) in capsys.readouterr().err
+
+
+STEPS = {"kind": "inverse_t", "eta0": 0.1, "beta": 0.01}
+DELAY = {"g": 2.0, "M0": 0.0, "M1": 100.0}
+
+
+@pytest.mark.parametrize("fields,fragment", [
+    (dict(steps={"kind": "inverse_t", "beta": 0.01}),
+     "missing required steps field 'eta0'"),
+    (dict(samples={"kind": "constant"}),
+     "missing required samples field 's'"),
+    (dict(samples={"s": 20}), "missing required samples field 'kind'"),
+    (dict(delay={"M0": 0.0, "M1": 100.0}),
+     "missing required delay field 'g'"),
+    (dict(samples={"kind": "constant", "s": "x"}),
+     "samples field 's' must be an integer, got a string"),
+    (dict(steps=dict(STEPS, eta0="a")),
+     "steps field 'eta0' must be a number, got a string"),
+    (dict(delay=dict(DELAY, g="x")),
+     "delay field 'g' must be a number, got a string"),
+    (dict(problem={"kind": "logistic_ridge", "lam": "x"}),
+     "problem field 'lam' must be a number or null, got a string"),
+    (dict(samples={"kind": "constant", "s": 10.7}),
+     "samples field 's' must be an integer, got a number"),
+    (dict(dataset={"synthetic": "quadratic", "M": "100", "dim": 3}),
+     "dataset field 'M' must be an integer, got a string"),
+    (dict(dataset={"synthetic": "quadratic", "M": 100.9, "dim": 3}),
+     "dataset field 'M' must be an integer, got a number"),
+    (dict(steps=dict(STEPS, mode="per_iter")),
+     "steps: unknown mode 'per_iter'"),
+    (dict(steps={"kind": "constant", "eta": 0.1, "mode": "per_iteration"}),
+     "unknown steps field 'mode'"),
+    (dict(samples={"kind": "strongly_convex", "m": 7747},
+          steps={"kind": "strongly_convex_round", "mu": 1.0, "M0": 100.0,
+                 "M1": 5.0, "m": 10, "mode": "per_iteration"}),
+     "unknown steps field 'mode'"),
+    (dict(steps=dict(STEPS, bogus=1)), "unknown steps field 'bogus'"),
+    (dict(samples={"kind": "explicit", "values": "99999"}),
+     "samples field 'values' must be an array, got a string"),
+    (dict(dataset={"path": 3}),
+     "dataset field 'path' must be a string, got an integer"),
+])
+def test_cli_run_rejects_bad_nested_spec(tmp_path, capsys, fields,
+                                         fragment):
+    path = write_raw_config(tmp_path, **fields)
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+
+
+EXPLICIT = {"kind": "explicit", "values": [3, 5, 4, 6, 7, 5, 8, 6, 9, 7]}
+
+
+@pytest.mark.parametrize("delay", [None, DELAY])
+def test_cli_run_explicit_schedule_shorter_than_table(tmp_path, delay):
+    """Ten values cover K=30 but are fewer than T + d + 6 table rows."""
+    path = write_raw_config(tmp_path, samples=EXPLICIT, K=30, n=2,
+                            delay=delay)
+    assert cli.main(["run", "--config", path,
+                     "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
+
+
+def test_cli_run_explicit_schedule_must_cover_K(tmp_path, capsys):
+    path = write_raw_config(tmp_path, samples=EXPLICIT, K=61, n=2)
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    assert "does not cover K" in capsys.readouterr().err
+
+
+def json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "array",
+            dict: "object"}[type(value)]
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5),
+    st.floats(-5, 5, allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_run_mutated_nested_spec_exits_0_or_1(tmp_path_factory, data):
+    """Any nested spec with a key dropped, an unknown key added or a value
+    swapped for another JSON type exits 0 or 1, never with a traceback."""
+    doc = json.loads(quad_config(K=40, delay=DELAY).to_json())
+    what = data.draw(st.sampled_from(
+        ["problem", "dataset", "samples", "steps", "delay"]))
+    spec = doc[what]
+    action = data.draw(st.sampled_from(["drop", "add", "swap"]))
+    if action == "add":
+        spec[data.draw(st.text(min_size=1, max_size=4).filter(
+            lambda k: k not in spec))] = data.draw(JSON_VALUES)
+    else:
+        key = data.draw(st.sampled_from(sorted(spec)))
+        if action == "drop":
+            del spec[key]
+        else:
+            spec[key] = data.draw(JSON_VALUES.filter(
+                lambda v: json_kind(v) != json_kind(spec[key])))
+    tmp = tmp_path_factory.mktemp("mutated")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["run", "--config", str(path),
+                     "--out", str(tmp / "m.json")])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+
+
+def test_readme_config_prepares():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = RunConfig.from_json(block)
+    prep = harness.prepare(cfg)
+    assert prep.problem.kind == problems.LOGISTIC_RIDGE
+    assert prep.samples == schedules.SampleSchedule.power_law(50.0, c=1.0)
+    assert prep.steps == schedules.StepSchedule.inverse_t(0.1, 0.001)
 
 
 def test_cli_trace_file(tmp_path):

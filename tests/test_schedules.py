@@ -1,10 +1,11 @@
 """Schedule construction and the delay-compatibility properties."""
 
+import json
 import math
 
 import pytest
 
-from asyncsgd import schedules
+from asyncsgd import harness, schedules
 from asyncsgd.schedules import (DelayFunction, DomainError, SampleSchedule,
                                 ScheduleError, StepSchedule, eval_delay,
                                 sample_size, round_step, per_iteration_step,
@@ -34,7 +35,7 @@ def test_eval_delay_strongly_convex_constants():
     m = 7747
     M0 = (m + 1) ** 2 / 4.0
     df = DelayFunction(g=2.0, M0=M0, M1=72.0,
-                       gamma_kind=schedules.GAMMA_FOUR_LOG)
+                       gamma=schedules.GAMMA_FOUR_LOG)
     expected = 72.0 + math.sqrt(M0 / (4.0 * math.log(M0)))
     assert eval_delay(df, 0.0) == pytest.approx(548.5087737416342, rel=1e-12)
     assert eval_delay(df, 0.0) == pytest.approx(expected, rel=1e-12)
@@ -45,7 +46,7 @@ def test_eval_delay_domain_errors():
     with pytest.raises(DomainError):
         eval_delay(df, -1.0)
     df_log = DelayFunction(g=2.0, M0=0.5, M1=0.0,
-                           gamma_kind=schedules.GAMMA_FOUR_LOG)
+                           gamma=schedules.GAMMA_FOUR_LOG)
     with pytest.raises(DomainError):
         eval_delay(df_log, 0.0)  # z = 0.5 <= 1
 
@@ -60,7 +61,7 @@ def test_delay_constructor_rejects_bad_params():
 @pytest.mark.parametrize("gamma", [schedules.GAMMA_ONE,
                                    schedules.GAMMA_FOUR_LOG])
 def test_delay_monotonicity(gamma):
-    df = DelayFunction(g=2.0, M0=100.0, M1=5.0, gamma_kind=gamma)
+    df = DelayFunction(g=2.0, M0=100.0, M1=5.0, gamma=gamma)
     assert verify_delay_monotonicity(df, x_max=1e6)
 
 
@@ -80,7 +81,7 @@ def test_matched_power_first_values():
 
 
 def test_power_law_linear():
-    sched = SampleSchedule.power_law(a=50.0, b=0.0, c_exp=1.0)
+    sched = SampleSchedule.power_law(a=50.0, b=0.0, c=1.0)
     assert sample_size(sched, 3) == 150
     assert sample_size(sched, 0) == 0  # first non-empty round is i=1
 
@@ -113,21 +114,40 @@ def test_matched_schedules_nondecreasing(kind, params):
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-def test_serialization_roundtrip():
-    for sched in (SampleSchedule.constant(7), SampleSchedule.power_law(2.0, 1.0),
-                  SampleSchedule.matched_power(3.0, m=4, d=2),
-                  SampleSchedule.matched_log(m=100, d=1),
-                  SampleSchedule.explicit([1, 2, 3])):
-        clone = SampleSchedule.from_dict(sched.to_dict())
-        assert [clone[i] for i in range(3)] == [sched[i] for i in range(3)]
-    for st in (StepSchedule.constant(0.1),
-               StepSchedule.inverse_t(0.1, 0.01),
-               StepSchedule.inverse_sqrt_t(0.1, 0.01, schedules.PER_ITERATION),
-               StepSchedule.strongly_convex_round(1.0, 100.0, 5.0, 10)):
-        assert StepSchedule.from_dict(st.to_dict()) == st
-    df = DelayFunction(g=2.0, M0=3.0, M1=1.0,
-                       gamma_kind=schedules.GAMMA_FOUR_LOG)
-    assert DelayFunction.from_dict(df.to_dict()) == df
+@pytest.mark.parametrize("what,spec,expected", [
+    ("samples", {"kind": "constant", "s": 7}, SampleSchedule.constant(7)),
+    ("samples", {"kind": "power_law", "a": 2.0, "b": 1.0},
+     SampleSchedule.power_law(2.0, 1.0)),
+    ("samples", {"kind": "power_law", "a": 50, "c": 0.5, "d": 1},
+     SampleSchedule.power_law(50.0, c=0.5, d=1)),
+    ("samples", {"kind": "matched_power", "g": 3.0, "m": 4, "d": 2},
+     SampleSchedule.matched_power(3.0, m=4, d=2)),
+    ("samples", {"kind": "matched_log", "m": 100, "d": 1},
+     SampleSchedule.matched_log(m=100, d=1)),
+    ("samples", {"kind": "explicit", "values": [1, 2, 3]},
+     SampleSchedule.explicit([1, 2, 3])),
+    ("steps", {"kind": "constant", "eta": 0.1}, StepSchedule.constant(0.1)),
+    ("steps", {"kind": "inverse_t", "eta0": 0.1, "beta": 0.01},
+     StepSchedule.inverse_t(0.1, 0.01)),
+    ("steps", {"kind": "inverse_sqrt_t", "eta0": 0.1, "beta": 0.01,
+               "mode": "per_iteration"},
+     StepSchedule.inverse_sqrt_t(0.1, 0.01, schedules.PER_ITERATION)),
+    ("steps", {"kind": "strongly_convex_round", "mu": 1.0, "M0": 100.0,
+               "M1": 5.0, "m": 10},
+     StepSchedule.strongly_convex_round(1.0, 100.0, 5.0, 10)),
+    ("delay", {"g": 2.0, "M0": 3.0, "M1": 1.0, "gamma": "four_log"},
+     DelayFunction(g=2.0, M0=3.0, M1=1.0, gamma=schedules.GAMMA_FOUR_LOG)),
+    ("delay", {"g": 2, "M0": 0, "M1": 1}, DelayFunction(2.0, 0.0, 1.0)),
+])
+def test_json_spec_builds_constructor_object(what, spec, expected):
+    builders = {"samples": harness.SAMPLES, "steps": harness.STEPS,
+                "delay": harness.DELAYS}[what]
+    key = None if what == "delay" else "kind"
+    built = harness.build_spec(what, builders, json.loads(json.dumps(spec)),
+                               key=key)
+    assert built == expected
+    if what == "samples":
+        assert [built[i] for i in range(3)] == [expected[i] for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
