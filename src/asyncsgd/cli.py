@@ -24,6 +24,9 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_AUDIT = 3
 
+# --trace line keys: t, then the record's columns (bcast_id as "bcast")
+TRACE_KEYS = ("t",) + tuple(f.removesuffix("_id") for f in engine.RECORD.names)
+
 DEFAULT_GRID = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 0.0003, 0.0001)
 
 
@@ -54,14 +57,12 @@ def cmd_run(args) -> int:
         if code != EXIT_OK:
             return code
     if args.trace and result.trace is not None:
+        rec = result.trace.records
+        t = engine.rho(result.trace.table, rec.c, rec.i, rec.h)
         with open(args.trace, "w") as fh:
-            for rec in result.trace.records:
-                fh.write(json.dumps({
-                    "t": engine.rho(result.trace.table, rec.c, rec.i, rec.h),
-                    "c": rec.c, "i": rec.i, "h": rec.h, "eta": rec.eta,
-                    "t_glob": rec.t_glob, "t_delay": rec.t_delay,
-                    "bcast": rec.bcast_id, "acc_round": rec.acc_round,
-                }) + "\n")
+            for t_j, row in zip(t.tolist(), rec.tolist()):
+                fh.write(json.dumps(dict(zip(TRACE_KEYS, (t_j,) + row)))
+                         + "\n")
     _write_out(args.out, metrics.to_json() + "\n")
     return EXIT_OK
 

@@ -255,39 +255,29 @@ class AssignmentTable:
     n: int
     p: np.ndarray
     seed: int
-    # derived indices (built lazily): per-row cumulative offsets, per-row
-    # occurrence counters and per-(row, node) position lists
-    _cum: Optional[np.ndarray] = field(default=None, repr=False)
-    _occ: Optional[List[np.ndarray]] = field(default=None, repr=False)
-    _pos: Optional[List[dict]] = field(default=None, repr=False)
+    _index: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def rounds(self) -> int:
         return len(self.rows)
 
-    def _build_index(self) -> None:
-        cum = np.zeros(len(self.rows) + 1, dtype=np.int64)
-        occ, pos = [], []
-        for i, row in enumerate(self.rows):
-            cum[i + 1] = cum[i] + len(row)
-            counters = {}
-            o = np.empty(len(row), dtype=np.int64)
-            by_node: dict = {}
-            for t, c in enumerate(row):
-                c = int(c)
-                k = counters.get(c, 0)
-                o[t] = k
-                counters[c] = k + 1
-                by_node.setdefault(c, []).append(t)
-            occ.append(o)
-            pos.append({c: np.asarray(v, dtype=np.int64)
-                        for c, v in by_node.items()})
-        self._cum, self._occ, self._pos = cum, occ, pos
-
     def index(self):
-        if self._cum is None:
-            self._build_index()
-        return self._cum, self._occ, self._pos
+        """Flat arrays (node, rnd, occ, first, order), built on first call:
+        global slot t is in row rnd[t], of node node[t], that node's occ[t]-th
+        slot in the row.  The slots of key i * n + c - 1, ascending, are
+        order[first[key]:first[key + 1]]; first[k * n] = sum_{j<k} s_j."""
+        if self._index is None:
+            node = np.concatenate([np.empty(0, dtype=np.int64)] + self.rows)
+            rnd = np.repeat(np.arange(self.rounds, dtype=np.int64),
+                            [len(row) for row in self.rows])
+            key = rnd * self.n + node - 1
+            order = np.argsort(key, kind="stable")
+            first = np.searchsorted(key[order],
+                                    np.arange(self.rounds * self.n + 1))
+            occ = np.empty_like(node)
+            occ[order] = np.arange(len(node)) - first[key[order]]
+            self._index = node, rnd, occ, first, order
+        return self._index
 
 
 def build_assignment(sched: SampleSchedule, p: Sequence[float], n: int,
@@ -336,6 +326,8 @@ def draw_sample(local: LocalView, gen: np.random.Generator):
 def synthetic_quadratic(M: int = 1000, dim: int = 10, seed: int = 0,
                         scale: float = 1.0) -> DataSet:
     """Gaussian feature cloud for the quadratic-mean problem."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     gen = rng.stream(seed, "synthetic-quadratic")
     X = gen.normal(0.0, scale, size=(M, dim))
     y = (X[:, 0] > 0).astype(np.int8)  # labels unused by the problem
@@ -350,6 +342,8 @@ def synthetic_logistic(M: int = 1000, dim: int = 10, seed: int = 0,
     center_seed pins the cluster geometry independently of the sampling
     seed, so train and held-out sets can share one distribution.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     gen = rng.stream(seed, "synthetic-logistic")
     center_gen = gen if center_seed is None \
         else rng.stream(center_seed, "synthetic-logistic-center")

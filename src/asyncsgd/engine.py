@@ -13,7 +13,8 @@ The engine reads everything that depends only on the round from tables
 built once at entry, each bounded by the assignment table's rounds:
 the prefix sums sum_{j<i} s_j, the round steps eta_bar_i, the delay-draw
 bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  The server
-counts the updates applied per round instead of scanning the applied set.
+counts the updates applied per round.  An empty round ships None, since
+its update is exactly zero, and the tau gate evaluates tau once per t_glob.
 Each node draws its sample indices from its stream in chunks; the indices
 consumed are exactly those of one scalar draw per gradient.
 
@@ -24,16 +25,21 @@ delays come from `rng.Replay`, which returns exactly what the Generator's
 scalar random() and integers(0, hi) would.  Round updates and the server
 model are checked for inf and NaN as isfinite(x @ zeros), which is NaN
 exactly when some entry is not finite.
+
+A traced run fills RunTrace's flat columns: a RECORD row per gradient and
+a stamp per round update (i, c), the number of broadcasts emitted before
+it was applied (-1: never); (i, c) is in broadcast b iff 0 <= stamp < b.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
 import time as time_mod
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,73 +70,60 @@ class NonFiniteError(EngineError):
 # The ordering map rho
 # ---------------------------------------------------------------------------
 
-def rho(table: AssignmentTable, c: int, i: int, h: int) -> int:
+def rho(table: AssignmentTable, c, i, h):
     """Global iteration index t of the h-th local step of node c in round i.
 
     t = sum of earlier row lengths + position of the (h+1)-th occurrence of
-    c in row i.
+    c in row i.  c, i and h may be integer arrays of one shape; t is then
+    an array of that shape.
     """
-    cum, _occ, pos = table.index()
-    if not (0 <= i < table.rounds):
-        raise IndexError(f"round {i} out of range")
-    by_node = pos[i].get(c)
-    if by_node is None or not (0 <= h < len(by_node)):
+    _node, _rnd, _occ, first, order = table.index()
+    c, i, h = np.asarray(c), np.asarray(i), np.asarray(h)
+    ok = (0 <= i) & (i < table.rounds) & (1 <= c) & (c <= table.n)
+    key = np.where(ok, i * table.n + c - 1, 0)
+    lo = first[key]
+    ok &= (0 <= h) & (h < first[key + 1] - lo)
+    if not ok.all():
         raise IndexError(f"label (c={c}, i={i}, h={h}) out of range")
-    return int(cum[i] + by_node[h])
+    t = order[lo + h]
+    return int(t) if t.ndim == 0 else t
 
 
 def rho_inverse(table: AssignmentTable, t: int):
     """Inverse of rho: global index t back to the label (c, i, h)."""
-    cum, occ, _pos = table.index()
-    if not (0 <= t < cum[-1]):
+    node, rnd, occ, _first, _order = table.index()
+    if not (0 <= t < len(node)):
         raise IndexError(f"t={t} out of range")
-    i = bisect.bisect_right(cum, t) - 1
-    off = t - int(cum[i])
-    return int(table.rows[i][off]), i, int(occ[i][off])
+    return int(node[t]), int(rnd[t]), int(occ[t])
 
 
 # ---------------------------------------------------------------------------
 # Trace records
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class GradRecord:
-    """One gradient computation, with everything the audits need."""
-
-    c: int
-    i: int
-    h: int
-    eta: float
-    t_glob: int
-    t_delay: int
-    bcast_id: int   # last broadcast the local model contains (0 = initial w0)
-    acc_round: int  # first local round whose own updates survive in w_hat
-    g: Optional[np.ndarray] = None  # only with record_gradients
-
-
-@dataclass(slots=True)
-class BroadcastInfo:
-    """Content identifier of broadcast number `bcast_id`.
-
-    The broadcast model contains every update of rounds < k plus the round
-    updates listed in `extras` (pairs (i, c) with i >= k already applied).
-    """
-
-    bcast_id: int
-    k: int
-    extras: frozenset
+RECORD = np.dtype([("c", np.int64), ("i", np.int64), ("h", np.int64),
+                   ("eta", np.float64), ("t_glob", np.int64),
+                   ("t_delay", np.int64), ("bcast_id", np.int64),
+                   ("acc_round", np.int64)])
 
 
 @dataclass
 class RunTrace:
-    table: AssignmentTable
-    sample_sched: SampleSchedule
-    records: List[GradRecord] = field(default_factory=list)
-    broadcasts: List[BroadcastInfo] = field(default_factory=list)
+    """The flat columns of a traced run.  records: one RECORD row per
+    gradient in execution order: node c, round i, local step h, step eta,
+    the gate's t_glob and t_delay, the last broadcast the local model
+    contains and the first local round whose own updates survive in it.
+    stamp[i, c]: the number of broadcasts emitted when the server applied
+    the round-i update of node c, or -1; it is in broadcast b exactly when
+    0 <= stamp[i, c] < b.  bcast_k[b]: broadcast b holds every update of
+    rounds < bcast_k[b] (in an engine trace bcast_k[b] = b; 0 is the
+    initial w0).  grads[j]: the gradient of record j, if recorded."""
 
-    def broadcast(self, bcast_id: int) -> BroadcastInfo:
-        # id 0 is the initial model (k=0, nothing included)
-        return self.broadcasts[bcast_id]
+    table: AssignmentTable
+    records: np.recarray
+    stamp: np.ndarray
+    bcast_k: np.ndarray
+    grads: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -199,21 +192,16 @@ def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
 _DRAW_CHUNK = 1024
 
 class _Node:
-    __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "gen", "bcast_id",
-                 "acc_round", "waiting", "X", "y", "draws")
+    __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "gen", "acc_round",
+                 "waiting", "X", "y", "draws")
 
     def __init__(self, c: int, w0: np.ndarray, local,
                  gen: np.random.Generator):
         self.c = c
-        self.i = 0
-        self.h = 0
-        self.s_ic = 0
+        self.i = self.h = self.s_ic = self.k = self.acc_round = 0
         self.w = w0.copy()
         self.U = np.zeros_like(self.w)
-        self.k = 0
         self.gen = gen
-        self.bcast_id = 0
-        self.acc_round = 0
         self.waiting = False
         self.X = local.X
         self.y = local.y.astype(float).tolist()
@@ -271,6 +259,9 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     s_rows = [np.bincount(row, minlength=n + 1).tolist()
               for row in table.rows]                  # s_rows[i][c] = s_{i,c}
     arrived = [0] * (rounds + 1)  # round updates applied, per round
+    tau_at = functools.cache(lambda x: eval_delay(delay_fn, float(max(x, 0))))
+    if per_iter:
+        _node, _rnd, _occ, first, order = table.index()  # rho(c, i, h)
 
     inter = rng.Replay(rng.stream(seed, rng.INTERLEAVE))
     draw, randint = inter.random, inter.integers
@@ -281,18 +272,17 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         nd.s_ic = s_rows[0][nd.c]
 
     v_hat = base_w.copy()
-    k_srv = 0
-    H: set = set()            # applied (i, c) pairs with i >= k_srv (trace)
+    k_srv = 0                 # round count k of the last broadcast
     pending: dict = {}        # (i, c) -> scaled payload, sent but not applied
     applied: dict = {}        # audit-ledger copy of applied scaled payloads
-    trace = RunTrace(table=table, sample_sched=samples) if record_trace else None
-    if trace is not None:
-        trace.broadcasts.append(BroadcastInfo(0, 0, frozenset()))
+    records = np.zeros(K, dtype=RECORD) if record_trace else None
+    stamp = np.full((rounds, n + 1), -1) if record_trace else None
+    grad_rows = np.zeros((K, dim)) if record_trace and record_gradients \
+        else None
     checkpoints = []
 
     grads = 0
     messages = 0
-    bcast_seq = 0
     iterates: list = []
     zeros = np.zeros(dim)  # x @ zeros is NaN iff x has an inf or a NaN
     heap: list = []
@@ -314,47 +304,44 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                               f"= {err:.3e}")
 
     def server_apply(time: float, msg) -> None:
-        nonlocal k_srv, bcast_seq
+        nonlocal k_srv
         i, c, payload = msg
-        np.subtract(v_hat, payload, out=v_hat)
-        if trace is not None:
-            H.add((i, c))
-        if audit_ledger:
-            applied[(i, c)] = payload
-            check_ledger()
-        del pending[(i, c)]
-        if not isfinite(v_hat.dot(zeros)):
-            raise NonFiniteError(f"server model non-finite after round {i} "
-                                 f"from node {c}")
+        if payload is not None:
+            np.subtract(v_hat, payload, out=v_hat)
+            del pending[(i, c)]
+            if audit_ledger:
+                applied[(i, c)] = payload
+                check_ledger()
+            if not isfinite(v_hat.dot(zeros)):
+                raise NonFiniteError(f"server model non-finite after round "
+                                     f"{i} from node {c}")
+        if stamp is not None:
+            stamp[i, c] = k_srv
         arrived[i] += 1
         # emit broadcasts for every newly completed round
         while arrived[k_srv] == n:
             k_srv += 1
-            bcast_seq += 1
-            if trace is not None:
-                H.difference_update([(k_srv - 1, cc)
-                                     for cc in range(1, n + 1)])
-                trace.broadcasts.append(
-                    BroadcastInfo(bcast_seq, k_srv, frozenset(H)))
             if checkpoint_interval and k_srv % checkpoint_interval == 0:
                 checkpoints.append((k_srv, P[k_srv], v_hat.copy()))
             snapshot = v_hat.copy()
             hi = delay_hi[k_srv]
             for cc in range(1, n + 1):
                 push(time + 1 + randint(0, hi),
-                     node_receive, (cc, bcast_seq, k_srv, snapshot))
+                     node_receive, (cc, k_srv, snapshot))
 
     def ship_round(time: float, nd: _Node) -> None:
-        # round finished (possibly empty): ship U and advance
+        # round finished: ship U (None if the round is empty) and advance
         nonlocal messages
         i, c = nd.i, nd.c
-        payload = nd.U
-        if not per_iter:
-            payload *= eta_bar[i]
-        if not isfinite(payload.dot(zeros)):
-            raise NonFiniteError(f"node {c} produced a non-finite "
-                                 f"round update in round {i}")
-        pending[(i, c)] = payload
+        payload = nd.U if nd.h else None
+        if payload is not None:
+            if not per_iter:
+                payload *= eta_bar[i]
+            if not isfinite(payload.dot(zeros)):
+                raise NonFiniteError(f"node {c} produced a non-finite "
+                                     f"round update in round {i}")
+            nd.U = np.zeros(dim)
+            pending[(i, c)] = payload
         messages += 1
         push(time + 1 + randint(0, delay_hi[i]), server_apply, (i, c, payload))
         nd.i = i = i + 1
@@ -363,7 +350,6 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                               "gradient budget; build more rounds")
         nd.h = 0
         nd.s_ic = s_rows[i][c]
-        nd.U = np.zeros(dim)
         push(time + 1, node_step, nd)
 
     def node_step(time: float, nd: _Node) -> None:
@@ -378,7 +364,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             t_glob = P[i + 1] - (nd.s_ic - h) - 1
             t_delay = t_glob + 1 - P[nd.k]
         if tau_gate:
-            blocked = eval_delay(delay_fn, float(max(t_glob, 0))) < t_delay
+            blocked = tau_at(t_glob) < t_delay
         else:
             blocked = i > nd.k + d
         if blocked:
@@ -388,13 +374,15 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         idx = nd.next_index()
         g = grad(problem, nd.w, nd.X[idx], nd.y[idx])
         if per_iter:
-            eta = per_iteration_step(steps, rho(table, nd.c, i, h))
+            eta = per_iteration_step(
+                steps, int(order[first[i * n + nd.c - 1] + h]))
         else:
             eta = eta_bar[i]
-        if trace is not None:
-            trace.records.append(GradRecord(
-                nd.c, i, h, eta, t_glob, t_delay, nd.bcast_id, nd.acc_round,
-                g.copy() if record_gradients else None))
+        if records is not None:
+            records[grads] = (nd.c, i, h, eta, t_glob, t_delay, nd.k,
+                              nd.acc_round)
+            if grad_rows is not None:
+                grad_rows[grads] = g
         if per_iter:
             nd.U += eta * g
         else:
@@ -408,12 +396,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             push(time + 1, node_step, nd)
 
     def node_receive(time: float, msg) -> None:
-        c, bcast_id, kb, model = msg
+        c, kb, model = msg
         nd = nodes[c - 1]
         if kb <= nd.k:
             return
         nd.k = kb
-        nd.bcast_id = bcast_id
         if n > 1:
             # replace the local model, re-applying the current partial round
             if per_iter:
@@ -454,6 +441,9 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 w_final -= nd.U if per_iter else eta_bar[nd.i] * nd.U
     if not np.isfinite(w_final).all():
         raise NonFiniteError("final model non-finite")
+    trace = None if records is None else RunTrace(
+        table, records.view(np.recarray), stamp, np.arange(k_srv + 1),
+        grad_rows)
 
     return RunResult(
         w_final=w_final, v_hat=v_hat, k_final=k_srv, grads=grads,
@@ -475,33 +465,33 @@ def audit_consistency(trace: RunTrace, df: DelayFunction):
     the gradient was computed on.  Returns (True, None) or (False, first
     violating t).
     """
-    table = trace.table
-    pfx = trace.sample_sched.prefix_sum
-    for rec in trace.records:
-        t = rho(table, rec.c, rec.i, rec.h)
-        tau = eval_delay(df, float(t))
-        upper = t - math.ceil(tau)
-        if upper <= 0:
-            continue
-        info = trace.broadcast(rec.bcast_id)
-        base = pfx(info.k)
-        for t_prime in range(base, upper):
-            cp, ip, hp = rho_inverse(table, t_prime)
-            if (ip, cp) in info.extras:
-                continue
-            if cp == rec.c and (rec.acc_round <= ip < rec.i
-                                or (ip == rec.i and hp < rec.h)):
-                continue
-            return False, t
+    table, rec = trace.table, trace.records
+    node, rnd, occ, first, _order = table.index()
+    c, i, h, b, acc = rec.c, rec.i, rec.h, rec.bcast_id, rec.acc_round
+    t = rho(table, c, i, h)
+    base = first[trace.bcast_k[b] * table.n]  # P[k] of the record's model
+    upper = np.array([x - math.ceil(eval_delay(df, float(x)))
+                      for x in t.tolist()], dtype=np.int64)
+    # updates t' in [base, upper) are not known to be in the model: each
+    # must be in the broadcast or be the node's own surviving update
+    for j in np.flatnonzero(upper > base).tolist():
+        win = slice(base[j], upper[j])
+        cp, ip, hp = node[win], rnd[win], occ[win]
+        s = trace.stamp[ip, cp]
+        own = (cp == c[j]) & (((acc[j] <= ip) & (ip < i[j]))
+                              | ((ip == i[j]) & (hp < h[j])))
+        if not (((0 <= s) & (s < b[j])) | own).all():
+            return False, int(t[j])
     return True, None
 
 
 def audit_gate_invariant(trace: RunTrace, df: DelayFunction):
     """Check t_delay <= tau(t_glob) for every recorded gradient."""
-    for rec in trace.records:
-        if rec.t_delay > eval_delay(df, float(max(rec.t_glob, 0))):
-            return False, rec
-    return True, None
+    rec = trace.records
+    x, at = np.unique(np.maximum(rec.t_glob, 0), return_inverse=True)
+    tau = np.array([eval_delay(df, float(v)) for v in x.tolist()])
+    bad = np.flatnonzero(rec.t_delay > tau[at])
+    return (True, None) if len(bad) == 0 else (False, rec[bad[0]])
 
 
 def audit_gate_equivalence(run_kwargs: dict, df: DelayFunction) -> bool:

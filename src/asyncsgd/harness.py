@@ -135,8 +135,9 @@ def build_spec(what: str, builders: dict, spec: dict, *context,
     spec[key] selects a builder (builders[None] without key) and every other
     field is a keyword argument of it, checked against its signature: an
     unknown field, a missing required one, a JSON type that does not match
-    the annotation or a ValueError from the builder is a ConfigError naming
-    `what` and the field.  `context` fills the builder's first parameters.
+    the annotation, a non-finite number or a ValueError from the builder is
+    a ConfigError naming `what` and the field.  `context` fills the
+    builder's first parameters.
     """
     if type(spec) is not dict:
         raise ConfigError(f"{what} must be a JSON object")
@@ -160,6 +161,9 @@ def build_spec(what: str, builders: dict, spec: dict, *context,
             got = _JSON_NAMES.get(type(value), type(value).__name__)
             raise ConfigError(f"{what} field {name!r} must be {want}, "
                               f"got {got}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{what} field {name!r} must be finite, "
+                              f"got {value}")
     for name, (_annotation, required) in params.items():
         if required and name not in kwargs:
             raise ConfigError(f"missing required {what} field {name!r}")
@@ -470,12 +474,11 @@ def schedule_table(samples: schedules.SampleSchedule,
         s_i = schedules.sample_size(samples, i)
         total = samples.prefix_sum(i + 1)
         eta = schedules.round_step(steps, samples, i)
+        tau = ok = ""
         if delay_fn is not None:
-            tau = schedules.eval_delay(delay_fn, float(total))
+            x = schedules.eval_delay(delay_fn, float(total))
             window = 1 + sum(schedules.sample_size(samples, j)
                              for j in range(max(0, i - d), i + 1))
-            ok = "" if i < d else str(tau >= window).lower()
-            writer.writerow([i, s_i, total, f"{eta:.12g}", f"{tau:.6f}", ok])
-        else:
-            writer.writerow([i, s_i, total, f"{eta:.12g}", "", ""])
+            tau, ok = f"{x:.6f}", "" if i < d else str(x >= window).lower()
+        writer.writerow([i, s_i, total, f"{eta:.12g}", tau, ok])
     return buf.getvalue()

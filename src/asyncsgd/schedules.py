@@ -189,9 +189,20 @@ class SampleSchedule:
 
 
 def sample_size(sched: SampleSchedule, i: int) -> int:
-    """Evaluate s_i for the schedule's closed form."""
+    """Evaluate s_i for the schedule's closed form; a ScheduleError if s_i
+    leaves the float range or exceeds 2**63 - 1, which no table holds."""
     if i < 0:
         raise ScheduleError(f"round index must be non-negative, got {i}")
+    try:
+        s = _closed_form(sched, i)
+    except OverflowError:
+        s = math.inf
+    if s > 2 ** 63 - 1:
+        raise ScheduleError(f"sample size s_{i} exceeds 2**63 - 1")
+    return s
+
+
+def _closed_form(sched: SampleSchedule, i: int) -> int:
     if sched.kind == CONSTANT:
         return sched.s
     if sched.kind == POWER_LAW:

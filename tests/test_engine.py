@@ -1,21 +1,25 @@
 """Engine semantics: rho, serial oracle, gates, audits, determinism."""
 
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as hs
 
 from asyncsgd import data, engine, problems, rng, schedules
 from asyncsgd.data import AssignmentTable, build_assignment, partition, \
     synthetic_quadratic, synthetic_logistic
 from asyncsgd.engine import (DeadlockError, EngineError, NonFiniteError,
-                             GradRecord, BroadcastInfo, RunTrace, rho,
-                             rho_inverse, run, serial_sgd,
+                             RECORD, RunTrace, rho, rho_inverse, run,
+                             serial_sgd,
                              make_step_fn, audit_consistency,
                              audit_gate_invariant, audit_gate_equivalence)
 from asyncsgd.problems import Problem
 from asyncsgd.schedules import (DelayFunction, SampleSchedule, StepSchedule,
-                                make_strongly_convex_schedules, round_step)
+                                eval_delay, make_strongly_convex_schedules,
+                                round_step)
 
 
 def table_from_rows(rows, n):
@@ -156,6 +160,83 @@ def quadratic_setup(n, seed, M=120, dim=3):
     return ds, prob, part
 
 
+def broadcast_extras(trace, b):
+    """The applied updates (i, c) with i >= k_b in broadcast b: those whose
+    apply stamp is below b."""
+    k = int(trace.bcast_k[b])
+    stamp = trace.stamp[k:]
+    return {(k + int(i), int(c))
+            for i, c in np.argwhere((0 <= stamp) & (stamp < b))}
+
+
+def audit_oracle(trace, df):
+    """The scalar staleness audit: rho per record, rho_inverse per t' of
+    the window, and the broadcast's extras derived from the stamps."""
+    table = trace.table
+    for rec in trace.records:
+        c, i, h = int(rec.c), int(rec.i), int(rec.h)
+        t = rho(table, c, i, h)
+        upper = t - math.ceil(eval_delay(df, float(t)))
+        if upper <= 0:
+            continue
+        k = int(trace.bcast_k[rec.bcast_id])
+        extras = broadcast_extras(trace, int(rec.bcast_id))
+        for t_prime in range(sum(len(r) for r in table.rows[:k]), upper):
+            cp, ip, hp = rho_inverse(table, t_prime)
+            if (ip, cp) in extras:
+                continue
+            if cp == c and (rec.acc_round <= ip < i or (ip == i and hp < h)):
+                continue
+            return False, t
+    return True, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=hs.integers(1, 4), gate=hs.sampled_from([engine.GATE_LAG,
+                                                    engine.GATE_TAU]),
+       convex=hs.booleans(), s=hs.integers(2, 12), g=hs.integers(2, 4),
+       slack=hs.integers(0, 12),
+       K=hs.integers(40, 400), seed=hs.integers(0, 2 ** 16),
+       mutation=hs.sampled_from([None, "bcast_id", "acc_round", "h"]),
+       pick=hs.integers(0, 2 ** 16))
+def test_audit_matches_scalar_oracle(n, gate, convex, s, g, slack, K, seed,
+                                     mutation, pick):
+    """The vectorized audit and the scalar oracle agree on the verdict and
+    the first bad t, on engine traces and on traces with one record
+    mutated to claim a staler model, more own updates or another slot."""
+    if convex:
+        df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 100)
+    else:
+        # M1 < 2s + 1 makes the constant schedule incompatible at d = 1, so
+        # the lag gate can break the contract
+        sam, st = SampleSchedule.constant(s), StepSchedule.inverse_t(0.1, 0.01)
+        df = DelayFunction(g=float(g), M0=0.0, M1=float(slack))
+    _ds, prob, part = quadratic_setup(n, seed % 97, M=40, dim=2)
+    # a node ships rows it has no slot in without gating, so it can run
+    # far ahead of the server when rounds hold one or two slots
+    table = build_assignment(sam, part.p, n,
+                             rounds=schedules.rounds_for_budget(sam, K) + 60,
+                             seed=seed)
+    try:
+        trace = run(prob, part, table, sam, st, df, K=K, seed=seed,
+                    gate=gate, d=1, record_trace=True).trace
+    except DeadlockError:
+        reject()  # the tau gate can stall under a small tau
+    if mutation is not None:
+        records = trace.records.copy()
+        j = pick % K
+        rec = records[j]
+        if mutation == "bcast_id":
+            records.bcast_id[j] = pick % max(rec.bcast_id, 1)
+        elif mutation == "acc_round":
+            records.acc_round[j] += 1 + pick % 3
+        else:
+            count = int(np.sum(table.rows[rec.i] == rec.c))
+            records.h[j] = (rec.h + 1 + pick % count) % count
+        trace = dataclasses.replace(trace, records=records)
+    assert audit_consistency(trace, df) == audit_oracle(trace, df)
+
+
 def test_gate_invariant_small_sweep():
     df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
     for seed in range(5):
@@ -221,15 +302,16 @@ def test_round_sum_identity():
               record_trace=True, record_gradients=True)
     # per (round, node) scaled sums from the gradient records
     sums = {}
-    for rec in res.trace.records:
+    for rec, g in zip(res.trace.records, res.trace.grads):
         key = (rec.i, rec.c)
-        sums[key] = sums.get(key, np.zeros(prob.dim)) + rec.eta * rec.g
+        sums[key] = sums.get(key, np.zeros(prob.dim)) + rec.eta * g
     for k, _t, model in res.checkpoints:
-        info = res.trace.broadcasts[k]
-        assert info.k == k
+        # checkpoint k is the model of broadcast k
+        assert res.trace.bcast_k[k] == k
+        extras = broadcast_extras(res.trace, k)
         expect = np.zeros(prob.dim)
         for (i, c), v in sums.items():
-            if i < k or (i, c) in info.extras:
+            if i < k or (i, c) in extras:
                 expect -= v
         assert np.allclose(model, expect, atol=1e-9)
 
@@ -257,12 +339,12 @@ def sha256_of(w):
 
 
 def trace_digest(trace):
+    """Hash of the records and, per broadcast b, (b, k_b, sorted extras)."""
     h = hashlib.sha256()
-    for r in trace.records:
-        h.update(repr((r.c, r.i, r.h, r.eta, r.t_glob, r.t_delay, r.bcast_id,
-                       r.acc_round)).encode())
-    for b in trace.broadcasts:
-        h.update(repr((b.bcast_id, b.k, sorted(b.extras))).encode())
+    for r in trace.records.tolist():
+        h.update(repr(r).encode())
+    for b, k in enumerate(trace.bcast_k.tolist()):
+        h.update(repr((b, k, sorted(broadcast_extras(trace, b)))).encode())
     return h.hexdigest()
 
 
@@ -327,15 +409,14 @@ def test_adversarial_withheld_update_detected():
     the staleness audit at the exact first over-stale gradient."""
     rows = [[1, 2]] * 60
     table = table_from_rows(rows, n=2)
-    sam = SampleSchedule.constant(2)
     df = DelayFunction(g=2.0, M0=16.0, M1=2.0)  # tau(100) = 2 + sqrt(116)
-    trace = RunTrace(table=table, sample_sched=sam)
-    trace.broadcasts.append(BroadcastInfo(0, 0, frozenset()))
-    records = []
-    for i in range(50):
-        records.append(GradRecord(c=1, i=i, h=0, eta=0.1, t_glob=2 * i,
-                                  t_delay=2 * i + 1, bcast_id=0, acc_round=0))
-    trace.records = records
+    records = np.zeros(50, dtype=RECORD).view(np.recarray)
+    records.c, records.i, records.eta = 1, np.arange(50), 0.1
+    records.t_glob = 2 * records.i
+    records.t_delay = 2 * records.i + 1
+    # only broadcast 0 (the initial model) exists and nothing is applied
+    trace = RunTrace(table=table, records=records,
+                     stamp=np.full((60, 3), -1), bcast_k=np.array([0]))
     ok, bad_t = audit_consistency(trace, df)
     assert not ok
     # first record t whose required prefix reaches node 2's first update
@@ -435,7 +516,7 @@ def test_single_node_trace_names_received_broadcasts():
     assert trace.records[-1].bcast_id > 0
     for rec in trace.records:
         # the gate's prefix P[k] is that of the broadcast the record names
-        k = trace.broadcast(rec.bcast_id).k
+        k = trace.bcast_k[rec.bcast_id]
         assert sam.prefix_sum(k) == rec.t_glob + 1 - rec.t_delay
         assert rec.acc_round == 0
     assert audit_consistency(trace, df) == (True, None)

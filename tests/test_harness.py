@@ -1,13 +1,14 @@
 """Config validation, metrics, suites, and the CLI surface."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asyncsgd import cli, harness, problems, schedules
+from asyncsgd import cli, engine, harness, problems, schedules
 from asyncsgd.harness import ConfigError, RunConfig
 
 
@@ -377,6 +378,17 @@ DELAY = {"g": 2.0, "M0": 0.0, "M1": 100.0}
      "samples field 'values' must be an array, got a string"),
     (dict(dataset={"path": 3}),
      "dataset field 'path' must be a string, got an integer"),
+    (dict(dataset={"synthetic": "quadratic", "M": 100, "dim": 0}),
+     "dataset: dim must be >= 1, got 0"),
+    (dict(dataset={"synthetic": "logistic", "M": 100, "dim": 0}),
+     "dataset: dim must be >= 1, got 0"),
+    (dict(samples={"kind": "power_law", "a": 1, "c": 1000}, K=100000),
+     "sample size s_2 exceeds 2**63 - 1"),
+    # json.loads reads 1e400 as inf, and NaN as nan
+    (dict(steps=dict(STEPS, beta=math.inf)),
+     "steps field 'beta' must be finite, got inf"),
+    (dict(steps=dict(STEPS, eta0=math.nan)),
+     "steps field 'eta0' must be finite, got nan"),
 ])
 def test_cli_run_rejects_bad_nested_spec(tmp_path, capsys, fields,
                                          fragment):
@@ -465,5 +477,15 @@ def test_cli_trace_file(tmp_path):
                      "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
     lines = trace_path.read_text().strip().splitlines()
     assert len(lines) == 60
-    rec = json.loads(lines[0])
-    assert {"t", "c", "i", "h", "eta"} <= set(rec)
+    prep, result, _metrics, _opt = harness.execute(cfg, record_trace=True,
+                                                   with_optimum=False)
+    columns = {"c": "c", "i": "i", "h": "h", "eta": "eta",
+               "t_glob": "t_glob", "t_delay": "t_delay", "bcast": "bcast_id",
+               "acc_round": "acc_round"}
+    for line, rec in zip(lines, result.trace.records):
+        doc = json.loads(line)
+        assert set(doc) == {"t"} | set(columns)
+        for key, column in columns.items():
+            assert doc[key] == rec[column]
+            assert type(doc[key]) is (float if key == "eta" else int)
+        assert doc["t"] == engine.rho(prep.table, rec.c, rec.i, rec.h)

@@ -86,6 +86,19 @@ def test_power_law_linear():
     assert sample_size(sched, 0) == 0  # first non-empty round is i=1
 
 
+def test_sample_size_beyond_int64_is_schedule_error():
+    sched = SampleSchedule.power_law(a=1.0, c=1000.0)
+    assert sample_size(sched, 1) == 1
+    # s_2 = 2**1000 is a float but no int64; 3.0**1000 overflows the float
+    # range itself
+    for i in (2, 3):
+        with pytest.raises(ScheduleError, match=f"s_{i} exceeds 2\\*\\*63"):
+            sample_size(sched, i)
+    assert sample_size(SampleSchedule.constant(2 ** 63 - 1), 0) == 2 ** 63 - 1
+    with pytest.raises(ScheduleError):
+        sample_size(SampleSchedule.constant(2 ** 63), 0)
+
+
 def test_explicit_and_constant():
     sched = SampleSchedule.explicit([5, 7])
     assert sched[0] == 5 and sched[1] == 7
