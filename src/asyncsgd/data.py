@@ -15,10 +15,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .schedules import SampleSchedule, sample_size
+from .schedules import SampleSchedule
 
 UNBIASED = "unbiased"
 BIASED_BY_LABEL = "biased_by_label"
+# Slots per block of the table's blocked passes; their temporaries stay at
+# 64 KiB, so no large buffer is allocated and freed on the way.
+_BLOCK = 8192
 
 
 class DataFormatError(ValueError):
@@ -249,17 +252,43 @@ def partition(ds: DataSet, n: int, mode: str = UNBIASED,
 
 @dataclass
 class AssignmentTable:
-    """Rows of node ids a(i, t) in {1..n}; row i has exactly s_i entries."""
+    """Rows of node ids a(i, t) in {1..n}; row i has exactly s_i entries.
+    node holds the rows end to end (node[t] is the node of global slot t)
+    and row i is node[start[i]:start[i + 1]]."""
 
     rows: List[np.ndarray]
     n: int
     p: np.ndarray
     seed: int
+    node: Optional[np.ndarray] = field(default=None, repr=False,
+                                       compare=False)
+    start: np.ndarray = field(init=False, repr=False, compare=False)
     _index: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.node is None:
+            self.node = np.concatenate([np.empty(0, dtype=np.int64)]
+                                       + self.rows)
+        self.start = np.zeros(self.rounds + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, self.rows), np.int64, self.rounds),
+                  out=self.start[1:])
 
     @property
     def rounds(self) -> int:
         return len(self.rows)
+
+    def counts(self) -> np.ndarray:
+        """counts[i, c] = s_{i,c} (column 0 is zero): rnd * (n + 1) + node
+        counted by one bincount per block of slots."""
+        n1 = self.n + 1
+        counts = np.zeros(self.rounds * n1, dtype=np.int64)
+        for lo in range(0, len(self.node), _BLOCK):
+            t = np.arange(lo, min(lo + _BLOCK, len(self.node)))
+            rnd = np.searchsorted(self.start, t, side="right") - 1
+            part = np.bincount((rnd - rnd[0]) * n1 + self.node[t])
+            at = rnd[0] * n1
+            counts[at:at + len(part)] += part
+        return counts.reshape(self.rounds, n1)
 
     def index(self):
         """Flat arrays (node, rnd, occ, first, order), built on first call:
@@ -267,9 +296,9 @@ class AssignmentTable:
         slot in the row.  The slots of key i * n + c - 1, ascending, are
         order[first[key]:first[key + 1]]; first[k * n] = sum_{j<k} s_j."""
         if self._index is None:
-            node = np.concatenate([np.empty(0, dtype=np.int64)] + self.rows)
+            node = self.node
             rnd = np.repeat(np.arange(self.rounds, dtype=np.int64),
-                            [len(row) for row in self.rows])
+                            np.diff(self.start))
             key = rnd * self.n + node - 1
             order = np.argsort(key, kind="stable")
             first = np.searchsorted(key[order],
@@ -285,6 +314,12 @@ def build_assignment(sched: SampleSchedule, p: Sequence[float], n: int,
                      deterministic_split: bool = False) -> AssignmentTable:
     """Draw the a(i, t) table: s_i categorical draws over p per round.
 
+    All rows come from one pass: Generator.choice(nodes, size=s_i, p=p) is
+    cdf.searchsorted(random(s_i), side="right") with cdf = cumsum(p)
+    scaled to end at 1, and each random() value takes one 64-bit word, so
+    sum_i s_i values drawn in blocks consume the stream as one choice per
+    row does, and give the same rows.
+
     With deterministic_split the per-node counts are fixed to the
     largest-remainder rounding of p_c * s_i and only the within-row order
     is randomized.
@@ -295,21 +330,26 @@ def build_assignment(sched: SampleSchedule, p: Sequence[float], n: int,
     if len(pv) != n or np.any(pv < 0) or abs(pv.sum() - 1.0) > 1e-9:
         raise ValueError("p must be a length-n probability vector")
     gen = rng.stream(seed, rng.ASSIGNMENT)
-    rows = []
-    nodes = np.arange(1, n + 1)
-    for i in range(rounds):
-        s_i = sample_size(sched, i)
-        if s_i == 0:
-            rows.append(np.empty(0, dtype=np.int64))
-            continue
-        if deterministic_split:
-            counts = _proportional_sizes(s_i, pv)
-            row = np.repeat(nodes, counts)
-            gen.shuffle(row)
-        else:
-            row = gen.choice(nodes, size=s_i, p=pv)
-        rows.append(row.astype(np.int64))
-    return AssignmentTable(rows=rows, n=n, p=pv, seed=seed)
+    bounds = sched.prefix_sums(rounds)
+    if deterministic_split:
+        nodes = np.arange(1, n + 1)
+        parts = [np.empty(0, dtype=np.int64)]
+        for s_i in np.diff(bounds).tolist():
+            if s_i:
+                row = np.repeat(nodes, _proportional_sizes(s_i, pv))
+                gen.shuffle(row)
+                parts.append(row)
+        node = np.concatenate(parts)
+    else:
+        cdf = pv.cumsum()
+        cdf /= cdf[-1]
+        node = np.empty(bounds[-1], dtype=np.int64)
+        for lo in range(0, len(node), _BLOCK):
+            u = gen.random(min(_BLOCK, len(node) - lo))
+            node[lo:lo + len(u)] = cdf.searchsorted(u, side="right")
+        node += 1
+    rows = [node[a:b] for a, b in zip(bounds, bounds[1:])]
+    return AssignmentTable(rows=rows, n=n, p=pv, seed=seed, node=node)
 
 
 def draw_sample(local: LocalView, gen: np.random.Generator):

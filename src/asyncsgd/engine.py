@@ -12,9 +12,14 @@ local model never exceeds the configured delay function.
 The engine reads everything that depends only on the round from tables
 built once at entry, each bounded by the assignment table's rounds:
 the prefix sums sum_{j<i} s_j, the round steps eta_bar_i, the delay-draw
-bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  The server
-counts the updates applied per round.  An empty round ships None, since
-its update is exactly zero, and the tau gate evaluates tau once per t_glob.
+bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  All but the
+round steps are array passes: the prefix sums come from the schedule's
+cache and the s_{i,c} from AssignmentTable.counts, a blocked bincount.
+The server counts the updates applied per round.  An empty round ships
+None, since its update is exactly zero.  The tau gate decides the
+trajectory, so it evaluates tau by the scalar code, once per t_glob; the
+audits evaluate it for all records in one array pass, whose floor and
+ceil are the scalar ones (see schedules.eval_delay).
 Each node draws its sample indices from its stream in chunks; the indices
 consumed are exactly those of one scalar draw per gradient.
 
@@ -32,7 +37,6 @@ it was applied (-1: never); (i, c) is in broadcast b iff 0 <= stamp < b.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 import itertools
@@ -48,7 +52,7 @@ from .data import AssignmentTable, Partition
 from .problems import Problem, grad
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
                         PER_ITERATION, eval_delay, per_iteration_step,
-                        round_step)
+                        round_step, rounds_for_budget)
 
 GATE_LAG = "lag"  # wait while i > k + d
 GATE_TAU = "tau"  # wait while tau(t_glob) < t_delay
@@ -170,16 +174,12 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
 def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
     """Per-iteration step function eta(t) matching the round schedule.
 
-    Iteration t gets the round step of the round that contains t, which is
-    exactly what a distributed run applies to that gradient.
+    Iteration t gets the round step of the round that contains t, the
+    smallest i with sum_{j<=i} s_j >= t + 1, which is exactly what a
+    distributed run applies to that gradient.
     """
-    cum = [0]  # cum[j] = prefix_sum(j), extended on demand
-
-    def step(t: int) -> float:
-        while cum[-1] <= t:
-            cum.append(samples.prefix_sum(len(cum)))
-        return round_step(steps, samples, bisect.bisect_right(cum, t) - 1)
-    return step
+    return lambda t: round_step(steps, samples,
+                                rounds_for_budget(samples, t + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +252,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     if rounds == 0:
         raise EngineError("assignment table exhausted before the gradient "
                           "budget; build more rounds")
-    P = [samples.prefix_sum(i) for i in range(rounds + 1)]
+    P = samples.prefix_sums(rounds)
+    delay_hi = (2 * np.maximum(np.diff(P), 1) + 1).tolist()
     eta_bar = None if per_iter else \
         [round_step(steps, samples, i) for i in range(rounds)]
-    delay_hi = [2 * max(P[i + 1] - P[i], 1) + 1 for i in range(rounds)]
-    s_rows = [np.bincount(row, minlength=n + 1).tolist()
-              for row in table.rows]                  # s_rows[i][c] = s_{i,c}
+    s_rows = table.counts().tolist()              # s_rows[i][c] = s_{i,c}
     arrived = [0] * (rounds + 1)  # round updates applied, per round
     tau_at = functools.cache(lambda x: eval_delay(delay_fn, float(max(x, 0))))
     if per_iter:
@@ -470,8 +469,7 @@ def audit_consistency(trace: RunTrace, df: DelayFunction):
     c, i, h, b, acc = rec.c, rec.i, rec.h, rec.bcast_id, rec.acc_round
     t = rho(table, c, i, h)
     base = first[trace.bcast_k[b] * table.n]  # P[k] of the record's model
-    upper = np.array([x - math.ceil(eval_delay(df, float(x)))
-                      for x in t.tolist()], dtype=np.int64)
+    upper = t - np.ceil(eval_delay(df, t)).astype(np.int64)
     # updates t' in [base, upper) are not known to be in the model: each
     # must be in the broadcast or be the node's own surviving update
     for j in np.flatnonzero(upper > base).tolist():
@@ -488,9 +486,8 @@ def audit_consistency(trace: RunTrace, df: DelayFunction):
 def audit_gate_invariant(trace: RunTrace, df: DelayFunction):
     """Check t_delay <= tau(t_glob) for every recorded gradient."""
     rec = trace.records
-    x, at = np.unique(np.maximum(rec.t_glob, 0), return_inverse=True)
-    tau = np.array([eval_delay(df, float(v)) for v in x.tolist()])
-    bad = np.flatnonzero(rec.t_delay > tau[at])
+    tau = eval_delay(df, np.maximum(rec.t_glob, 0))
+    bad = np.flatnonzero(rec.t_delay > tau)
     return (True, None) if len(bad) == 0 else (False, rec[bad[0]])
 
 

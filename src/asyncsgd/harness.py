@@ -325,34 +325,34 @@ def accuracy(problem: problems.Problem, w: np.ndarray,
 def rounds_used(samples: schedules.SampleSchedule, K: int) -> int:
     """Communication rounds with at least one gradient within budget K."""
     T = schedules.rounds_for_budget(samples, K)
-    return sum(1 for i in range(T + 1)
-               if schedules.sample_size(samples, i) > 0)
+    return int(np.count_nonzero(np.diff(samples.prefix_sums(T + 1))))
 
 
 def compute_metrics(prep: PreparedRun, result: engine.RunResult,
                     opt: Optional[problems.OptimumInfo]) -> RunMetrics:
-    """Turn the checkpoint stream into the convergence measures."""
+    """Turn the checkpoint stream into the convergence measures.
+
+    The checkpoint models and the final model form one stack: F is
+    evaluated for all of them in one objective call, and Y_w is one
+    row-times-column product per model, the bits of diff @ diff.
+    """
     problem, ds = prep.problem, prep.dataset
-    points = list(result.checkpoints) + [(result.k_final,
-                                          result.grads, result.w_final)]
-    ts, Yw, YF = [], [], []
-    for _k, t, w in points:
-        ts.append(int(t))
-        if opt is not None:
-            diff = w - opt.w_star
-            Yw.append(float(diff @ diff))
-            YF.append(problems.objective(problem, w, ds) - opt.F_star)
-        else:
-            Yw.append(float("nan"))
-            YF.append(float("nan"))
-    # windowed average: Y_A[j] = mean of Y_F over checkpoints (j, 2j]
+    ts = [int(t) for _k, t, _w in result.checkpoints] + [result.grads]
+    if opt is not None:
+        W = np.array([w for _k, _t, w in result.checkpoints]
+                     + [result.w_final])
+        D = W - opt.w_star
+        Yw = (D[:, None, :] @ D[:, :, None]).ravel().tolist()
+        YF = (problems.objective(problem, W, ds) - opt.F_star).tolist()
+    else:
+        Yw = [float("nan")] * len(ts)
+        YF = [float("nan")] * len(ts)
+    # windowed average: Y_A[j] = mean of Y_F over checkpoints (j, 2j], as
+    # ndarray.mean computes it (the pairwise sum divided by j)
     YF_arr = np.array(YF)
-    YA = []
-    for j in range(len(YF)):
-        if j >= 1 and 2 * j < len(YF):
-            YA.append(float(YF_arr[j + 1:2 * j + 1].mean()))
-        else:
-            YA.append(float("nan"))
+    YA = [float(np.add.reduce(YF_arr[j + 1:2 * j + 1])) / j
+          if j >= 1 and 2 * j < len(YF) else float("nan")
+          for j in range(len(YF))]
     acc = None
     if problem.kind != problems.QUADRATIC_MEAN:
         test = prep.test_dataset if prep.test_dataset is not None else ds
@@ -477,8 +477,7 @@ def schedule_table(samples: schedules.SampleSchedule,
         tau = ok = ""
         if delay_fn is not None:
             x = schedules.eval_delay(delay_fn, float(total))
-            window = 1 + sum(schedules.sample_size(samples, j)
-                             for j in range(max(0, i - d), i + 1))
+            window = 1 + total - samples.prefix_sum(max(0, i - d))
             tau, ok = f"{x:.6f}", "" if i < d else str(x >= window).lower()
         writer.writerow([i, s_i, total, f"{eta:.12g}", tau, ok])
     return buf.getvalue()

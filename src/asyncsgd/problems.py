@@ -32,6 +32,9 @@ OPTIMUM_TOL = 1e-10   # ||grad F(w*)|| at or below this certifies w*
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 40    # smallest step tried is 2^-39 of the Newton step
 _ROUNDING = 16 * np.finfo(float).eps  # relative change of F lost to rounding
+# Entries of one (models x samples) block when F is evaluated for a stack of
+# logistic models: the temporaries stay at 64 KiB whatever the stack.
+_STACK_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -114,11 +117,14 @@ def loss(p: Problem, w: np.ndarray, x: np.ndarray, y: float) -> float:
     return float(val)
 
 
-def objective(p: Problem, w: np.ndarray, dataset) -> float:
+def objective(p: Problem, w: np.ndarray, dataset):
     """Mean per-sample loss over the data set (the F(w) form).
 
-    Vectorized; equivalent to the mean of loss() over all samples.
+    Vectorized; equivalent to the mean of loss() over all samples.  A
+    (C, dim) stack of models gives the C values of F in one pass.
     """
+    if w.ndim == 2:
+        return _objective_stack(p, w, dataset)
     X, y = dataset.X, dataset.y
     if p.kind == QUADRATIC_MEAN:
         diff = w[None, :] - X
@@ -129,6 +135,29 @@ def objective(p: Problem, w: np.ndarray, dataset) -> float:
     if p.kind == LOGISTIC_RIDGE:
         val += 0.5 * p.lam * float(w @ w)
     return val
+
+
+def _objective_stack(p: Problem, W: np.ndarray, dataset) -> np.ndarray:
+    X, y = dataset.X, dataset.y
+    if p.kind == QUADRATIC_MEAN:
+        # F(w) = F(x_bar) + ||w - x_bar||^2 / 2 exactly, x_bar the sample
+        # mean: O(C dim), with no cancellation and no C x M temporary
+        x_bar = X.mean(axis=0)
+        D = W - x_bar
+        return objective(p, x_bar, dataset) + 0.5 * np.einsum("ij,ij->i",
+                                                               D, D)
+    F = np.empty(len(W))
+    step = max(1, _STACK_BLOCK // len(X))
+    for lo in range(0, len(W), step):
+        block = W[lo:lo + step]
+        z = block[:, :-1] @ X.T + block[:, -1:]  # one row per model
+        sig = np.clip(1.0 / (1.0 + np.exp(-z)), _SIGMA_CLAMP,
+                      1.0 - _SIGMA_CLAMP)
+        F[lo:lo + step] = np.mean(
+            -(y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig)), axis=1)
+    if p.kind == LOGISTIC_RIDGE:
+        F += 0.5 * p.lam * np.einsum("ij,ij->i", W, W)
+    return F
 
 
 def full_gradient(p: Problem, w: np.ndarray, dataset) -> np.ndarray:

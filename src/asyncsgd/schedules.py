@@ -14,12 +14,19 @@ boundary (the strongly convex schedule must give s_0 = 16 exactly).
 """
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 _CEIL_EPS = 1e-12
+# An array tau within this relative distance of an integer is recomputed
+# by the scalar code, so floor and ceil match it (see eval_delay).
+_NEAR_INT = 1e-9
+_INT64_MAX = 2 ** 63 - 1
 
 
 class DomainError(ValueError):
@@ -65,8 +72,17 @@ class DelayFunction:
             raise ScheduleError(f"unknown gamma kind {self.gamma!r}")
 
 
-def eval_delay(df: DelayFunction, x: float) -> float:
-    """Evaluate tau(x) = M1 + ((x + M0) / gamma(x + M0))**(1/g)."""
+def eval_delay(df: DelayFunction, x):
+    """Evaluate tau(x) = M1 + ((x + M0) / gamma(x + M0))**(1/g).
+
+    x may be an array: tau is then one numpy pass.  numpy's log and
+    pow may differ from the scalar libm results in the last bits, so every
+    value within a relative 1e-9 of an integer is recomputed by the scalar
+    code: floor and ceil of each element, and with them every comparison
+    of tau with an integer, are those of the scalar evaluation.
+    """
+    if isinstance(x, np.ndarray):
+        return _eval_delay_array(df, x)
     if x < 0:
         raise DomainError(f"delay function evaluated at negative x={x}")
     z = x + df.M0
@@ -79,6 +95,24 @@ def eval_delay(df: DelayFunction, x: float) -> float:
     if z == 0.0:
         return df.M1
     return df.M1 + (z / gam) ** (1.0 / df.g)
+
+
+def _eval_delay_array(df: DelayFunction, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.size and x.min() < 0:
+        raise DomainError(f"delay function evaluated at negative "
+                          f"x={x.min()}")
+    z = x + df.M0
+    if df.gamma == GAMMA_ONE:
+        tau = df.M1 + z ** (1.0 / df.g)  # 0 ** (1/g) + M1 is M1 exactly
+    elif z.size and z.min() <= 1.0:
+        raise DomainError(f"4*ln(z) undefined or <= 0 for z={z.min()}")
+    else:
+        tau = df.M1 + (z / (4.0 * np.log(z))) ** (1.0 / df.g)
+    near = np.abs(tau - np.rint(tau)) <= _NEAR_INT * np.maximum(tau, 1.0)
+    for j in np.flatnonzero(near).tolist():
+        tau[j] = eval_delay(df, float(x[j]))
+    return tau
 
 
 def verify_delay_monotonicity(df: DelayFunction, x_max: float,
@@ -187,6 +221,14 @@ class SampleSchedule:
             cum.append(cum[-1] + sample_size(self, j))
         return cum[i]
 
+    def prefix_sums(self, rounds: int) -> list:
+        """[prefix_sum(i) for i in 0..rounds], from the cache that evaluates
+        each s_i once; a ScheduleError if the sum leaves the int64 range."""
+        if self.prefix_sum(rounds) > _INT64_MAX:
+            raise ScheduleError(f"sum of the first {rounds} sample sizes "
+                                f"exceeds 2**63 - 1")
+        return self._cum[:rounds + 1]
+
 
 def sample_size(sched: SampleSchedule, i: int) -> int:
     """Evaluate s_i for the schedule's closed form; a ScheduleError if s_i
@@ -233,19 +275,11 @@ def verify_delay_compatibility(sched: SampleSchedule, df: DelayFunction,
     """
     if i_max < d:
         raise ScheduleError("i_max must be >= d")
-    total = 0
-    window = []  # last d+1 sample sizes
-    for i in range(i_max + 1):
-        s_i = sample_size(sched, i)
-        total += s_i
-        window.append(s_i)
-        if len(window) > d + 1:
-            window.pop(0)
-        if i < d:
-            continue
-        if eval_delay(df, float(total)) < 1 + sum(window):
-            return False, i
-    return True, None
+    P = np.array(sched.prefix_sums(i_max + 1))
+    total = P[d + 1:]                 # sum_{j<=i} s_j for i in [d, i_max]
+    window = total - P[:len(total)]   # sum_{j=i-d}^{i} s_j
+    bad = np.flatnonzero(eval_delay(df, total) < 1 + window)
+    return (True, None) if len(bad) == 0 else (False, d + int(bad[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +405,7 @@ def rounds_for_budget(sched: SampleSchedule, K: int) -> int:
     """Smallest T with sum_{j=0}^{T} s_j >= K."""
     if K < 1:
         raise ScheduleError("budget K must be positive")
-    total = 0
-    i = 0
-    while True:
-        total += sample_size(sched, i)
-        if total >= K:
-            return i
-        i += 1
+    cum = sched._cum
+    while cum[-1] < K:
+        sched.prefix_sum(len(cum))
+    return bisect.bisect_left(cum, K) - 1

@@ -1,12 +1,14 @@
 """LIBSVM parsing, partitioning, and the assignment table."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from asyncsgd import data, rng
-from asyncsgd.data import (DataFormatError, DataSet, parse_libsvm, partition,
-                           build_assignment, draw_sample,
-                           synthetic_logistic, synthetic_quadratic)
+from asyncsgd.data import (AssignmentTable, DataFormatError, DataSet,
+                           build_assignment, draw_sample, parse_libsvm,
+                           partition, synthetic_logistic, synthetic_quadratic)
 from asyncsgd.schedules import SampleSchedule
 
 
@@ -185,6 +187,60 @@ def test_assignment_reproducible():
     a = build_assignment(sched, [0.3, 0.7], 2, rounds=10, seed=42)
     b = build_assignment(sched, [0.3, 0.7], 2, rounds=10, seed=42)
     assert all(np.array_equal(x, y) for x, y in zip(a.rows, b.rows))
+
+
+def test_assignment_counts_in_blocks(monkeypatch):
+    rows = [[2, 1, 2], [], [3], [], [], [1, 1, 3, 3, 2, 2, 2], [2]]
+    table = AssignmentTable(rows=[np.asarray(r, dtype=np.int64)
+                                  for r in rows], n=3, p=np.full(3, 1 / 3),
+                            seed=0)
+    expected = [np.bincount(r, minlength=4).tolist() for r in rows]
+    for block in (1, 2, 5, 8192):
+        monkeypatch.setattr(data, "_BLOCK", block)
+        assert table.counts().tolist() == expected
+    assert table.start.tolist() == [0, 3, 3, 4, 4, 4, 11, 12]
+    assert table.node.tolist() == sum(rows, [])
+
+
+def built_table_pins(monkeypatch, sched, n, rounds, seed, **kwargs):
+    """(digest of the rows, ASSIGNMENT generator state after the build)."""
+    gens = []
+
+    def spy(*args):
+        gens.append(real(*args))
+        return gens[-1]
+    real = rng.stream
+    monkeypatch.setattr(rng, "stream", spy)
+    p = np.arange(1.0, n + 1) / (n * (n + 1) / 2)  # unequal weights
+    table = build_assignment(sched, p, n, rounds=rounds, seed=seed, **kwargs)
+    monkeypatch.undo()
+    h = hashlib.sha256()
+    for row in table.rows:
+        h.update(np.asarray(row, dtype="<i8").tobytes() + b"|")
+    (gen,) = gens
+    state = gen.bit_generator.state
+    return h.hexdigest()[:32], (state["state"]["counter"].tolist(),
+                                state["buffer_pos"], state["has_uint32"],
+                                state["uinteger"])
+
+
+# Recorded before the table was drawn in one pass; the rows and the
+# stream state after the build must not move.
+@pytest.mark.parametrize("case, sched, n, rounds, kwargs, digest, state", [
+    ("one-node", SampleSchedule.constant(7), 1, 30, {},
+     "60aff1cbefed894b7c15407e9e7881f7", ([53, 0, 0, 0], 2, 0, 0)),
+    ("strongly-convex", SampleSchedule.matched_log(m=7747, d=1), 5, 200, {},
+     "d304c6c6ef1b3c0f6f64fdc6aaaccdd3", ([850, 0, 0, 0], 1, 0, 0)),
+    ("empty-round", SampleSchedule.power_law(a=0.7, c=1.2), 20, 60, {},
+     "ed4adcc3158a5e7dab77f7cac817feea", ([645, 0, 0, 0], 4, 0, 0)),
+    ("deterministic-split", SampleSchedule.power_law(a=2.0, c=1.0), 5, 40,
+     {"deterministic_split": True}, "e6a9049a9be15e0290eef8d50cca1752",
+     ([263, 0, 0, 0], 4, 0, 3826457520)),
+])
+def test_assignment_pinned(monkeypatch, case, sched, n, rounds, kwargs,
+                           digest, state):
+    assert built_table_pins(monkeypatch, sched, n, rounds, seed=11,
+                            **kwargs) == (digest, state)
 
 
 # ---------------------------------------------------------------------------

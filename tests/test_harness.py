@@ -124,10 +124,17 @@ def test_metrics_recomputation_from_checkpoints():
     assert metrics.t == again.t
     for a, b in zip(metrics.Y_w + metrics.Y_F, again.Y_w + again.Y_F):
         assert a == pytest.approx(b, rel=1e-9)
-    # and directly from the checkpoint models
-    for (k, t, w), yw in zip(result.checkpoints, metrics.Y_w):
+    # and directly from the checkpoint models, one model at a time: Y_w
+    # bit for bit, Y_F from a one-model objective call
+    models = [w for _k, _t, w in result.checkpoints] + [result.w_final]
+    assert len(models) == len(metrics.Y_F)
+    for w, yw, yf in zip(models, metrics.Y_w, metrics.Y_F):
+        diff = w - opt.w_star
+        assert yw == float(diff @ diff)
         assert float(np.sum((w - opt.w_star) ** 2)) == pytest.approx(
             yw, rel=1e-9, abs=1e-15)
+        assert problems.objective(prep.problem, w, prep.dataset) \
+            - opt.F_star == pytest.approx(yf, rel=1e-9, abs=1e-15)
 
 
 def test_windowed_average_matches_list_mean_bitwise():
@@ -288,6 +295,36 @@ def test_cli_audit_command(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["audit", "--config", path]) == cli.EXIT_OK
     assert "audit passed" in capsys.readouterr().out
+
+
+def test_cli_audit_without_delay_function_audits_nothing(tmp_path, capsys):
+    path = write_config(tmp_path, quad_config())
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_OK
+    out = capsys.readouterr()
+    assert "nothing audited" in out.err
+    assert "audit passed" not in out.out
+    assert cli.main(["run", "--config", path, "--audit",
+                     "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
+    assert "nothing audited" in capsys.readouterr().err
+
+
+def test_cli_audit_tau_gate(tmp_path, capsys):
+    cfg = quad_config(samples={"kind": "strongly_convex", "m": 7747},
+                      steps=None, gate="tau", K=3000, n=3)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_OK
+    out = capsys.readouterr()
+    assert "audit passed" in out.out and out.err == ""
+
+
+def test_cli_audit_violation_exit_3(tmp_path, capsys):
+    # the lag gate ignores tau(x) = sqrt(x), which these rounds outgrow
+    cfg = quad_config(samples={"kind": "constant", "s": 100},
+                      delay={"g": 2.0, "M0": 0.0, "M1": 0.0},
+                      allow_incompatible=True, K=1000)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_AUDIT
+    assert "staleness contract violated" in capsys.readouterr().err
 
 
 def test_cli_optimum(tmp_path, capsys):

@@ -82,6 +82,29 @@ def test_objective_matches_mean_loss():
     assert objective(p, w, ds) == pytest.approx(mean, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_objective_stack_matches_one_model_calls(name):
+    p, dim = PROBLEMS[name]
+    ds = small_dataset(name)
+    W = rng.stream(5, "test-problems").normal(size=(9, dim))
+    W[0] = find_optimum(p, ds, budget=50).w_star  # F* itself
+    stacked = objective(p, W, ds)
+    assert stacked.shape == (9,)
+    for w, F in zip(W, stacked.tolist()):
+        assert F == pytest.approx(objective(p, w, ds), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["plain", "ridge"])
+def test_objective_stack_in_blocks_matches_one_block(monkeypatch, name):
+    p, dim = PROBLEMS[name]
+    ds = small_dataset(name, M=50)
+    W = rng.stream(6, "test-problems").normal(size=(23, dim))
+    whole = objective(p, W, ds)              # 23 x 50 fits one block
+    monkeypatch.setattr(problems, "_STACK_BLOCK", 3 * 50)
+    blocks = objective(p, W, ds)             # 8 blocks of 3 models
+    assert np.allclose(blocks, whole, rtol=1e-13, atol=0.0)
+
+
 def test_full_gradient_matches_mean_grad():
     ds = small_dataset("plain")
     p = Problem.logistic_plain(3)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from asyncsgd import harness, schedules
@@ -110,6 +111,14 @@ def test_explicit_and_constant():
 def test_prefix_sum():
     sched = SampleSchedule.explicit([3, 4, 5])
     assert [sched.prefix_sum(i) for i in range(4)] == [0, 3, 7, 12]
+    assert sched.prefix_sums(3) == [0, 3, 7, 12]
+
+
+def test_prefix_sums_beyond_int64_is_schedule_error():
+    sched = SampleSchedule.constant(2 ** 62)
+    assert sched.prefix_sums(1) == [0, 2 ** 62]
+    with pytest.raises(ScheduleError, match="2\\*\\*63"):
+        sched.prefix_sums(2)
 
 
 def test_matched_log_domain_rejected():
@@ -190,6 +199,73 @@ def test_compat_explicit_single_term():
     df = DelayFunction(g=2.0, M0=4.0, M1=1.0)  # tau(1) = 1 + sqrt(5) >= 2
     ok, _bad = verify_delay_compatibility(sched, df, d=0, i_max=0)
     assert ok
+
+
+def verify_oracle(sched, df, d, i_max):
+    """The round-by-round scalar check the array version replaced."""
+    total, window = 0, []
+    for i in range(i_max + 1):
+        s_i = sample_size(sched, i)
+        total += s_i
+        window = (window + [s_i])[-(d + 1):]
+        if i >= d and eval_delay(df, float(total)) < 1 + sum(window):
+            return False, i
+    return True, None
+
+
+@pytest.mark.parametrize("sched", [
+    SampleSchedule.constant(5), SampleSchedule.power_law(a=2.0, c=1.0),
+    SampleSchedule.power_law(a=0.5, c=1.5, b=3.0),
+    SampleSchedule.matched_power(g=2.0, m=0, d=0),
+    SampleSchedule.matched_log(m=7747, d=1)])
+@pytest.mark.parametrize("df", [
+    DelayFunction(g=2.0, M0=0.0, M1=0.0),
+    DelayFunction(g=2.0, M0=0.0, M1=12.0),
+    DelayFunction(g=1.5, M0=3.0, M1=40.0),
+    DelayFunction(g=2.0, M0=100.0, M1=9.0, gamma=schedules.GAMMA_FOUR_LOG)])
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_verify_delay_compatibility_matches_scalar_loop(sched, df, d):
+    assert verify_delay_compatibility(sched, df, d, i_max=400) == \
+        verify_oracle(sched, df, d, i_max=400)
+
+
+def delay_range(df, x_max):
+    xs = np.arange(x_max + 1, dtype=float)
+    scalar = np.array([eval_delay(df, x) for x in xs.tolist()])
+    return eval_delay(df, xs), scalar
+
+
+# The strongly convex delay function of the sc-quad and audit-tau-wide
+# benchmark workloads (quadratic, mu = L = 1, d = 1, m = 7747) over every
+# t of their tables, and two gamma = 1 functions over the same range.
+SC_DELAY = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)[0]
+
+
+@pytest.mark.parametrize("df", [
+    SC_DELAY, DelayFunction(g=2.0, M0=0.0, M1=3.0),
+    DelayFunction(g=3.0, M0=0.0, M1=1.0)])
+def test_eval_delay_array_has_the_scalar_floor_and_ceil(df):
+    sched = SampleSchedule.matched_log(m=7747, d=1)
+    rows = rounds_for_budget(sched, 10 ** 5) + 1 + 6
+    array, scalar = delay_range(df, sched.prefix_sum(rows))
+    # tau is compared only with integers, and such a verdict can differ
+    # only if an integer lies between the two values
+    assert np.array_equal(np.floor(array), np.floor(scalar))
+    assert np.array_equal(np.ceil(array), np.ceil(scalar))
+    # values near an integer are the scalar ones, bit for bit
+    near = np.abs(array - np.rint(array)) <= 1e-6
+    assert near.any()
+    assert np.array_equal(array[near], scalar[near])
+
+
+def test_eval_delay_array_domain_errors():
+    with pytest.raises(DomainError):
+        eval_delay(DelayFunction(g=2.0, M0=1.0, M1=0.0), np.array([3.0, -1.0]))
+    df_log = DelayFunction(g=2.0, M0=0.5, M1=0.0,
+                           gamma=schedules.GAMMA_FOUR_LOG)
+    with pytest.raises(DomainError):
+        eval_delay(df_log, np.array([0.0, 5.0]))
+    assert eval_delay(df_log, np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("g", [2.0, 3.0])
