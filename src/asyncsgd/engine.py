@@ -23,13 +23,17 @@ ceil are the scalar ones (see schedules.eval_delay).
 Each node draws its sample indices from its stream in chunks; the indices
 consumed are exactly those of one scalar draw per gradient.
 
-Events are heap entries (time, draw, seq, handler, payload): ties in time
-break on a uniform draw from the interleave stream, then on push order, and
-the loop calls handler(time, payload).  The interleave draws and message
-delays come from `rng.Replay`, which returns exactly what the Generator's
-scalar random() and integers(0, hi) would.  Round updates and the server
-model are checked for inf and NaN as isfinite(x @ zeros), which is NaN
-exactly when some entry is not finite.
+Time advances in integer ticks.  Every event lands at least one tick after
+the one that schedules it, so a tick's events are all known when it starts:
+each tick keeps a bucket of (draw, handler, payload) entries in push order,
+where draw is a uniform draw from the interleave stream taken at push time.
+A tick's bucket is sorted by draw alone with a stable sort, so push order
+breaks equal draws, and the loop calls handler(payload); ticks with no
+events are skipped.  The interleave draws and message delays come from
+`rng.Replay`, which returns exactly what the Generator's scalar random()
+and integers(0, hi) would.  Round updates and the server model are checked
+for inf and NaN as isfinite(x @ zeros), which is NaN exactly when some
+entry is not finite.
 
 A traced run fills RunTrace's flat columns: a RECORD row per gradient and
 a stamp per round update (i, c), the number of broadcasts emitted before
@@ -38,11 +42,10 @@ it was applied (-1: never); (i, c) is in broadcast b iff 0 <= stamp < b.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 import math
 import time as time_mod
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -284,13 +287,13 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     messages = 0
     iterates: list = []
     zeros = np.zeros(dim)  # x @ zeros is NaN iff x has an inf or a NaN
-    heap: list = []
-    heappush, heappop = heapq.heappush, heapq.heappop
     isfinite = math.isfinite
-    seq = itertools.count().__next__
+    buckets: dict = {}    # tick -> [(draw, handler, payload)] in push order
+    now = 0               # the current tick
+    nxt: list = []        # bucket of tick now + 1; handlers append to it
 
-    def push(time: float, handler, payload) -> None:
-        heappush(heap, (time, draw(), seq(), handler, payload))
+    def push(time: int, handler, payload) -> None:
+        buckets.setdefault(time, []).append((draw(), handler, payload))
 
     def check_ledger() -> None:
         total = base_w.copy()
@@ -302,7 +305,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             raise EngineError(f"server ledger invariant broken: |v - sum| "
                               f"= {err:.3e}")
 
-    def server_apply(time: float, msg) -> None:
+    def server_apply(msg) -> None:
         nonlocal k_srv
         i, c, payload = msg
         if payload is not None:
@@ -325,10 +328,10 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             snapshot = v_hat.copy()
             hi = delay_hi[k_srv]
             for cc in range(1, n + 1):
-                push(time + 1 + randint(0, hi),
+                push(now + 1 + randint(0, hi),
                      node_receive, (cc, k_srv, snapshot))
 
-    def ship_round(time: float, nd: _Node) -> None:
+    def ship_round(nd: _Node) -> None:
         # round finished: ship U (None if the round is empty) and advance
         nonlocal messages
         i, c = nd.i, nd.c
@@ -342,20 +345,20 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             nd.U = np.zeros(dim)
             pending[(i, c)] = payload
         messages += 1
-        push(time + 1 + randint(0, delay_hi[i]), server_apply, (i, c, payload))
+        push(now + 1 + randint(0, delay_hi[i]), server_apply, (i, c, payload))
         nd.i = i = i + 1
         if i >= rounds:
             raise EngineError("assignment table exhausted before the "
                               "gradient budget; build more rounds")
         nd.h = 0
         nd.s_ic = s_rows[i][c]
-        push(time + 1, node_step, nd)
+        nxt.append((draw(), node_step, nd))
 
-    def node_step(time: float, nd: _Node) -> None:
+    def node_step(nd: _Node) -> None:
         nonlocal grads
         i, h = nd.i, nd.h
         if h >= nd.s_ic:
-            ship_round(time, nd)
+            ship_round(nd)
             return
         if need_t:
             # global index of this gradient and its distance to the prefix
@@ -383,18 +386,20 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             if grad_rows is not None:
                 grad_rows[grads] = g
         if per_iter:
-            nd.U += eta * g
+            step = eta * g
+            nd.U += step
+            nd.w -= step
         else:
             nd.U += g
-        nd.w -= eta * g
+            nd.w -= eta * g
         if record_iterates:
             iterates.append(nd.w.copy())
         nd.h = h + 1
         grads += 1
         if grads < K:
-            push(time + 1, node_step, nd)
+            nxt.append((draw(), node_step, nd))
 
-    def node_receive(time: float, msg) -> None:
+    def node_receive(msg) -> None:
         c, kb, model = msg
         nd = nodes[c - 1]
         if kb <= nd.k:
@@ -412,20 +417,31 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         # stream bit-identical to serial SGD, and acc_round stays 0
         if nd.waiting:
             nd.waiting = False
-            push(time + 1, node_step, nd)
+            nxt.append((draw(), node_step, nd))
 
     for nd in nodes:
-        push(0.0, node_step, nd)
+        push(0, node_step, nd)
 
+    by_draw = itemgetter(0)
     while grads < K:
-        if not heap:
-            stuck = {nd.c: {"round": nd.i, "k": nd.k, "waiting": nd.waiting}
-                     for nd in nodes}
-            raise DeadlockError(
-                f"no runnable events with {grads}/{K} gradients done; "
-                f"server k={k_srv}, nodes={stuck}")
-        time, _draw, _seq, handler, payload = heappop(heap)
-        handler(time, payload)
+        bucket = buckets.pop(now, None)
+        if not bucket:
+            if not buckets:
+                stuck = {nd.c: {"round": nd.i, "k": nd.k,
+                                "waiting": nd.waiting} for nd in nodes}
+                raise DeadlockError(
+                    f"no runnable events with {grads}/{K} gradients done; "
+                    f"server k={k_srv}, nodes={stuck}")
+            now = min(buckets)
+            continue
+        nxt = buckets.setdefault(now + 1, [])
+        if len(bucket) > 1:
+            bucket.sort(key=by_draw)  # stable: push order breaks ties
+        for _draw, handler, payload in bucket:
+            handler(payload)
+            if grads == K:
+                break
+        now += 1
 
     # serialize: flush in-flight round updates and unsent partials; with a
     # single node its local model already is the exact serial iterate

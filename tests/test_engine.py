@@ -330,9 +330,10 @@ def test_trace_record_count_and_determinism():
             (b.c, b.i, b.h, b.eta, b.bcast_id)
 
 
-# Fingerprints of three small runs, recorded before the event loop read its
-# per-round quantities from precomputed tables.  Any change to event order,
-# stream consumption or floating-point arithmetic shows up here.
+# Fingerprints of small runs.  The first three were recorded before the
+# event loop read its per-round quantities from precomputed tables, the last
+# two before per-tick buckets replaced the event heap.  Any change to event
+# order, stream consumption or floating-point arithmetic shows up here.
 
 def sha256_of(w):
     return hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
@@ -391,6 +392,45 @@ def test_determinism_pinned_explicit_schedule_exact_rounds():
                                        "84d164cb5c38c0a83e1f123c2c1a65d2")
 
 
+def test_determinism_pinned_logistic_power_law_per_iteration():
+    """Power-law rounds grow to hundreds of slots, so broadcasts take
+    hundreds of ticks and gated nodes leave long runs of empty ticks; the
+    run also covers the logistic kernel and the rho-indexed step."""
+    sam = SampleSchedule.power_law(a=3.0, b=1.0, c=2.0)
+    st = StepSchedule.inverse_t(0.2, 0.01, mode=schedules.PER_ITERATION)
+    ds = synthetic_logistic(240, 3, seed=8)
+    part = partition(ds, 3, seed=8)
+    table = build_assignment(sam, part.p, 3, rounds=40, seed=8)
+    res = run(Problem.logistic_ridge(3, 0.1), part, table, sam, st, None,
+              K=4000, seed=8, record_trace=True)
+    assert sha256_of(res.w_final) == ("ab7886d1eedeb047b5cbf892d1de48f5"
+                                      "5a007a2757af1f0a8920b269172dae1c")
+    assert (res.messages, res.k_final) == (48, 15)
+    assert res.rounds_completed == {1: 16, 2: 16, 3: 16}
+    assert trace_digest(res.trace) == ("bbeedad1a306027ff4a6aee10dfb1469"
+                                       "d88aa83178fa1165eb478666ecf9e6de")
+
+
+def test_determinism_pinned_tau_gate_twenty_nodes_full_record():
+    df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
+    _ds, prob, part = quadratic_setup(20, 13, M=400, dim=3)
+    table = build_assignment(sam, part.p, 20, rounds=200, seed=13)
+    res = run(prob, part, table, sam, st, df, K=3000, seed=13,
+              gate=engine.GATE_TAU, d=1, record_trace=True,
+              record_gradients=True, record_iterates=True,
+              audit_ledger=True)
+    assert sha256_of(res.w_final) == ("9cdb2df9c337514eee70e0f4c5bb8956"
+                                      "5a64f114c3f0245e76ed1e020fa4d84a")
+    assert (res.messages, res.k_final) == (3520, 156)
+    assert trace_digest(res.trace) == ("c734f6779965a0260ef972e48aaaa577"
+                                       "d1bb4f3188e65e488ed133f80a9e2833")
+    assert sha256_of(res.trace.grads) == ("c6312aaa8cb29b5467c64bf597ddd779"
+                                          "e0329541d7a0bda1e564d8fb46e49f01")
+    assert len(res.iterates) == 3000
+    assert sha256_of(np.array(res.iterates)) == (
+        "58261307d449c11cd3ec7e99754ca486d7168586b6c1ccfc462bbf40cbcf0db6")
+
+
 def test_node_source_frequencies_match_p():
     sam = SampleSchedule.constant(50)
     st = StepSchedule.inverse_t(0.05, 0.01)
@@ -436,9 +476,14 @@ def test_deadlock_detected_with_impossible_tau():
     st = StepSchedule.inverse_t(0.05, 0.01)
     _ds, prob, part = quadratic_setup(2, 2)
     table = build_assignment(sam, part.p, 2, rounds=10, seed=2)
-    with pytest.raises(DeadlockError):
+    with pytest.raises(DeadlockError) as err:
         run(prob, part, table, sam, st, df, K=500, seed=2,
             gate=engine.GATE_TAU)
+    # tau(0) = 0 blocks every node's first gradient, so nothing is ever sent
+    assert str(err.value) == (
+        "no runnable events with 0/500 gradients done; server k=0, "
+        "nodes={1: {'round': 0, 'k': 0, 'waiting': True}, "
+        "2: {'round': 0, 'k': 0, 'waiting': True}}")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
