@@ -13,7 +13,7 @@ from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
 from .problems import Problem, OptimumInfo, grad, loss, objective, \
     full_gradient, variance_constant, find_optimum
 from .data import (DataSet, Partition, AssignmentTable, parse_libsvm,
-                   load_libsvm, partition, build_assignment, draw_sample,
+                   load_libsvm, partition, build_assignment,
                    synthetic_quadratic, synthetic_logistic)
 from .engine import (run, serial_sgd, rho, rho_inverse,
                      audit_consistency, audit_gate_invariant,
@@ -28,7 +28,7 @@ __all__ = [
     "Problem", "OptimumInfo", "grad", "loss", "objective", "full_gradient",
     "variance_constant", "find_optimum",
     "DataSet", "Partition", "AssignmentTable", "parse_libsvm", "load_libsvm",
-    "partition", "build_assignment", "draw_sample", "synthetic_quadratic",
+    "partition", "build_assignment", "synthetic_quadratic",
     "synthetic_logistic",
     "run", "serial_sgd", "rho", "rho_inverse",
     "audit_consistency", "audit_gate_invariant", "audit_gate_equivalence",

@@ -14,6 +14,7 @@ model), 3 audit failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -68,37 +69,41 @@ def cmd_run(args) -> int:
 
 
 def _grid_search(cfg: harness.RunConfig) -> harness.RunConfig:
-    """Sweep eta0 over the default geometric grid; keep the best config.
+    """Sweep the step schedule's eta (constant) or eta0 over the default
+    geometric grid; return the config with the best value.
 
-    Best means lowest final objective (or highest accuracy when the run
-    reports one).  Prints the selected eta0 on stderr.
+    The config is prepared once and each grid point runs the engine on it
+    with only that step size changed.  Best means highest accuracy when
+    the problem reports one, else lowest final objective F(w_K).  Prints
+    the selected value on stderr.
     """
-    best_cfg, best_score = None, None
-    base_steps = cfg.steps or harness.default_steps(
-        harness.build_problem(cfg.problem, harness.build_dataset(cfg.dataset)))
-    if base_steps.get("kind") == schedules.STEP_CONSTANT:
-        key = "eta"
-    else:
-        key = "eta0"
-    for eta0 in DEFAULT_GRID:
-        trial = harness.RunConfig(**{f: getattr(cfg, f)
-                                     for f in cfg.__dataclass_fields__})
-        trial.steps = dict(base_steps)
-        trial.steps[key] = eta0
+    prep = harness.prepare(cfg)
+    key = {schedules.STEP_CONSTANT: "eta", schedules.INVERSE_T: "eta0",
+           schedules.INVERSE_SQRT_T: "eta0"}.get(prep.steps.kind)
+    if key is None:
+        raise harness.ConfigError(f"--grid sweeps eta or eta0, and the "
+                                  f"{prep.steps.kind} step schedule has "
+                                  f"neither")
+    best, best_score = None, None
+    for value in DEFAULT_GRID:
+        trial = dataclasses.replace(
+            prep, steps=dataclasses.replace(prep.steps, **{key: value}))
         try:
-            _prep, _res, metrics, _opt = harness.execute(
-                trial, with_optimum=False)
+            result = harness.run_prepared(trial)
         except engine.EngineError:
             continue
-        score = metrics.accuracy if metrics.accuracy is not None \
-            else -metrics.final_Y_F
+        score = harness.compute_metrics(trial, result, None).accuracy
+        if score is None:
+            score = -problems.objective(prep.problem, result.w_final,
+                                        prep.dataset)
         if best_score is None or score > best_score:
-            best_cfg, best_score = trial, score
-    if best_cfg is None:
+            best, best_score = value, score
+    if best is None:
         raise engine.EngineError("every grid point failed")
-    print(f"grid search selected {key}={best_cfg.steps[key]}",
-          file=sys.stderr)
-    return best_cfg
+    print(f"grid search selected {key}={best}", file=sys.stderr)
+    steps = dict(cfg.steps or harness.default_steps(prep.problem))
+    steps[key] = best
+    return dataclasses.replace(cfg, steps=steps)
 
 
 def _run_audits(prep: harness.PreparedRun, result) -> int:

@@ -8,7 +8,6 @@ named Philox streams in :mod:`asyncsgd.rng`.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -34,7 +33,6 @@ class DataSet:
 
     X: np.ndarray
     y: np.ndarray
-    name: str = ""
 
     def __post_init__(self) -> None:
         if self.X.ndim != 2 or len(self.X) == 0:
@@ -54,37 +52,8 @@ class DataSet:
     def sample(self, idx: int):
         return self.X[idx], float(self.y[idx])
 
-    def subset(self, indices: np.ndarray) -> "LocalView":
-        return LocalView(self, np.asarray(indices, dtype=np.int64))
 
-
-@dataclass
-class LocalView:
-    """Immutable view of a node's local data (index set into the parent)."""
-
-    parent: DataSet
-    indices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    @property
-    def X(self) -> np.ndarray:
-        return self.parent.X[self.indices]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.parent.y[self.indices]
-
-    @property
-    def dim(self) -> int:
-        return self.parent.dim
-
-    def sample(self, idx: int):
-        return self.parent.sample(int(self.indices[idx]))
-
-
-def parse_libsvm(source, name: str = "") -> DataSet:
+def parse_libsvm(source) -> DataSet:
     """Parse LIBSVM text ("<label> <idx>:<val> ...", 1-based ascending).
 
     Labels in {-1,+1} or {0,1} are normalized to {0,1}.  Vectors are padded
@@ -134,12 +103,12 @@ def parse_libsvm(source, name: str = "") -> DataSet:
     for r, feats in enumerate(rows):
         for idx, val in feats.items():
             X[r, idx - 1] = val
-    return DataSet(X=X, y=np.asarray(labels, dtype=np.int8), name=name)
+    return DataSet(X=X, y=np.asarray(labels, dtype=np.int8))
 
 
 def load_libsvm(path: str) -> DataSet:
     with open(path) as fh:
-        return parse_libsvm(fh, name=path)
+        return parse_libsvm(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -148,33 +117,21 @@ def load_libsvm(path: str) -> DataSet:
 
 @dataclass
 class Partition:
-    """Disjoint per-node views of the parent data set."""
+    """Disjoint index sets into the parent data set, one per node."""
 
     parent: DataSet
-    locals: List[LocalView]
-    mode: str
+    indices: List[np.ndarray]
     p: np.ndarray
-    seed: int
 
     @property
     def n(self) -> int:
-        return len(self.locals)
+        return len(self.indices)
 
-    def local(self, c: int) -> LocalView:
-        """Local data of node c (1-based, matching the algorithms)."""
-        return self.locals[c - 1]
-
-    def summary(self) -> str:
-        info = {
-            "mode": self.mode,
-            "p": self.p.tolist(),
-            "sizes": [len(v) for v in self.locals],
-            "label_histograms": [
-                {"0": int(np.sum(v.y == 0)), "1": int(np.sum(v.y == 1))}
-                for v in self.locals
-            ],
-        }
-        return json.dumps(info, sort_keys=True)
+    def local(self, c: int) -> DataSet:
+        """A copy of the local data of node c (1-based, matching the
+        algorithms)."""
+        idx = self.indices[c - 1]
+        return DataSet(self.parent.X[idx], self.parent.y[idx])
 
 
 def _proportional_sizes(M: int, p: np.ndarray) -> List[int]:
@@ -189,7 +146,7 @@ def _proportional_sizes(M: int, p: np.ndarray) -> List[int]:
 
 def partition(ds: DataSet, n: int, mode: str = UNBIASED,
               p: Optional[Sequence[float]] = None, seed: int = 0) -> Partition:
-    """Split a data set into n disjoint local views.
+    """Split a data set into n disjoint, non-empty index sets.
 
     Unbiased: seeded shuffle then contiguous blocks of sizes proportional
     to p.  BiasedByLabel: sort by label and hand label groups to nodes (for
@@ -207,11 +164,8 @@ def partition(ds: DataSet, n: int, mode: str = UNBIASED,
     gen = rng.stream(seed, rng.PARTITION)
     if mode == UNBIASED:
         perm = gen.permutation(len(ds))
-        sizes = _proportional_sizes(len(ds), pv)
-        views, start = [], 0
-        for sz in sizes:
-            views.append(ds.subset(perm[start:start + sz]))
-            start += sz
+        ends = np.cumsum(_proportional_sizes(len(ds), pv))
+        groups = np.split(perm, ends[:-1])
     elif mode == BIASED_BY_LABEL:
         label_groups = [np.flatnonzero(ds.y == lbl) for lbl in (0, 1)]
         label_groups = [g for g in label_groups if len(g)]
@@ -220,30 +174,24 @@ def partition(ds: DataSet, n: int, mode: str = UNBIASED,
             buckets: List[list] = [[] for _ in range(n)]
             for gi, grp in enumerate(label_groups):
                 buckets[gi % n].extend(grp.tolist())
-            views = [ds.subset(np.asarray(b, dtype=np.int64)) for b in buckets]
+            groups = [np.asarray(b, dtype=np.int64) for b in buckets]
         else:
             # labels are insufficient: split each label group by a seeded
             # shuffle, spreading the n nodes across groups
-            node_groups = [[] for _ in range(n)]
+            groups = []
             per_group = _proportional_sizes(n, np.array(
                 [len(g) / len(ds) for g in label_groups]))
-            node_id = 0
             for grp, cnt in zip(label_groups, per_group):
                 if cnt == 0:
                     raise ValueError("n exceeds distinct usable label groups")
                 shuffled = grp[gen.permutation(len(grp))]
-                chunks = np.array_split(shuffled, cnt)
-                for ch in chunks:
-                    node_groups[node_id] = ch
-                    node_id += 1
-            views = [ds.subset(np.asarray(g, dtype=np.int64))
-                     for g in node_groups]
-        if any(len(v) == 0 for v in views):
-            raise ValueError("n exceeds distinct usable groups for "
-                             "biased-by-label partitioning")
+                groups.extend(np.array_split(shuffled, cnt))
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
-    return Partition(parent=ds, locals=views, mode=mode, p=pv, seed=seed)
+    if any(len(g) == 0 for g in groups):
+        raise ValueError(f"{mode} partitioning of {len(ds)} samples leaves a "
+                         f"node with none")
+    return Partition(parent=ds, indices=groups, p=pv)
 
 
 # ---------------------------------------------------------------------------
@@ -252,30 +200,18 @@ def partition(ds: DataSet, n: int, mode: str = UNBIASED,
 
 @dataclass
 class AssignmentTable:
-    """Rows of node ids a(i, t) in {1..n}; row i has exactly s_i entries.
-    node holds the rows end to end (node[t] is the node of global slot t)
-    and row i is node[start[i]:start[i + 1]]."""
+    """The node ids a(i, t) in {1..n}, rows end to end: node[t] is the node
+    of global slot t, row i is node[start[i]:start[i + 1]] and has s_i
+    entries, so start[i] = sum_{j<i} s_j."""
 
-    rows: List[np.ndarray]
+    node: np.ndarray
+    start: np.ndarray
     n: int
-    p: np.ndarray
-    seed: int
-    node: Optional[np.ndarray] = field(default=None, repr=False,
-                                       compare=False)
-    start: np.ndarray = field(init=False, repr=False, compare=False)
     _index: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.node is None:
-            self.node = np.concatenate([np.empty(0, dtype=np.int64)]
-                                       + self.rows)
-        self.start = np.zeros(self.rounds + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, self.rows), np.int64, self.rounds),
-                  out=self.start[1:])
 
     @property
     def rounds(self) -> int:
-        return len(self.rows)
+        return len(self.start) - 1
 
     def counts(self) -> np.ndarray:
         """counts[i, c] = s_{i,c} (column 0 is zero): rnd * (n + 1) + node
@@ -294,7 +230,7 @@ class AssignmentTable:
         """Flat arrays (node, rnd, occ, first, order), built on first call:
         global slot t is in row rnd[t], of node node[t], that node's occ[t]-th
         slot in the row.  The slots of key i * n + c - 1, ascending, are
-        order[first[key]:first[key + 1]]; first[k * n] = sum_{j<k} s_j."""
+        order[first[key]:first[key + 1]]."""
         if self._index is None:
             node = self.node
             rnd = np.repeat(np.arange(self.rounds, dtype=np.int64),
@@ -348,15 +284,7 @@ def build_assignment(sched: SampleSchedule, p: Sequence[float], n: int,
             u = gen.random(min(_BLOCK, len(node) - lo))
             node[lo:lo + len(u)] = cdf.searchsorted(u, side="right")
         node += 1
-    rows = [node[a:b] for a, b in zip(bounds, bounds[1:])]
-    return AssignmentTable(rows=rows, n=n, p=pv, seed=seed, node=node)
-
-
-def draw_sample(local: LocalView, gen: np.random.Generator):
-    """Uniform draw from a node's local view; advances the node stream."""
-    if len(local) == 0:
-        raise ValueError("cannot sample from an empty local view")
-    return local.sample(int(gen.integers(0, len(local))))
+    return AssignmentTable(node, np.asarray(bounds, dtype=np.int64), n)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +299,7 @@ def synthetic_quadratic(M: int = 1000, dim: int = 10, seed: int = 0,
     gen = rng.stream(seed, "synthetic-quadratic")
     X = gen.normal(0.0, scale, size=(M, dim))
     y = (X[:, 0] > 0).astype(np.int8)  # labels unused by the problem
-    return DataSet(X=X, y=y, name=f"quadratic-{M}x{dim}")
+    return DataSet(X=X, y=y)
 
 
 def synthetic_logistic(M: int = 1000, dim: int = 10, seed: int = 0,
@@ -396,4 +324,4 @@ def synthetic_logistic(M: int = 1000, dim: int = 10, seed: int = 0,
     y = np.concatenate([np.zeros(half, dtype=np.int8),
                         np.ones(M - half, dtype=np.int8)])
     perm = gen.permutation(M)
-    return DataSet(X=X[perm], y=y[perm], name=f"logistic-{M}x{dim}")
+    return DataSet(X=X[perm], y=y[perm])

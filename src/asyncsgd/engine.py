@@ -13,8 +13,8 @@ The engine reads everything that depends only on the round from tables
 built once at entry, each bounded by the assignment table's rounds:
 the prefix sums sum_{j<i} s_j, the round steps eta_bar_i, the delay-draw
 bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  All but the
-round steps are array passes: the prefix sums come from the schedule's
-cache and the s_{i,c} from AssignmentTable.counts, a blocked bincount.
+round steps are array passes: the prefix sums are the table's row starts
+and the s_{i,c} come from AssignmentTable.counts, a blocked bincount.
 The server counts the updates applied per round.  An empty round ships
 None, since its update is exactly zero.  The tau gate decides the
 trajectory, so it evaluates tau by the scalar code, once per t_glob; the
@@ -255,7 +255,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     if rounds == 0:
         raise EngineError("assignment table exhausted before the gradient "
                           "budget; build more rounds")
-    P = samples.prefix_sums(rounds)
+    P = table.start.tolist()
     delay_hi = (2 * np.maximum(np.diff(P), 1) + 1).tolist()
     eta_bar = None if per_iter else \
         [round_step(steps, samples, i) for i in range(rounds)]
@@ -481,10 +481,10 @@ def audit_consistency(trace: RunTrace, df: DelayFunction):
     violating t).
     """
     table, rec = trace.table, trace.records
-    node, rnd, occ, first, _order = table.index()
+    node, rnd, occ, _first, _order = table.index()
     c, i, h, b, acc = rec.c, rec.i, rec.h, rec.bcast_id, rec.acc_round
     t = rho(table, c, i, h)
-    base = first[trace.bcast_k[b] * table.n]  # P[k] of the record's model
+    base = table.start[trace.bcast_k[b]]  # P[k] of the record's model
     upper = t - np.ceil(eval_delay(df, t)).astype(np.int64)
     # updates t' in [base, upper) are not known to be in the model: each
     # must be in the broadcast or be the node's own surviving update

@@ -365,6 +365,17 @@ def compute_metrics(prep: PreparedRun, result: engine.RunResult,
         wall_time=result.wall_time)
 
 
+def run_prepared(prep: PreparedRun,
+                 record_trace: bool = False) -> engine.RunResult:
+    """engine.run on the prepared pieces and the config's settings."""
+    cfg = prep.config
+    return engine.run(prep.problem, prep.partition, prep.table,
+                      prep.samples, prep.steps, prep.delay_fn, cfg.K,
+                      cfg.seed, gate=cfg.gate, d=cfg.d,
+                      checkpoint_interval=cfg.checkpoint_interval,
+                      record_trace=record_trace)
+
+
 def execute(cfg: RunConfig, record_trace: bool = False,
             with_optimum: bool = True):
     """prepare + run + metrics in one call.
@@ -372,11 +383,7 @@ def execute(cfg: RunConfig, record_trace: bool = False,
     Returns (PreparedRun, RunResult, RunMetrics, OptimumInfo or None).
     """
     prep = prepare(cfg)
-    result = engine.run(prep.problem, prep.partition, prep.table,
-                        prep.samples, prep.steps, prep.delay_fn, cfg.K,
-                        cfg.seed, gate=cfg.gate, d=cfg.d,
-                        checkpoint_interval=cfg.checkpoint_interval,
-                        record_trace=record_trace)
+    result = run_prepared(prep, record_trace)
     opt = None
     if with_optimum:
         opt = problems.find_optimum(prep.problem, prep.dataset,

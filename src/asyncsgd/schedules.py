@@ -165,21 +165,21 @@ class SampleSchedule:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(s: int, d: int = 0) -> "SampleSchedule":
+    def constant(s: int) -> "SampleSchedule":
         if s < 1:
             raise ScheduleError(f"constant sample size must be >= 1, got {s}")
-        return SampleSchedule(kind=CONSTANT, s=int(s), d=d)
+        return SampleSchedule(kind=CONSTANT, s=int(s))
 
     @staticmethod
-    def power_law(a: float, b: float = 0.0, c: float = 1.0,
-                  d: int = 0) -> "SampleSchedule":
+    def power_law(a: float, b: float = 0.0,
+                  c: float = 1.0) -> "SampleSchedule":
         # Note: with b = 0 round 0 is empty (s_0 = 0); the first non-empty
         # round is i = 1, matching the a*i^c + b family evaluated literally.
         if a < 0 or b < 0 or c < 0:
             raise ScheduleError("power-law a, b and c must be non-negative")
         if a == 0 and b == 0:
             raise ScheduleError("power-law schedule is identically zero")
-        return SampleSchedule(kind=POWER_LAW, a=a, b=b, c=c, d=d)
+        return SampleSchedule(kind=POWER_LAW, a=a, b=b, c=c)
 
     @staticmethod
     def matched_power(g: float, m: int = 0, d: int = 0) -> "SampleSchedule":
@@ -200,13 +200,12 @@ class SampleSchedule:
         return SampleSchedule(kind=MATCHED_LOG, m=int(m), d=int(d))
 
     @staticmethod
-    def explicit(values: list, d: int = 0) -> "SampleSchedule":
+    def explicit(values: list) -> "SampleSchedule":
         vals = tuple(values)
         if not vals or any(isinstance(v, bool) or not isinstance(
                 v, numbers.Integral) or v < 1 for v in vals):
             raise ScheduleError("explicit schedule needs integer values >= 1")
-        return SampleSchedule(kind=EXPLICIT, values=tuple(map(int, vals)),
-                              d=d)
+        return SampleSchedule(kind=EXPLICIT, values=tuple(map(int, vals)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -306,7 +305,6 @@ class StepSchedule:
     mu: float = 0.0
     M0: float = 0.0
     M1: float = 0.0
-    m: int = 0
     mode: str = PER_ROUND
 
     def __post_init__(self) -> None:
@@ -334,12 +332,12 @@ class StepSchedule:
         return StepSchedule(kind=INVERSE_SQRT_T, eta0=eta0, beta=beta, mode=mode)
 
     @staticmethod
-    def strongly_convex_round(mu: float, M0: float, M1: float,
-                              m: int) -> "StepSchedule":
+    def strongly_convex_round(mu: float, M0: float,
+                              M1: float) -> "StepSchedule":
         if mu <= 0:
             raise ScheduleError("mu must be positive")
         return StepSchedule(kind=STRONGLY_CONVEX_ROUND, mu=mu, M0=M0, M1=M1,
-                            m=m, mode=PER_ROUND)
+                            mode=PER_ROUND)
 
 
 def per_iteration_step(sched: StepSchedule, t: int) -> float:
@@ -386,7 +384,7 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
                     / math.log((m + 1) / (2 * (d + 1))))
     M1 = max(d + 2.0, 72.0 * L / mu, s0_term / 2.0)
     df = DelayFunction(g=2.0, M0=M0, M1=M1, gamma=GAMMA_FOUR_LOG)
-    steps = StepSchedule.strongly_convex_round(mu=mu, M0=M0, M1=M1, m=m)
+    steps = StepSchedule.strongly_convex_round(mu=mu, M0=M0, M1=M1)
     ok, bad = verify_delay_compatibility(samples, df, d, i_max=max(2000, 2 * d))
     if not ok:
         raise ScheduleError(f"constructed schedules violate the delay "

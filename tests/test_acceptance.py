@@ -155,7 +155,7 @@ def test_criterion_5_rho_bijectivity():
         sam = SampleSchedule.explicit([int(gen.integers(1, 15))
                                        for _ in range(rounds)])
         table = build_assignment(sam, np.full(n, 1.0 / n), n, rounds, seed)
-        total = sum(len(r) for r in table.rows)
+        total = sum(len(r) for r in np.split(table.node, table.start[1:-1]))
         for t in range(total):
             c, i, h = rho_inverse(table, t)
             if rho(table, c, i, h) != t:
@@ -345,10 +345,12 @@ def test_criterion_11_distribution_identity():
     sam = SampleSchedule.constant(2000)
     table = build_assignment(sam, p, 3, rounds=60, seed=5)
     gens = {c: rng.stream(5, rng.NODE_SAMPLING, c) for c in (1, 2, 3)}
+    local = {c: part.local(c) for c in (1, 2, 3)}
     draws = []
-    for row in table.rows:
+    for row in np.split(table.node, table.start[1:-1]):
         for c in row.tolist():
-            x, _y = data.draw_sample(part.local(c), gens[c])
+            gen = gens[c]
+            x, _y = local[c].sample(int(gen.integers(0, len(local[c]))))
             draws.append(x[0])
     assert len(draws) >= 10 ** 5
     edges = np.quantile(ds.X[:, 0], np.linspace(0, 1, 11))
@@ -357,8 +359,8 @@ def test_criterion_11_distribution_identity():
     # mixture prediction: sum_c p_c * local bucket frequencies
     expected = np.zeros(10)
     for c, pc in zip((1, 2, 3), p):
-        hist, _ = np.histogram(part.local(c).X[:, 0], bins=edges)
-        expected += pc * hist / len(part.local(c))
+        hist, _ = np.histogram(local[c].X[:, 0], bins=edges)
+        expected += pc * hist / len(local[c])
     expected *= len(draws)
     result = stats.chisquare(observed, expected)
     ok = result.pvalue > 0.01

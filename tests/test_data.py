@@ -7,8 +7,8 @@ import pytest
 
 from asyncsgd import data, rng
 from asyncsgd.data import (AssignmentTable, DataFormatError, DataSet,
-                           build_assignment, draw_sample, parse_libsvm,
-                           partition, synthetic_logistic, synthetic_quadratic)
+                           build_assignment, parse_libsvm, partition,
+                           synthetic_logistic, synthetic_quadratic)
 from asyncsgd.schedules import SampleSchedule
 
 
@@ -72,7 +72,7 @@ def test_partition_identity_single_node():
     ds = make_binary(50)
     part = partition(ds, 1, seed=0)
     assert len(part.local(1)) == 50
-    assert sorted(part.local(1).indices.tolist()) == list(range(50))
+    assert sorted(part.indices[0].tolist()) == list(range(50))
 
 
 def test_partition_unbiased_disjoint_cover():
@@ -80,7 +80,7 @@ def test_partition_unbiased_disjoint_cover():
     part = partition(ds, 5, seed=3)
     sizes = [len(part.local(c)) for c in range(1, 6)]
     assert sizes == [200] * 5
-    all_idx = np.concatenate([part.local(c).indices for c in range(1, 6)])
+    all_idx = np.concatenate([part.indices[c - 1] for c in range(1, 6)])
     assert sorted(all_idx.tolist()) == list(range(1000))
 
 
@@ -105,7 +105,7 @@ def test_partition_biased_more_nodes_than_labels():
     # every node still sees a single label
     for c in range(1, 6):
         assert len(set(part.local(c).y.tolist())) == 1
-    all_idx = np.concatenate([part.local(c).indices for c in range(1, 6)])
+    all_idx = np.concatenate([part.indices[c - 1] for c in range(1, 6)])
     assert sorted(all_idx.tolist()) == list(range(600))
 
 
@@ -117,30 +117,50 @@ def test_partition_rejects_bad_p():
         partition(ds, 0, seed=0)
 
 
+def test_partition_rejects_node_without_samples():
+    ds = make_binary(3)
+    with pytest.raises(ValueError, match="leaves a node with none"):
+        partition(ds, 5, seed=0)
+
+
+def test_partition_local_is_a_copy_of_the_node_rows():
+    ds = make_binary(100)
+    part = partition(ds, 3, seed=2)
+    local, idx = part.local(2), part.indices[1]
+    assert np.array_equal(local.X, ds.X[idx])
+    assert np.array_equal(local.y, ds.y[idx])
+    before = ds.X[idx[0]].copy()
+    local.X[0] += 1.0
+    assert np.array_equal(ds.X[idx[0]], before)
+
+
 def test_partition_reproducible():
     ds = make_binary(300)
     a = partition(ds, 3, seed=9)
     b = partition(ds, 3, seed=9)
     for c in range(1, 4):
-        assert np.array_equal(a.local(c).indices, b.local(c).indices)
-    assert a.summary() == b.summary()
+        assert np.array_equal(a.indices[c - 1], b.indices[c - 1])
 
 
 # ---------------------------------------------------------------------------
 # assignment table
 # ---------------------------------------------------------------------------
 
+def table_rows(table):
+    return np.split(table.node, table.start[1:-1])
+
+
 def test_assignment_single_node_all_ones():
     sched = SampleSchedule.constant(8)
     table = build_assignment(sched, [1.0], 1, rounds=5, seed=0)
-    for row in table.rows:
+    for row in table_rows(table):
         assert set(row.tolist()) == {1}
 
 
 def test_assignment_zero_mass_node():
     sched = SampleSchedule.constant(10)
     table = build_assignment(sched, [1.0, 0.0], 2, rounds=4, seed=0)
-    for row in table.rows:
+    for row in table_rows(table):
         assert set(row.tolist()) == {1}
 
 
@@ -149,7 +169,7 @@ def test_assignment_binomial_concentration():
     passed = 0
     for seed in range(20):
         table = build_assignment(sched, [0.5, 0.5], 2, rounds=1, seed=seed)
-        count = int(np.sum(table.rows[0] == 1))
+        count = int(np.sum(table_rows(table)[0] == 1))
         if abs(count - 5000) <= 3 * np.sqrt(10 ** 4 * 0.25):
             passed += 1
     assert passed >= 19  # 3-sigma: > 99% of seeds
@@ -159,7 +179,7 @@ def test_assignment_marginals_long_run():
     sched = SampleSchedule.constant(10 ** 4)
     p = [0.2, 0.3, 0.5]
     table = build_assignment(sched, p, 3, rounds=100, seed=7)
-    flat = np.concatenate(table.rows)
+    flat = np.concatenate(table_rows(table))
     for c, pc in enumerate(p, start=1):
         freq = float(np.mean(flat == c))
         assert abs(freq - pc) < 0.01
@@ -169,15 +189,16 @@ def test_assignment_deterministic_split():
     sched = SampleSchedule.explicit([10, 7])
     table = build_assignment(sched, [0.5, 0.5], 2, rounds=2, seed=0,
                              deterministic_split=True)
-    assert np.sum(table.rows[0] == 1) == 5
+    row0, row1 = table_rows(table)
+    assert np.sum(row0 == 1) == 5
     # largest-remainder: 7 splits as 4 + 3 in some order
-    assert sorted(int(np.sum(table.rows[1] == c)) for c in (1, 2)) == [3, 4]
+    assert sorted(int(np.sum(row1 == c)) for c in (1, 2)) == [3, 4]
 
 
 def test_assignment_row_lengths_and_range():
     sched = SampleSchedule.power_law(a=3.0)
     table = build_assignment(sched, [0.5, 0.5], 2, rounds=6, seed=1)
-    for i, row in enumerate(table.rows):
+    for i, row in enumerate(table_rows(table)):
         assert len(row) == sched[i]
         assert all(1 <= c <= 2 for c in row.tolist())
 
@@ -186,20 +207,19 @@ def test_assignment_reproducible():
     sched = SampleSchedule.constant(50)
     a = build_assignment(sched, [0.3, 0.7], 2, rounds=10, seed=42)
     b = build_assignment(sched, [0.3, 0.7], 2, rounds=10, seed=42)
-    assert all(np.array_equal(x, y) for x, y in zip(a.rows, b.rows))
+    assert all(np.array_equal(x, y)
+               for x, y in zip(table_rows(a), table_rows(b)))
 
 
 def test_assignment_counts_in_blocks(monkeypatch):
     rows = [[2, 1, 2], [], [3], [], [], [1, 1, 3, 3, 2, 2, 2], [2]]
-    table = AssignmentTable(rows=[np.asarray(r, dtype=np.int64)
-                                  for r in rows], n=3, p=np.full(3, 1 / 3),
-                            seed=0)
+    table = AssignmentTable(np.array(sum(rows, [])),
+                            np.array([0, 3, 3, 4, 4, 4, 11, 12]), n=3)
+    assert [r.tolist() for r in table_rows(table)] == rows
     expected = [np.bincount(r, minlength=4).tolist() for r in rows]
     for block in (1, 2, 5, 8192):
         monkeypatch.setattr(data, "_BLOCK", block)
         assert table.counts().tolist() == expected
-    assert table.start.tolist() == [0, 3, 3, 4, 4, 4, 11, 12]
-    assert table.node.tolist() == sum(rows, [])
 
 
 def built_table_pins(monkeypatch, sched, n, rounds, seed, **kwargs):
@@ -215,7 +235,7 @@ def built_table_pins(monkeypatch, sched, n, rounds, seed, **kwargs):
     table = build_assignment(sched, p, n, rounds=rounds, seed=seed, **kwargs)
     monkeypatch.undo()
     h = hashlib.sha256()
-    for row in table.rows:
+    for row in table_rows(table):
         h.update(np.asarray(row, dtype="<i8").tobytes() + b"|")
     (gen,) = gens
     state = gen.bit_generator.state
@@ -241,49 +261,6 @@ def test_assignment_pinned(monkeypatch, case, sched, n, rounds, kwargs,
                            digest, state):
     assert built_table_pins(monkeypatch, sched, n, rounds, seed=11,
                             **kwargs) == (digest, state)
-
-
-# ---------------------------------------------------------------------------
-# draw_sample
-# ---------------------------------------------------------------------------
-
-def test_draw_singleton():
-    ds = make_binary(10)
-    view = ds.subset(np.array([3]))
-    gen = rng.stream(0, rng.NODE_SAMPLING, 1)
-    for _ in range(5):
-        x, y = draw_sample(view, gen)
-        assert np.array_equal(x, ds.X[3])
-
-
-def test_draw_frequencies():
-    ds = make_binary(10)
-    view = ds.subset(np.array([1, 2]))
-    gen = rng.stream(0, rng.NODE_SAMPLING, 1)
-    hits = sum(np.array_equal(draw_sample(view, gen)[0], ds.X[1])
-               for _ in range(10 ** 4))
-    assert 0.45 <= hits / 10 ** 4 <= 0.55
-
-
-def test_draw_deterministic_sequence():
-    ds = make_binary(30)
-    view = ds.subset(np.arange(30))
-    seq1 = [draw_sample(view, rng.stream(5, rng.NODE_SAMPLING, 2))[1]
-            for _ in range(1)]
-    gen_a = rng.stream(5, rng.NODE_SAMPLING, 2)
-    gen_b = rng.stream(5, rng.NODE_SAMPLING, 2)
-    a = [draw_sample(view, gen_a) for _ in range(100)]
-    b = [draw_sample(view, gen_b) for _ in range(100)]
-    assert all(np.array_equal(x1, x2) and y1 == y2
-               for (x1, y1), (x2, y2) in zip(a, b))
-    assert seq1  # first draw exists and is reproducible by construction
-
-
-def test_draw_empty_view_rejected():
-    ds = make_binary(5)
-    view = ds.subset(np.array([], dtype=np.int64))
-    with pytest.raises(ValueError):
-        draw_sample(view, rng.stream(0, rng.NODE_SAMPLING, 1))
 
 
 def test_synthetic_generators():

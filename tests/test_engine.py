@@ -23,8 +23,12 @@ from asyncsgd.schedules import (DelayFunction, SampleSchedule, StepSchedule,
 
 
 def table_from_rows(rows, n):
-    return AssignmentTable(rows=[np.asarray(r, dtype=np.int64) for r in rows],
-                           n=n, p=np.full(n, 1.0 / n), seed=0)
+    node = np.array([c for r in rows for c in r], dtype=np.int64)
+    return AssignmentTable(node, np.cumsum([0] + [len(r) for r in rows]), n)
+
+
+def table_rows(table):
+    return np.split(table.node, table.start[1:-1])
 
 
 class FakeGen:
@@ -75,7 +79,7 @@ def test_rho_bijective_random_tables(seed):
     sched = SampleSchedule.explicit(
         [int(gen.integers(1, 12)) for _ in range(rounds)])
     table = build_assignment(sched, np.full(n, 1.0 / n), n, rounds, seed)
-    total = sum(len(r) for r in table.rows)
+    total = sum(len(r) for r in table_rows(table))
     seen = set()
     for t in range(total):
         c, i, h = rho_inverse(table, t)
@@ -181,7 +185,8 @@ def audit_oracle(trace, df):
             continue
         k = int(trace.bcast_k[rec.bcast_id])
         extras = broadcast_extras(trace, int(rec.bcast_id))
-        for t_prime in range(sum(len(r) for r in table.rows[:k]), upper):
+        for t_prime in range(sum(len(r) for r in table_rows(table)[:k]),
+                             upper):
             cp, ip, hp = rho_inverse(table, t_prime)
             if (ip, cp) in extras:
                 continue
@@ -231,7 +236,7 @@ def test_audit_matches_scalar_oracle(n, gate, convex, s, g, slack, K, seed,
         elif mutation == "acc_round":
             records.acc_round[j] += 1 + pick % 3
         else:
-            count = int(np.sum(table.rows[rec.i] == rec.c))
+            count = int(np.sum(table_rows(table)[rec.i] == rec.c))
             records.h[j] = (rec.h + 1 + pick % count) % count
         trace = dataclasses.replace(trace, records=records)
     assert audit_consistency(trace, df) == audit_oracle(trace, df)

@@ -206,6 +206,27 @@ def test_suite_deterministic_bytes():
     assert len(lines) == 4  # n in {1, 2, 5}
 
 
+SUITE_SETTINGS = {
+    "const-vs-diminishing": ["constant-step/constant-s=100",
+                             "constant-step/constant-s=500",
+                             "constant-step/constant-s=1000",
+                             "diminishing-step/linear-s"],
+    "sampling-methods": ["constant", "linear", "quadratic", "sqrt"],
+    "biased-vs-unbiased": ["unbiased", "biased_by_label"],
+    "scaling-nodes": ["n=1", "n=2", "n=5"],
+    "budget-sweep": ["K=1000", "K=2000", "K=4000"],
+}
+
+
+@pytest.mark.parametrize("name", harness.SUITES)
+def test_suite_returns_its_settings(name):
+    lines = harness.run_suite(name, seed=0).strip().splitlines()
+    assert lines[0] == "setting,accuracy,T,K"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == SUITE_SETTINGS[name]
+    assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)
+
+
 def test_suite_unknown_name():
     with pytest.raises(ConfigError):
         harness.run_suite("mystery-suite")
@@ -279,6 +300,23 @@ def test_cli_schedule_bad_params(capsys):
         cli.EXIT_CONFIG
     assert cli.main(["schedule", "--rows", "2"]) == cli.EXIT_CONFIG
     assert "--samples" in capsys.readouterr().err
+
+
+def test_cli_schedule_from_specs(capsys):
+    code = cli.main(["schedule", "--samples", '{"kind": "constant", "s": 5}',
+                     "--steps", '{"kind": "constant", "eta": 0.1}',
+                     "--delay", json.dumps(DELAY), "--d", "1",
+                     "--rows", "3"])
+    assert code == cli.EXIT_OK
+    rows = [line.split(",")
+            for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[:4] for row in rows] == [["0", "5", "5", "0.1"],
+                                         ["1", "5", "10", "0.1"],
+                                         ["2", "5", "15", "0.1"]]
+    # tau(sum_s) = M1 + sqrt(sum_s); the window ok column starts at i = d
+    assert [float(row[4]) for row in rows] == pytest.approx(
+        [100 + math.sqrt(5 * (i + 1)) for i in range(3)], abs=1e-6)
+    assert [row[5] for row in rows] == ["", "true", "true"]
 
 
 def test_cli_experiment(tmp_path):
@@ -408,7 +446,7 @@ DELAY = {"g": 2.0, "M0": 0.0, "M1": 100.0}
      "unknown steps field 'mode'"),
     (dict(samples={"kind": "strongly_convex", "m": 7747},
           steps={"kind": "strongly_convex_round", "mu": 1.0, "M0": 100.0,
-                 "M1": 5.0, "m": 10, "mode": "per_iteration"}),
+                 "M1": 5.0, "mode": "per_iteration"}),
      "unknown steps field 'mode'"),
     (dict(steps=dict(STEPS, bogus=1)), "unknown steps field 'bogus'"),
     (dict(samples={"kind": "explicit", "values": "99999"}),
@@ -426,6 +464,8 @@ DELAY = {"g": 2.0, "M0": 0.0, "M1": 100.0}
      "steps field 'beta' must be finite, got inf"),
     (dict(steps=dict(STEPS, eta0=math.nan)),
      "steps field 'eta0' must be finite, got nan"),
+    (dict(samples={"kind": "constant", "s": 5, "d": 1}),
+     "unknown samples field 'd'"),
 ])
 def test_cli_run_rejects_bad_nested_spec(tmp_path, capsys, fields,
                                          fragment):
@@ -526,3 +566,63 @@ def test_cli_trace_file(tmp_path):
             assert doc[key] == rec[column]
             assert type(doc[key]) is (float if key == "eta" else int)
         assert doc["t"] == engine.rho(prep.table, rec.c, rec.i, rec.h)
+
+
+def test_cli_run_seed_overrides_config_seed(tmp_path):
+    def y_f(seed, *args):
+        (tmp_path / f"{seed}").mkdir(exist_ok=True)
+        path = write_config(tmp_path / f"{seed}", quad_config(seed=seed))
+        out = tmp_path / "m.json"
+        assert cli.main(["run", "--config", path, "--out", str(out),
+                         *args]) == cli.EXIT_OK
+        return json.loads(out.read_text())["Y_F"]
+    assert y_f(1, "--seed", "3") == y_f(3)
+    assert y_f(1, "--seed", "3") != y_f(1)
+
+
+def test_cli_run_libsvm_dataset(tmp_path):
+    gen = np.random.default_rng(0)
+    lines = [f"{'+1' if x[0] + x[1] > 0 else '-1'} "
+             + " ".join(f"{j}:{v:.4f}" for j, v in enumerate(x, start=1))
+             for x in gen.normal(size=(60, 3))]
+    data_path = tmp_path / "small.libsvm"
+    data_path.write_text("\n".join(lines) + "\n")
+    cfg = quad_config(problem={"kind": "logistic_ridge"},
+                      dataset={"path": str(data_path)}, K=200)
+    out = tmp_path / "m.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["K"] == 200
+    assert 0.5 < doc["accuracy"] <= 1.0
+
+
+GRID_CONFIG = dict(
+    problem={"kind": "quadratic_mean"},
+    dataset={"synthetic": "quadratic", "M": 500, "dim": 5, "seed": 0},
+    samples={"kind": "constant", "s": 50}, steps=None, K=3000, n=3, seed=0)
+
+
+def test_cli_grid_selects_lowest_objective(tmp_path, capsys):
+    path = write_config(tmp_path, quad_config(**GRID_CONFIG))
+    assert cli.main(["run", "--config", path, "--grid",
+                     "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
+    assert "grid search selected eta0=0.0003" in capsys.readouterr().err
+
+
+def test_cli_grid_rejects_schedule_without_step_size(tmp_path, capsys):
+    cfg = quad_config(**dict(GRID_CONFIG, samples={"kind": "strongly_convex",
+                                                   "m": 7747}))
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", path, "--grid"]) == cli.EXIT_CONFIG
+    assert "strongly_convex_round" in capsys.readouterr().err
+
+
+def test_grid_search_keeps_the_given_steps_spec():
+    steps = {"kind": "inverse_sqrt_t", "eta0": 0.5, "beta": 0.02,
+             "mode": "per_iteration"}
+    best = cli._grid_search(quad_config(steps=steps))
+    assert {k: v for k, v in best.steps.items() if k != "eta0"} == \
+        {"kind": "inverse_sqrt_t", "beta": 0.02, "mode": "per_iteration"}
+    assert best.steps["eta0"] in cli.DEFAULT_GRID
+    assert steps["eta0"] == 0.5  # the input config is not modified

@@ -18,7 +18,7 @@ def small_dataset(kind: str, M: int = 40, d_feat: int = 3,
     gen = rng.stream(seed, "test-problems")
     X = gen.normal(size=(M, d_feat))
     y = (X @ gen.normal(size=d_feat) + 0.2 * gen.normal(size=M) > 0)
-    return DataSet(X=X, y=y.astype(np.int8), name=kind)
+    return DataSet(X=X, y=y.astype(np.int8))
 
 
 PROBLEMS = {

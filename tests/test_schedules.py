@@ -140,8 +140,8 @@ def test_matched_schedules_nondecreasing(kind, params):
     ("samples", {"kind": "constant", "s": 7}, SampleSchedule.constant(7)),
     ("samples", {"kind": "power_law", "a": 2.0, "b": 1.0},
      SampleSchedule.power_law(2.0, 1.0)),
-    ("samples", {"kind": "power_law", "a": 50, "c": 0.5, "d": 1},
-     SampleSchedule.power_law(50.0, c=0.5, d=1)),
+    ("samples", {"kind": "power_law", "a": 50, "c": 0.5},
+     SampleSchedule.power_law(50.0, c=0.5)),
     ("samples", {"kind": "matched_power", "g": 3.0, "m": 4, "d": 2},
      SampleSchedule.matched_power(3.0, m=4, d=2)),
     ("samples", {"kind": "matched_log", "m": 100, "d": 1},
@@ -155,8 +155,8 @@ def test_matched_schedules_nondecreasing(kind, params):
                "mode": "per_iteration"},
      StepSchedule.inverse_sqrt_t(0.1, 0.01, schedules.PER_ITERATION)),
     ("steps", {"kind": "strongly_convex_round", "mu": 1.0, "M0": 100.0,
-               "M1": 5.0, "m": 10},
-     StepSchedule.strongly_convex_round(1.0, 100.0, 5.0, 10)),
+               "M1": 5.0},
+     StepSchedule.strongly_convex_round(1.0, 100.0, 5.0)),
     ("delay", {"g": 2.0, "M0": 3.0, "M1": 1.0, "gamma": "four_log"},
      DelayFunction(g=2.0, M0=3.0, M1=1.0, gamma=schedules.GAMMA_FOUR_LOG)),
     ("delay", {"g": 2, "M0": 0, "M1": 1}, DelayFunction(2.0, 0.0, 1.0)),
@@ -338,7 +338,7 @@ def test_per_iteration_step_values():
     assert per_iteration_step(st, 1000) == pytest.approx(0.05)
     st2 = StepSchedule.inverse_sqrt_t(eta0=0.1, beta=0.01)
     assert per_iteration_step(st2, 10000) == pytest.approx(0.05)
-    sc = StepSchedule.strongly_convex_round(1.0, 100.0, 5.0, 10)
+    sc = StepSchedule.strongly_convex_round(1.0, 100.0, 5.0)
     with pytest.raises(ScheduleError):
         per_iteration_step(sc, 0)
 
