@@ -167,7 +167,11 @@ def cmd_optimum(args) -> int:
     cfg = _load_config(args.config)
     ds = harness.build_dataset(cfg.dataset)
     problem = harness.build_problem(cfg.problem, ds)
-    info = problems.find_optimum(problem, ds, budget=args.budget)
+    budget, what = (cfg.optimum_budget, "optimum_budget") \
+        if args.budget is None else (args.budget, "--budget")
+    if budget < 0:
+        raise harness.ConfigError(f"{what} must be >= 0, got {budget}")
+    info = problems.find_optimum(problem, ds, budget=budget)
     _write_out(args.out, json.dumps(info.to_dict(), sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -219,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimum", help="solve for the optimum")
     p_opt.add_argument("--config", required=True)
-    p_opt.add_argument("--budget", type=int, default=200000,
+    p_opt.add_argument("--budget", type=int,
                        help="cap on Newton iterations for logistic problems "
-                            "(0 returns the initial point)")
+                            "(0 returns the initial point; default: the "
+                            "config's optimum_budget)")
     p_opt.add_argument("--out")
     p_opt.set_defaults(func=cmd_optimum)
     return parser

@@ -257,10 +257,18 @@ def prepare(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(f"d must be >= 0, got {cfg.d}")
     if cfg.gate not in (engine.GATE_LAG, engine.GATE_TAU):
         raise ConfigError(f"gate must be 'lag' or 'tau', got {cfg.gate!r}")
+    # 0 keeps its meaning: no checkpoints, or the initial point as optimum
+    for name in ("checkpoint_interval", "optimum_budget"):
+        value = getattr(cfg, name)
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
 
     ds = build_dataset(cfg.dataset)
     test_ds = None if cfg.test_dataset is None \
         else build_dataset(cfg.test_dataset, "test_dataset")
+    if test_ds is not None and test_ds.dim != ds.dim:
+        raise ConfigError(f"test_dataset has {test_ds.dim} features, "
+                          f"dataset has {ds.dim}")
     problem = build_problem(cfg.problem, ds)
 
     steps = delay_fn = None

@@ -69,6 +69,8 @@ def test_config_rejects_backend_field(backend):
     (dict(samples={"kind": "strongly_convex"},
           problem={"kind": "logistic_plain"}), "strongly convex"),
     (dict(samples={"kind": "power_law", "a": 1.0, "c": -1.0}), "samples"),
+    (dict(checkpoint_interval=-1), "checkpoint_interval"),
+    (dict(optimum_budget=-5), "optimum_budget"),
 ])
 def test_prepare_validation_errors(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -372,6 +374,51 @@ def test_cli_optimum(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact"]
     assert doc["grad_norm"] <= 1e-12
+
+
+def logistic_config(**overrides) -> RunConfig:
+    return quad_config(**{
+        "problem": {"kind": "logistic_ridge"},
+        "dataset": {"synthetic": "logistic", "M": 200, "dim": 4, "seed": 0},
+        **overrides})
+
+
+def test_cli_optimum_budget_defaults_to_config(tmp_path, capsys):
+    path = write_config(tmp_path, logistic_config(optimum_budget=0))
+    assert cli.main(["optimum", "--config", path]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["degenerate"] and not doc["exact"]
+    assert doc["w_star"] == [0.0] * 5  # what run measures against
+    assert cli.main(["optimum", "--config", path, "--budget", "50"]) == \
+        cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exact"] and not doc["degenerate"]
+
+
+@pytest.mark.parametrize("budget_args,config_budget,field", [
+    (["--budget", "-1"], 200000, "--budget"),
+    ([], -5, "optimum_budget"),
+])
+def test_cli_optimum_rejects_negative_budget(tmp_path, capsys, budget_args,
+                                             config_budget, field):
+    path = write_config(tmp_path,
+                        logistic_config(optimum_budget=config_budget))
+    assert cli.main(["optimum", "--config", path] + budget_args) == \
+        cli.EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+def test_cli_run_rejects_test_dataset_dim_before_running(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("engine.run must not be reached")
+    monkeypatch.setattr(engine, "run", no_run)
+    cfg = logistic_config(test_dataset={"synthetic": "logistic", "M": 100,
+                                        "dim": 6, "seed": 1})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "test_dataset has 6 features, dataset has 4" in err
 
 
 def test_cli_optimum_has_no_seed_option(tmp_path):

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asyncsgd import problems, rng
 from asyncsgd.data import DataSet
@@ -271,3 +272,93 @@ def test_find_optimum_budget_caps_newton_steps():
     one = find_optimum(p, ds, budget=1)
     assert not one.exact and not one.degenerate
     assert one.grad_norm < find_optimum(p, ds, budget=0).grad_norm
+
+
+# ---------------------------------------------------------------------------
+# the logistic kernel against its reference formula, bit for bit
+# ---------------------------------------------------------------------------
+
+def sigmoid_oracle(z: float):
+    """The reference sigmoid: the arithmetic on numpy scalars."""
+    if z >= 0:
+        return 1.0 / (1.0 + np.exp(-z))
+    e = np.exp(z)
+    return e / (1.0 + e)
+
+
+def grad_oracle(p: Problem, w: np.ndarray, x: np.ndarray,
+                y: float) -> np.ndarray:
+    """The reference logistic gradient: a matmul margin, the residual
+    times x as a temporary, copied into g."""
+    z = float(w[:-1] @ x + w[-1])
+    sig = sigmoid_oracle(z)
+    g = np.empty(p.dim)
+    g[:-1] = (sig - y) * x
+    g[-1] = sig - y
+    if p.kind == problems.LOGISTIC_RIDGE:
+        g += p.lam * w
+    return g
+
+
+def loss_oracle(p: Problem, w: np.ndarray, x: np.ndarray, y: float) -> float:
+    z = float(w[:-1] @ x + w[-1])
+    sig = min(max(sigmoid_oracle(z), problems._SIGMA_CLAMP),
+              1.0 - problems._SIGMA_CLAMP)
+    val = -(y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig))
+    if p.kind == problems.LOGISTIC_RIDGE:
+        val += 0.5 * p.lam * float(w @ w)
+    return float(val)
+
+
+def bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def strided(x: np.ndarray, step: int) -> np.ndarray:
+    """x as a view with the given element stride (1: contiguous)."""
+    buf = np.zeros((len(x), step))
+    buf[:, 0] = x
+    return buf[:, 0] if step > 1 else buf[:, 0].copy()
+
+
+entries = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def logistic_cases(draw):
+    dim = draw(st.integers(2, 130))  # a9a's 123 features give dim 124
+    lam = draw(st.floats(0.0, 1.0, exclude_min=True))
+    p = draw(st.sampled_from([Problem.logistic_plain(dim - 1),
+                              Problem.logistic_ridge(dim - 1, lam=lam)]))
+    w = np.array(draw(st.lists(entries, min_size=dim, max_size=dim)))
+    x = np.array(draw(st.lists(entries, min_size=dim - 1,
+                               max_size=dim - 1)))
+    y = float(draw(st.integers(0, 1)))
+    return p, w, strided(x, draw(st.sampled_from([1, 2, 3]))), y
+
+
+@settings(max_examples=300, deadline=None)
+@given(logistic_cases())
+def test_grad_and_loss_match_oracle_bitwise(case):
+    p, w, x, y = case
+    assert bits(grad(p, w, x, y)) == bits(grad_oracle(p, w, x, y))
+    assert bits(loss(p, w, x, y)) == bits(loss_oracle(p, w, x, y))
+
+
+@pytest.mark.parametrize("kind", [problems.LOGISTIC_PLAIN,
+                                  problems.LOGISTIC_RIDGE])
+@pytest.mark.parametrize("step", [1, 2])
+def test_grad_matches_oracle_where_exp_underflows(kind, step):
+    # margins swept through +-800 by the bias: np.exp underflows to 0
+    # below -745, so the sigmoid saturates at exactly 0 or 1
+    d_feat = 123
+    p = Problem.logistic_plain(d_feat) if kind == problems.LOGISTIC_PLAIN \
+        else Problem.logistic_ridge(d_feat, lam=0.5)
+    gen = rng.stream(41, "grad-oracle")
+    for z in np.linspace(-800.0, 800.0, 161):
+        w = gen.uniform(-1.0, 1.0, size=d_feat + 1)
+        x = strided(gen.uniform(-1.0, 1.0, size=d_feat), step)
+        w[-1] = z - float(w[:-1] @ x)
+        for y in (0.0, 1.0):
+            assert bits(grad(p, w, x, y)) == bits(grad_oracle(p, w, x, y))
+            assert bits(loss(p, w, x, y)) == bits(loss_oracle(p, w, x, y))
