@@ -4,17 +4,26 @@
 queue and seeded message delays.  It is fully deterministic for a given
 (config, seed), which is what makes the delay audits possible.
 
-The server applies eta_bar_i-scaled round updates to the global model v_hat
-and broadcasts (v_hat, k) once round k has been received from every node.
-Each node runs local SGD on its shard, gated so that the staleness of its
-local model never exceeds the configured delay function.
+The server applies round updates to the global model v_hat and broadcasts
+(v_hat, k) once round k has been received from every node.  Each node runs
+local SGD on its shard, gated so that the staleness of its local model
+never exceeds the configured delay function.
+
+One step rule serves both step modes: a node's round-i update U sums its
+gradients per round and its steps eta_t g per iteration, and the node
+leaves it as scale[i] * U, when it ships U, re-applies it on a broadcast
+or flushes it at the end.  scale[i] is eta_bar_i per round and 1.0, an
+exact product, per iteration.
 
 The engine reads everything that depends only on the round from tables
 built once at entry, each bounded by the assignment table's rounds:
-the prefix sums sum_{j<i} s_j, the round steps eta_bar_i, the delay-draw
+the prefix sums sum_{j<i} s_j, the scales scale[i], the delay-draw
 bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  All but the
-round steps are array passes: the prefix sums are the table's row starts
+scales are array passes: the prefix sums are the table's row starts
 and the s_{i,c} come from AssignmentTable.counts, a blocked bincount.
+A table that ends where an explicit schedule ends holds all the work
+there is, so a node that ships its last row stops; past any other table's
+last row more rounds exist, so stepping there is an error.
 The server counts the updates applied per round.  An empty round ships
 None, since its update is exactly zero.  The tau gate decides the
 trajectory, so it evaluates tau by the scalar code, once per t_glob; the
@@ -54,8 +63,8 @@ from . import rng
 from .data import AssignmentTable, Partition
 from .problems import Problem, grad
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
-                        PER_ITERATION, eval_delay, per_iteration_step,
-                        round_step, rounds_for_budget)
+                        EXPLICIT, PER_ITERATION, eval_delay,
+                        per_iteration_step, round_step, rounds_for_budget)
 
 GATE_LAG = "lag"  # wait while i > k + d
 GATE_TAU = "tau"  # wait while tau(t_glob) < t_delay
@@ -175,12 +184,15 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
 
 
 def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
-    """Per-iteration step function eta(t) matching the round schedule.
+    """Per-iteration step function eta(t) matching the step schedule.
 
-    Iteration t gets the round step of the round that contains t, the
-    smallest i with sum_{j<=i} s_j >= t + 1, which is exactly what a
-    distributed run applies to that gradient.
+    Per iteration, iteration t gets eta_t; per round, it gets the round
+    step of the round that contains t, the smallest i with
+    sum_{j<=i} s_j >= t + 1.  Either is exactly what a distributed run
+    applies to that gradient.
     """
+    if steps.mode == PER_ITERATION:
+        return functools.partial(per_iteration_step, steps)
     return lambda t: round_step(steps, samples,
                                 rounds_for_budget(samples, t + 1))
 
@@ -193,6 +205,9 @@ def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
 # consumed are those of one scalar draw per gradient; only the generator's
 # final state depends on the chunk size.
 _DRAW_CHUNK = 1024
+
+_EXHAUSTED = ("assignment table exhausted before the gradient budget; "
+              "build more rounds")
 
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "gen", "acc_round",
@@ -252,12 +267,12 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     # Per-round tables.  They stop at the table's last round: an explicit
     # schedule has no sample size beyond its values.
     rounds = table.rounds
-    if rounds == 0:
-        raise EngineError("assignment table exhausted before the gradient "
-                          "budget; build more rounds")
     P = table.start.tolist()
+    if K > P[-1]:
+        raise EngineError(_EXHAUSTED)
+    final = samples.kind == EXPLICIT and rounds == len(samples.values)
     delay_hi = (2 * np.maximum(np.diff(P), 1) + 1).tolist()
-    eta_bar = None if per_iter else \
+    scale = [1.0] * rounds if per_iter else \
         [round_step(steps, samples, i) for i in range(rounds)]
     s_rows = table.counts().tolist()              # s_rows[i][c] = s_{i,c}
     arrived = [0] * (rounds + 1)  # round updates applied, per round
@@ -337,8 +352,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         i, c = nd.i, nd.c
         payload = nd.U if nd.h else None
         if payload is not None:
-            if not per_iter:
-                payload *= eta_bar[i]
+            payload *= scale[i]
             if not isfinite(payload.dot(zeros)):
                 raise NonFiniteError(f"node {c} produced a non-finite "
                                      f"round update in round {i}")
@@ -347,10 +361,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         messages += 1
         push(now + 1 + randint(0, delay_hi[i]), server_apply, (i, c, payload))
         nd.i = i = i + 1
-        if i >= rounds:
-            raise EngineError("assignment table exhausted before the "
-                              "gradient budget; build more rounds")
         nd.h = 0
+        if i == rounds:
+            if final:
+                return  # no work left: the node stops
+            raise EngineError(_EXHAUSTED)
         nd.s_ic = s_rows[i][c]
         nxt.append((draw(), node_step, nd))
 
@@ -379,19 +394,15 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             eta = per_iteration_step(
                 steps, int(order[first[i * n + nd.c - 1] + h]))
         else:
-            eta = eta_bar[i]
+            eta = scale[i]
         if records is not None:
             records[grads] = (nd.c, i, h, eta, t_glob, t_delay, nd.k,
                               nd.acc_round)
             if grad_rows is not None:
                 grad_rows[grads] = g
-        if per_iter:
-            step = eta * g
-            nd.U += step
-            nd.w -= step
-        else:
-            nd.U += g
-            nd.w -= eta * g
+        step = eta * g
+        nd.U += step if per_iter else g
+        nd.w -= step
         if record_iterates:
             iterates.append(nd.w.copy())
         nd.h = h + 1
@@ -402,15 +413,12 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     def node_receive(msg) -> None:
         c, kb, model = msg
         nd = nodes[c - 1]
-        if kb <= nd.k:
+        if kb <= nd.k or nd.i == rounds:  # stale, or the node has stopped
             return
         nd.k = kb
         if n > 1:
             # replace the local model, re-applying the current partial round
-            if per_iter:
-                nd.w = model - nd.U
-            else:
-                nd.w = model - eta_bar[nd.i] * nd.U
+            nd.w = model - scale[nd.i] * nd.U
             nd.acc_round = nd.i
         # with a single node every aggregated update is the node's own, so
         # replacement is a mathematical no-op; skipping it keeps the iterate
@@ -453,7 +461,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             w_final -= pending[key]
         for nd in nodes:
             if nd.h > 0:
-                w_final -= nd.U if per_iter else eta_bar[nd.i] * nd.U
+                w_final -= scale[nd.i] * nd.U
     if not np.isfinite(w_final).all():
         raise NonFiniteError("final model non-finite")
     trace = None if records is None else RunTrace(

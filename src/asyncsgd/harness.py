@@ -98,22 +98,14 @@ class RunMetrics:
     wall_time: float = 0.0
 
     def to_json(self) -> str:
+        """Every field, with non-finite floats (also in lists) as null."""
         def clean(v):
+            if isinstance(v, list):
+                return [clean(x) for x in v]
             if isinstance(v, float) and not math.isfinite(v):
                 return None
             return v
-        out = {
-            "K": self.K, "T": self.T, "t": self.t,
-            "Y_w": [clean(v) for v in self.Y_w],
-            "Y_F": [clean(v) for v in self.Y_F],
-            "Y_A": [clean(v) for v in self.Y_A],
-            "accuracy": self.accuracy,
-            "final_Y_w": clean(self.final_Y_w),
-            "final_Y_F": clean(self.final_Y_F),
-            "messages": self.messages,
-            "rounds_completed": self.rounds_completed,
-            "wall_time": self.wall_time,
-        }
+        out = {k: clean(getattr(self, k)) for k in self.__dataclass_fields__}
         return json.dumps(out, sort_keys=True)
 
 
@@ -404,21 +396,31 @@ def execute(cfg: RunConfig, record_trace: bool = False,
 # Experiment suites
 # ---------------------------------------------------------------------------
 
-SUITES = ("const-vs-diminishing", "sampling-methods", "biased-vs-unbiased",
-          "scaling-nodes", "budget-sweep")
-
-
-def _suite_dataset(dataset_path: Optional[str]) -> dict:
-    if dataset_path:
-        return {"path": dataset_path}
-    return {"synthetic": "logistic", "M": 2000, "dim": 10, "seed": 7}
-
-
-def _row(setting: str, metrics: RunMetrics) -> dict:
-    acc = metrics.accuracy
-    return {"setting": setting,
-            "accuracy": "" if acc is None else f"{acc:.4f}",
-            "T": metrics.T, "K": metrics.K}
+# Each suite is a list of (setting, RunConfig fields); a field replaces
+# the one of the base run, ridge logistic at constant s = 100
+_LINEAR = {"kind": schedules.POWER_LAW, "a": 50.0, "c": 1.0}
+SUITES = {
+    "const-vs-diminishing": [
+        (f"constant-step/constant-s={s}",
+         {"samples": {"kind": schedules.CONSTANT, "s": s},
+          "steps": {"kind": schedules.STEP_CONSTANT, "eta": 0.0025}})
+        for s in (100, 500, 1000)] + [
+        ("diminishing-step/linear-s",
+         {"samples": _LINEAR,
+          "steps": {"kind": schedules.INVERSE_T, "eta0": DEFAULT_ETA0,
+                    "beta": BETA_STRONGLY_CONVEX}})],
+    "sampling-methods": [
+        ("constant", {"samples": {"kind": schedules.CONSTANT, "s": 100}}),
+        ("linear", {"samples": _LINEAR}),
+        ("quadratic", {"samples": dict(_LINEAR, c=2.0)}),
+        ("sqrt", {"samples": dict(_LINEAR, c=0.5)})],
+    "biased-vs-unbiased": [
+        (mode, {"n": 2, "partition": mode})
+        for mode in (data_mod.UNBIASED, data_mod.BIASED_BY_LABEL)],
+    "scaling-nodes": [(f"n={n}", {"n": n}) for n in (1, 2, 5)],
+    "budget-sweep": [(f"K={budget}", {"K": budget, "samples": _LINEAR})
+                     for budget in (1000, 2000, 4000)],
+}
 
 
 def run_suite(name: str, seed: int = 0,
@@ -427,53 +429,21 @@ def run_suite(name: str, seed: int = 0,
     """Run one named experiment grid; returns CSV text (setting, accuracy,
     T, K).  Deterministic for a fixed (suite, seed)."""
     if name not in SUITES:
-        raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
-    ds_spec = _suite_dataset(dataset_path)
-    rows = []
-
-    def go(setting: str, **overrides) -> RunMetrics:
-        base = dict(problem={"kind": problems.LOGISTIC_RIDGE},
-                    dataset=ds_spec, K=K, seed=seed,
-                    samples={"kind": schedules.CONSTANT, "s": 100})
-        base.update(overrides)
-        cfg = RunConfig(**base)
-        _prep, _res, metrics, _opt = execute(cfg, with_optimum=False)
-        rows.append(_row(setting, metrics))
-        return metrics
-
-    if name == "const-vs-diminishing":
-        for s in (100, 500, 1000):
-            go(f"constant-step/constant-s={s}",
-               samples={"kind": schedules.CONSTANT, "s": s},
-               steps={"kind": schedules.STEP_CONSTANT, "eta": 0.0025})
-        go("diminishing-step/linear-s",
-           samples={"kind": schedules.POWER_LAW, "a": 50.0, "c": 1.0},
-           steps={"kind": schedules.INVERSE_T, "eta0": DEFAULT_ETA0,
-                  "beta": BETA_STRONGLY_CONVEX})
-    elif name == "sampling-methods":
-        go("constant", samples={"kind": schedules.CONSTANT, "s": 100})
-        go("linear", samples={"kind": schedules.POWER_LAW, "a": 50.0,
-                              "c": 1.0})
-        go("quadratic", samples={"kind": schedules.POWER_LAW, "a": 50.0,
-                                 "c": 2.0})
-        go("sqrt", samples={"kind": schedules.POWER_LAW, "a": 50.0,
-                            "c": 0.5})
-    elif name == "biased-vs-unbiased":
-        for mode in (data_mod.UNBIASED, data_mod.BIASED_BY_LABEL):
-            go(mode, n=2, partition=mode)
-    elif name == "scaling-nodes":
-        for n in (1, 2, 5):
-            go(f"n={n}", n=n)
-    elif name == "budget-sweep":
-        for budget in (1000, 2000, 4000):
-            go(f"K={budget}", K=budget,
-               samples={"kind": schedules.POWER_LAW, "a": 50.0, "c": 1.0})
-
+        raise ConfigError(f"unknown suite {name!r}; choose from "
+                          f"{tuple(SUITES)}")
+    dataset = {"path": dataset_path} if dataset_path else \
+        {"synthetic": "logistic", "M": 2000, "dim": 10, "seed": 7}
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["setting", "accuracy", "T", "K"],
-                            lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["setting", "accuracy", "T", "K"])
+    base = dict(problem={"kind": problems.LOGISTIC_RIDGE}, dataset=dataset,
+                K=K, seed=seed, samples={"kind": schedules.CONSTANT, "s": 100})
+    for setting, fields in SUITES[name]:
+        cfg = RunConfig(**base | fields)
+        _prep, _res, metrics, _opt = execute(cfg, with_optimum=False)
+        acc = metrics.accuracy
+        writer.writerow([setting, "" if acc is None else f"{acc:.4f}",
+                         metrics.T, metrics.K])
     return buf.getvalue()
 
 

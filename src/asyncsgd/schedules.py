@@ -368,7 +368,7 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
     """Build the (tau, {s_i}, {eta_bar_i}) triple for strongly convex problems.
 
     tau has g = 2 and gamma(z) = 4 ln z; M0 = (m+1)^2/4;
-    M1 = max{d+2, 72 L/mu, ceil(s_0 formula)/2}.  The returned pair
+    M1 = max{d+2, 72 L/mu, s_0/2}.  The returned pair
     (schedule, delay) is verified against the delay-compatibility property
     before being returned.
     """
@@ -380,9 +380,7 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
         raise ScheduleError("d must be non-negative")
     samples = SampleSchedule.matched_log(m=m, d=d)  # validates the log domain
     M0 = (m + 1) ** 2 / 4.0
-    s0_term = _ceil((m + 1) / (16 * (d + 1) ** 2)
-                    / math.log((m + 1) / (2 * (d + 1))))
-    M1 = max(d + 2.0, 72.0 * L / mu, s0_term / 2.0)
+    M1 = max(d + 2.0, 72.0 * L / mu, samples[0] / 2.0)
     df = DelayFunction(g=2.0, M0=M0, M1=M1, gamma=GAMMA_FOUR_LOG)
     steps = StepSchedule.strongly_convex_round(mu=mu, M0=M0, M1=M1)
     ok, bad = verify_delay_compatibility(samples, df, d, i_max=max(2000, 2 * d))

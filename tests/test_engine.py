@@ -153,6 +153,25 @@ def test_single_node_matches_serial_bitwise(seed):
     assert np.array_equal(res.w_final, w)
 
 
+@pytest.mark.parametrize("kind", [schedules.INVERSE_T,
+                                  schedules.INVERSE_SQRT_T])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_single_node_matches_serial_bitwise_per_iteration(seed, kind):
+    """Per iteration, gradient t takes eta_t in the engine and in the
+    serial oracle's step function."""
+    prob, part, table, sam, _st, K = random_config(seed)
+    st = getattr(StepSchedule, kind)(0.2, 0.05, mode=schedules.PER_ITERATION)
+    res = run(prob, part, table, sam, st, None, K=K, seed=seed,
+              record_iterates=True)
+    gen = rng.stream(seed, rng.NODE_SAMPLING, 1)
+    w, hist = serial_sgd(prob, part.local(1), make_step_fn(st, sam), K, gen,
+                         record_iterates=True)
+    assert len(res.iterates) == K
+    for a, b in zip(res.iterates, hist):
+        assert np.array_equal(a, b)
+    assert np.array_equal(res.w_final, w)
+
+
 # ---------------------------------------------------------------------------
 # gates and audits
 # ---------------------------------------------------------------------------
@@ -549,6 +568,22 @@ def test_table_exhaustion_raises():
     table = build_assignment(sam, part.p, 1, rounds=2, seed=7)
     with pytest.raises(EngineError):
         run(prob, part, table, sam, st, None, K=50, seed=7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_explicit_table_runs_to_its_last_slot(n):
+    """A table that ends where its explicit schedule ends holds all the
+    work there is: a node that ships the last row stops while others still
+    hold slots, and only a budget above the table's slots raises."""
+    sam = SampleSchedule.explicit([10, 10, 10])
+    st = StepSchedule.constant(0.1)
+    _ds, prob, part = quadratic_setup(n, 0, M=200)
+    for seed in range(4):
+        table = build_assignment(sam, part.p, n, rounds=3, seed=seed)
+        res = run(prob, part, table, sam, st, None, K=30, seed=seed)
+        assert res.grads == 30
+        with pytest.raises(EngineError, match="assignment table exhausted"):
+            run(prob, part, table, sam, st, None, K=31, seed=seed)
 
 
 def test_single_node_trace_names_received_broadcasts():

@@ -186,6 +186,17 @@ def test_metrics_json_serializes():
     assert len(doc["Y_w"]) == len(doc["t"])
 
 
+def test_metrics_json_holds_every_field_with_nan_as_null():
+    _prep, _res, metrics, _opt = harness.execute(quad_config(),
+                                                 with_optimum=False)
+    doc = json.loads(metrics.to_json())
+    assert set(doc) == set(harness.RunMetrics.__dataclass_fields__)
+    for name in ("Y_w", "Y_F"):
+        assert len(doc[name]) == len(doc["t"])
+        assert all(v is None for v in doc[name])
+    assert doc["final_Y_w"] is None and doc["final_Y_F"] is None
+
+
 def test_accuracy_threshold():
     ds = harness.build_dataset({"synthetic": "logistic", "M": 400, "dim": 4,
                                 "seed": 3, "separation": 4.0, "noise": 0.5})
@@ -531,6 +542,27 @@ def test_cli_run_explicit_schedule_shorter_than_table(tmp_path, delay):
                             delay=delay)
     assert cli.main(["run", "--config", path,
                      "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("gate", [engine.GATE_LAG, engine.GATE_TAU])
+@pytest.mark.parametrize("samples,K", [
+    (EXPLICIT, 60), (EXPLICIT, 55), ({"kind": "explicit",
+                                      "values": [10, 10, 10]}, 30)])
+def test_cli_run_explicit_schedule_ending_at_K(tmp_path, samples, K, gate):
+    """The values just cover K, so the table ends at them: a node that
+    ships its last row stops while other nodes still hold slots, and the
+    run still makes K gradients and passes both audits."""
+    for n in (2, 3, 5):
+        for seed in range(4):
+            out = tmp_path / "m.json"
+            path = write_raw_config(
+                tmp_path, samples=samples, K=K, n=n, seed=seed, gate=gate,
+                delay=DELAY, steps={"kind": "constant", "eta": 0.1},
+                dataset={"synthetic": "quadratic", "M": 200, "dim": 3,
+                         "seed": 0})
+            assert cli.main(["run", "--config", path, "--audit",
+                             "--out", str(out)]) == cli.EXIT_OK
+            assert json.loads(out.read_text())["K"] == K
 
 
 def test_cli_run_explicit_schedule_must_cover_K(tmp_path, capsys):
