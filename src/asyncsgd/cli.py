@@ -166,12 +166,7 @@ def cmd_audit(args) -> int:
 def cmd_optimum(args) -> int:
     cfg = _load_config(args.config)
     ds = harness.build_dataset(cfg.dataset)
-    problem = harness.build_problem(cfg.problem, ds)
-    budget, what = (cfg.optimum_budget, "optimum_budget") \
-        if args.budget is None else (args.budget, "--budget")
-    if budget < 0:
-        raise harness.ConfigError(f"{what} must be >= 0, got {budget}")
-    info = problems.find_optimum(problem, ds, budget=budget)
+    info = problems.find_optimum(harness.build_problem(cfg.problem, ds), ds)
     _write_out(args.out, json.dumps(info.to_dict(), sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -212,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("suite", choices=harness.SUITES)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--dataset", help="LIBSVM file (default synthetic)")
-    p_exp.add_argument("--K", type=int, default=4000)
+    p_exp.add_argument("--K", type=int,
+                       help="gradient budget of the settings that do not "
+                            "set one (default 4000)")
     p_exp.add_argument("--out")
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -223,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimum", help="solve for the optimum")
     p_opt.add_argument("--config", required=True)
-    p_opt.add_argument("--budget", type=int,
-                       help="cap on Newton iterations for logistic problems "
-                            "(0 returns the initial point; default: the "
-                            "config's optimum_budget)")
     p_opt.add_argument("--out")
     p_opt.set_defaults(func=cmd_optimum)
     return parser

@@ -67,7 +67,6 @@ class RunConfig:
     test_dataset: Optional[dict] = None
     allow_incompatible: bool = False
     deterministic_split: bool = False
-    optimum_budget: int = 200000
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
@@ -249,11 +248,9 @@ def prepare(cfg: RunConfig) -> PreparedRun:
         raise ConfigError(f"d must be >= 0, got {cfg.d}")
     if cfg.gate not in (engine.GATE_LAG, engine.GATE_TAU):
         raise ConfigError(f"gate must be 'lag' or 'tau', got {cfg.gate!r}")
-    # 0 keeps its meaning: no checkpoints, or the initial point as optimum
-    for name in ("checkpoint_interval", "optimum_budget"):
-        value = getattr(cfg, name)
-        if value < 0:
-            raise ConfigError(f"{name} must be >= 0, got {value}")
+    if cfg.checkpoint_interval < 0:  # 0: no checkpoints
+        raise ConfigError(f"checkpoint_interval must be >= 0, got "
+                          f"{cfg.checkpoint_interval}")
 
     ds = build_dataset(cfg.dataset)
     test_ds = None if cfg.test_dataset is None \
@@ -384,10 +381,8 @@ def execute(cfg: RunConfig, record_trace: bool = False,
     """
     prep = prepare(cfg)
     result = run_prepared(prep, record_trace)
-    opt = None
-    if with_optimum:
-        opt = problems.find_optimum(prep.problem, prep.dataset,
-                                    budget=cfg.optimum_budget)
+    opt = problems.find_optimum(prep.problem, prep.dataset) \
+        if with_optimum else None
     metrics = compute_metrics(prep, result, opt)
     return prep, result, metrics, opt
 
@@ -425,19 +420,24 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0,
               dataset_path: Optional[str] = None,
-              K: int = 4000) -> str:
+              K: Optional[int] = None) -> str:
     """Run one named experiment grid; returns CSV text (setting, accuracy,
-    T, K).  Deterministic for a fixed (suite, seed)."""
+    T, K).  Deterministic for a fixed (suite, seed).  K (default 4000) is
+    the budget of the settings that do not set their own."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from "
                           f"{tuple(SUITES)}")
+    if K is not None and all("K" in f for _s, f in SUITES[name]):
+        raise ConfigError(f"suite {name!r} sets K in every setting, so "
+                          f"--K does not apply")
     dataset = {"path": dataset_path} if dataset_path else \
         {"synthetic": "logistic", "M": 2000, "dim": 10, "seed": 7}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["setting", "accuracy", "T", "K"])
     base = dict(problem={"kind": problems.LOGISTIC_RIDGE}, dataset=dataset,
-                K=K, seed=seed, samples={"kind": schedules.CONSTANT, "s": 100})
+                K=4000 if K is None else K, seed=seed,
+                samples={"kind": schedules.CONSTANT, "s": 100})
     for setting, fields in SUITES[name]:
         cfg = RunConfig(**base | fields)
         _prep, _res, metrics, _opt = execute(cfg, with_optimum=False)

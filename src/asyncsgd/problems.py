@@ -32,9 +32,7 @@ OPTIMUM_TOL = 1e-10   # ||grad F(w*)|| at or below this certifies w*
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 40    # smallest step tried is 2^-39 of the Newton step
 _ROUNDING = 16 * np.finfo(float).eps  # relative change of F lost to rounding
-# Entries of one (models x samples) block when F is evaluated for a stack of
-# logistic models: the temporaries stay at 64 KiB whatever the stack.
-_STACK_BLOCK = 1 << 13
+_MAX_NEWTON = 100     # safety cap: a solve stops at its certificate first
 
 
 @dataclass(frozen=True)
@@ -71,12 +69,10 @@ class OptimumInfo:
     N: float
     grad_norm: float
     exact: bool = False       # certified: grad_norm <= OPTIMUM_TOL
-    degenerate: bool = False  # budget 0: this is just the initial point
 
     def to_dict(self) -> dict:
         return {"w_star": self.w_star.tolist(), "F_star": self.F_star,
-                "N": self.N, "grad_norm": self.grad_norm, "exact": self.exact,
-                "degenerate": self.degenerate}
+                "N": self.N, "grad_norm": self.grad_norm, "exact": self.exact}
 
 
 def _sigmoid(z: float) -> float:
@@ -121,47 +117,36 @@ def loss(p: Problem, w: np.ndarray, x: np.ndarray, y: float) -> float:
     return float(val)
 
 
+def _sigmoids(w: np.ndarray, X: np.ndarray) -> tuple:
+    """Margins z = X~ w of every sample and their sigmoids 1/(1 + e^-z)."""
+    z = X @ w[:-1] + w[-1]
+    return z, 1.0 / (1.0 + np.exp(-z))
+
+
 def objective(p: Problem, w: np.ndarray, dataset):
     """Mean per-sample loss over the data set (the F(w) form).
 
     Vectorized; equivalent to the mean of loss() over all samples.  A
-    (C, dim) stack of models gives the C values of F in one pass.
+    (C, dim) stack of models gives C values, each with the bits of the
+    one-model call.  The quadratic uses F(w) = F(x_bar) + ||w - x_bar||^2/2
+    exactly, x_bar the sample mean: O(dim) per model, with no cancellation.
     """
-    if w.ndim == 2:
-        return _objective_stack(p, w, dataset)
     X, y = dataset.X, dataset.y
+    W = np.atleast_2d(w)
     if p.kind == QUADRATIC_MEAN:
-        diff = w[None, :] - X
-        return float(0.5 * np.mean(np.einsum("ij,ij->i", diff, diff)))
-    z = X @ w[:-1] + w[-1]
-    sig = np.clip(1.0 / (1.0 + np.exp(-z)), _SIGMA_CLAMP, 1.0 - _SIGMA_CLAMP)
-    val = float(np.mean(-(y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig))))
-    if p.kind == LOGISTIC_RIDGE:
-        val += 0.5 * p.lam * float(w @ w)
-    return val
-
-
-def _objective_stack(p: Problem, W: np.ndarray, dataset) -> np.ndarray:
-    X, y = dataset.X, dataset.y
-    if p.kind == QUADRATIC_MEAN:
-        # F(w) = F(x_bar) + ||w - x_bar||^2 / 2 exactly, x_bar the sample
-        # mean: O(C dim), with no cancellation and no C x M temporary
         x_bar = X.mean(axis=0)
+        diff = x_bar - X
         D = W - x_bar
-        return objective(p, x_bar, dataset) + 0.5 * np.einsum("ij,ij->i",
-                                                               D, D)
-    F = np.empty(len(W))
-    step = max(1, _STACK_BLOCK // len(X))
-    for lo in range(0, len(W), step):
-        block = W[lo:lo + step]
-        z = block[:, :-1] @ X.T + block[:, -1:]  # one row per model
-        sig = np.clip(1.0 / (1.0 + np.exp(-z)), _SIGMA_CLAMP,
-                      1.0 - _SIGMA_CLAMP)
-        F[lo:lo + step] = np.mean(
-            -(y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig)), axis=1)
-    if p.kind == LOGISTIC_RIDGE:
-        F += 0.5 * p.lam * np.einsum("ij,ij->i", W, W)
-    return F
+        F = float(0.5 * np.mean(np.einsum("ij,ij->i", diff, diff))) \
+            + 0.5 * np.einsum("ij,ij->i", D, D)
+    else:
+        F = np.empty(len(W))
+        for j, v in enumerate(W):
+            sig = np.clip(_sigmoids(v, X)[1], _SIGMA_CLAMP, 1.0 - _SIGMA_CLAMP)
+            F[j] = np.mean(-(y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig)))
+            if p.kind == LOGISTIC_RIDGE:
+                F[j] += 0.5 * p.lam * float(v @ v)
+    return F if w.ndim == 2 else float(F[0])
 
 
 def full_gradient(p: Problem, w: np.ndarray, dataset) -> np.ndarray:
@@ -169,9 +154,7 @@ def full_gradient(p: Problem, w: np.ndarray, dataset) -> np.ndarray:
     X, y = dataset.X, dataset.y
     if p.kind == QUADRATIC_MEAN:
         return w - X.mean(axis=0)
-    z = X @ w[:-1] + w[-1]
-    sig = 1.0 / (1.0 + np.exp(-z))
-    r = sig - y
+    r = _sigmoids(w, X)[1] - y
     g = np.empty(p.dim)
     g[:-1] = X.T @ r / len(y)
     g[-1] = float(np.mean(r))
@@ -186,9 +169,7 @@ def variance_constant(p: Problem, w: np.ndarray, dataset) -> float:
     if p.kind == QUADRATIC_MEAN:
         diff = w[None, :] - X
         return 2.0 * float(np.mean(np.einsum("ij,ij->i", diff, diff)))
-    z = X @ w[:-1] + w[-1]
-    sig = 1.0 / (1.0 + np.exp(-z))
-    r = sig - y
+    r = _sigmoids(w, X)[1] - y
     G = np.concatenate([X * r[:, None], r[:, None]], axis=1)
     if p.kind == LOGISTIC_RIDGE:
         G = G + p.lam * w[None, :]
@@ -212,8 +193,7 @@ def _hessian(p: Problem, w: np.ndarray, dataset) -> np.ndarray:
     directly, so no augmented copy of the data is made.
     """
     X = dataset.X
-    z = X @ w[:-1] + w[-1]
-    sig = 1.0 / (1.0 + np.exp(-z))
+    sig = _sigmoids(w, X)[1]
     s = sig * (1.0 - sig)
     Xs = X * s[:, None]
     H = np.empty((p.dim, p.dim))
@@ -225,20 +205,20 @@ def _hessian(p: Problem, w: np.ndarray, dataset) -> np.ndarray:
     return H
 
 
-def _newton(p: Problem, dataset, max_iter: int) -> tuple:
+def _newton(p: Problem, dataset) -> np.ndarray:
     """Damped Newton from w = 0 with an Armijo backtracking line search.
 
-    Stops when ||grad F|| <= OPTIMUM_TOL, after `max_iter` Newton steps,
-    or when no step length along the Newton direction is accepted.  A step
-    whose objective change is within rounding of F is accepted when it
-    lowers the gradient norm, so the solve is not stalled by the last
-    digits of F.  Returns (w, ||grad F(w)||).
+    Stops when ||grad F|| <= OPTIMUM_TOL, when the Newton direction is not
+    a descent direction, or when no step length along it is accepted
+    (_MAX_NEWTON steps are a safety cap).  A step whose objective change is
+    within rounding of F is accepted when it lowers the gradient norm, so
+    the solve is not stalled by the last digits of F.
     """
     w = np.zeros(p.dim)
     F = objective(p, w, dataset)
     g = full_gradient(p, w, dataset)
     g_norm = float(np.linalg.norm(g))
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON):
         if g_norm <= OPTIMUM_TOL:
             break
         d = np.linalg.lstsq(_hessian(p, w, dataset), -g, rcond=None)[0]
@@ -259,40 +239,30 @@ def _newton(p: Problem, dataset, max_iter: int) -> tuple:
         else:
             break
         w, F, g, g_norm = w_new, F_new, g_new, g_new_norm
-    return w, g_norm
+    return w
 
 
-def find_optimum(p: Problem, dataset, budget: int) -> OptimumInfo:
+def find_optimum(p: Problem, dataset) -> OptimumInfo:
     """Solve for the optimum w*, with F*, N and a gradient-norm certificate.
 
     quadratic_mean has the closed form w* = sample mean.  Logistic problems
-    run at most `budget` damped Newton steps from w = 0 (budget 0 returns
-    the initial point, marked degenerate).  `exact` is true when
-    ||grad F(w*)|| <= OPTIMUM_TOL.  Plain logistic regression on linearly
-    separable data has no finite minimizer: when every sample has a
-    positive margin at the returned point, `exact` is false whatever the
-    certificate says.
+    run damped Newton from w = 0.  `exact` is true when ||grad F(w*)|| <=
+    OPTIMUM_TOL.  Plain logistic regression on linearly separable data has
+    no finite minimizer: when every sample has a positive margin at the
+    returned point, `exact` is false whatever the certificate says.
     """
     if p.kind == QUADRATIC_MEAN:
-        w_star = dataset.X.mean(axis=0)
-        return _optimum_info(p, w_star, dataset, exact=True)
-    if budget <= 0:
-        return _optimum_info(p, np.zeros(p.dim), dataset, degenerate=True)
-    with np.errstate(over="ignore"):
-        w, g_norm = _newton(p, dataset, budget)
-    exact = g_norm <= OPTIMUM_TOL
-    if exact and p.kind == LOGISTIC_PLAIN:
-        margins = (2.0 * dataset.y - 1.0) * (dataset.X @ w[:-1] + w[-1])
-        exact = not bool(np.all(margins > 0.0))
-    return _optimum_info(p, w, dataset, exact=exact)
-
-
-def _optimum_info(p: Problem, w: np.ndarray, dataset, exact: bool = False,
-                  degenerate: bool = False) -> OptimumInfo:
+        w = dataset.X.mean(axis=0)
+    else:
+        with np.errstate(over="ignore"):
+            w = _newton(p, dataset)
     F = objective(p, w, dataset)
     if not np.isfinite(F):
         raise FloatingPointError("objective is non-finite at the optimum")
-    return OptimumInfo(
-        w_star=w, F_star=F, N=variance_constant(p, w, dataset),
-        grad_norm=float(np.linalg.norm(full_gradient(p, w, dataset))),
-        exact=exact, degenerate=degenerate)
+    g_norm = float(np.linalg.norm(full_gradient(p, w, dataset)))
+    exact = p.kind == QUADRATIC_MEAN or g_norm <= OPTIMUM_TOL
+    if exact and p.kind == LOGISTIC_PLAIN:
+        margins = (2.0 * dataset.y - 1.0) * _sigmoids(w, dataset.X)[0]
+        exact = not bool(np.all(margins > 0.0))
+    return OptimumInfo(w_star=w, F_star=F, N=variance_constant(p, w, dataset),
+                       grad_norm=g_norm, exact=exact)

@@ -174,7 +174,7 @@ def test_criterion_6_convergence_rate():
     K = 10 ** 5
     ds = synthetic_quadratic(1000, 10, seed=0)
     prob = Problem.quadratic_mean(10)
-    opt = problems.find_optimum(prob, ds, budget=0)
+    opt = problems.find_optimum(prob, ds)
     df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
     T = rounds_for_budget(sam, K)
     finals, trajs = [], []

@@ -70,7 +70,6 @@ def test_config_rejects_backend_field(backend):
           problem={"kind": "logistic_plain"}), "strongly convex"),
     (dict(samples={"kind": "power_law", "a": 1.0, "c": -1.0}), "samples"),
     (dict(checkpoint_interval=-1), "checkpoint_interval"),
-    (dict(optimum_budget=-5), "optimum_budget"),
 ])
 def test_prepare_validation_errors(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -178,6 +177,24 @@ def test_metrics_nonnegative_for_certified_logistic_optimum():
     assert all(v >= -1e-12 for v in metrics.Y_F)
 
 
+def test_final_Y_F_does_not_depend_on_checkpoint_interval():
+    # the final model is evaluated alone or in a stack of 1, 21 or 8
+    # models; every way gives the bits of the one-model objective call
+    finals = []
+    for interval in (0, 1, 3):
+        cfg = quad_config(problem={"kind": "logistic_ridge"},
+                          dataset={"synthetic": "logistic", "M": 1000,
+                                   "dim": 6, "seed": 0},
+                          samples={"kind": "power_law", "a": 50.0, "c": 1.0},
+                          steps=None, K=10000, n=5, seed=0,
+                          checkpoint_interval=interval)
+        prep, result, metrics, opt = harness.execute(cfg)
+        assert metrics.final_Y_F == problems.objective(
+            prep.problem, result.w_final, prep.dataset) - opt.F_star
+        finals.append(metrics.final_Y_F)
+    assert finals[0] == finals[1] == finals[2]
+
+
 def test_metrics_json_serializes():
     cfg = quad_config()
     _prep, _res, metrics, _opt = harness.execute(cfg)
@@ -201,7 +218,7 @@ def test_accuracy_threshold():
     ds = harness.build_dataset({"synthetic": "logistic", "M": 400, "dim": 4,
                                 "seed": 3, "separation": 4.0, "noise": 0.5})
     prob = harness.build_problem({"kind": "logistic_ridge"}, ds)
-    info = problems.find_optimum(prob, ds, budget=50000)
+    info = problems.find_optimum(prob, ds)
     acc = harness.accuracy(prob, info.w_star, ds)
     assert acc > 0.95  # well-separated clusters classify cleanly
 
@@ -334,10 +351,19 @@ def test_cli_schedule_from_specs(capsys):
 
 def test_cli_experiment(tmp_path):
     out = tmp_path / "suite.csv"
-    code = cli.main(["experiment", "budget-sweep", "--K", "1500",
+    code = cli.main(["experiment", "scaling-nodes", "--K", "1500",
                      "--out", str(out)])
     assert code == cli.EXIT_OK
     assert out.read_text().startswith("setting,accuracy,T,K")
+
+
+def test_cli_experiment_rejects_K_for_a_suite_that_sets_K(tmp_path, capsys):
+    # every budget-sweep setting fixes its own K: --K would be ignored
+    out = tmp_path / "suite.csv"
+    assert cli.main(["experiment", "budget-sweep", "--K", "500",
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "--K" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_audit_command(tmp_path, capsys):
@@ -380,8 +406,7 @@ def test_cli_audit_violation_exit_3(tmp_path, capsys):
 
 def test_cli_optimum(tmp_path, capsys):
     path = write_config(tmp_path, quad_config())
-    assert cli.main(["optimum", "--config", path, "--budget", "0"]) == \
-        cli.EXIT_OK
+    assert cli.main(["optimum", "--config", path]) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact"]
     assert doc["grad_norm"] <= 1e-12
@@ -394,29 +419,26 @@ def logistic_config(**overrides) -> RunConfig:
         **overrides})
 
 
-def test_cli_optimum_budget_defaults_to_config(tmp_path, capsys):
-    path = write_config(tmp_path, logistic_config(optimum_budget=0))
+def test_cli_optimum_logistic_is_certified(tmp_path, capsys):
+    path = write_config(tmp_path, logistic_config())
     assert cli.main(["optimum", "--config", path]) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["degenerate"] and not doc["exact"]
-    assert doc["w_star"] == [0.0] * 5  # what run measures against
-    assert cli.main(["optimum", "--config", path, "--budget", "50"]) == \
-        cli.EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["exact"] and not doc["degenerate"]
+    assert doc["exact"] and doc["grad_norm"] <= problems.OPTIMUM_TOL
+    assert set(doc) == {"w_star", "F_star", "N", "grad_norm", "exact"}
 
 
-@pytest.mark.parametrize("budget_args,config_budget,field", [
-    (["--budget", "-1"], 200000, "--budget"),
-    ([], -5, "optimum_budget"),
-])
-def test_cli_optimum_rejects_negative_budget(tmp_path, capsys, budget_args,
-                                             config_budget, field):
-    path = write_config(tmp_path,
-                        logistic_config(optimum_budget=config_budget))
-    assert cli.main(["optimum", "--config", path] + budget_args) == \
-        cli.EXIT_CONFIG
-    assert field in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["run", "optimum"])
+def test_cli_rejects_optimum_budget_field(tmp_path, capsys, command):
+    path = write_raw_config(tmp_path, optimum_budget=200000)
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    assert "optimum_budget" in capsys.readouterr().err
+
+
+def test_cli_optimum_has_no_budget_option(tmp_path):
+    path = write_config(tmp_path, quad_config())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["optimum", "--config", path, "--budget", "5"])
+    assert exc.value.code == 2
 
 
 def test_cli_run_rejects_test_dataset_dim_before_running(tmp_path, capsys,
