@@ -16,8 +16,8 @@ from .data import (DataSet, Partition, AssignmentTable, parse_libsvm,
                    load_libsvm, partition, build_assignment,
                    synthetic_quadratic, synthetic_logistic)
 from .engine import (run, serial_sgd, rho, rho_inverse,
-                     audit_consistency, audit_gate_invariant,
-                     audit_gate_equivalence, RunTrace, RunResult)
+                     audit_consistency, audit_gate_invariant, RunTrace,
+                     RunResult)
 from .harness import RunConfig, RunMetrics, prepare, execute, run_suite
 
 __all__ = [
@@ -31,8 +31,7 @@ __all__ = [
     "partition", "build_assignment", "synthetic_quadratic",
     "synthetic_logistic",
     "run", "serial_sgd", "rho", "rho_inverse",
-    "audit_consistency", "audit_gate_invariant", "audit_gate_equivalence",
-    "RunTrace", "RunResult",
+    "audit_consistency", "audit_gate_invariant", "RunTrace", "RunResult",
     "RunConfig", "RunMetrics", "prepare", "execute", "run_suite",
 ]
 

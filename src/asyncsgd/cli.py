@@ -2,7 +2,7 @@
 
 Subcommands:
   run         execute one simulation from a JSON config
-  schedule    print a per-round schedule table as CSV
+  schedule    print the per-round schedule table of a JSON config as CSV
   experiment  run a named experiment suite and print its CSV
   audit       run with full tracing and check the staleness contract
   optimum     solve for the optimum of a configured problem, with its
@@ -128,21 +128,9 @@ def _run_audits(prep: harness.PreparedRun, result) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if args.strongly_convex:
-        delay_fn, samples, steps = schedules.make_strongly_convex_schedules(
-            mu=args.mu, L=args.L, d=args.d, m=args.m)
-    elif args.samples is None or args.steps is None:
-        raise harness.ConfigError("schedule needs --samples and --steps, or "
-                                  "--strongly-convex")
-    else:
-        samples = harness.build_spec("samples", harness.SAMPLES,
-                                     json.loads(args.samples))
-        steps = harness.build_spec("steps", harness.STEPS,
-                                   json.loads(args.steps))
-        delay_fn = None if args.delay is None else harness.build_spec(
-            "delay", harness.DELAYS, json.loads(args.delay), key=None)
-    text = harness.schedule_table(samples, steps, delay_fn, args.d, args.rows)
-    _write_out(args.out, text)
+    prep = harness.prepare(_load_config(args.config))
+    _write_out(args.out, harness.schedule_table(
+        prep.samples, prep.steps, prep.delay_fn, prep.config.d, args.rows))
     return EXIT_OK
 
 
@@ -190,15 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="metrics JSON path (default stdout)")
     p_run.set_defaults(func=cmd_run)
 
-    p_sch = sub.add_parser("schedule", help="print a schedule table")
-    p_sch.add_argument("--strongly-convex", action="store_true")
-    p_sch.add_argument("--mu", type=float, default=1.0)
-    p_sch.add_argument("--L", type=float, default=1.0)
-    p_sch.add_argument("--m", type=int, default=7747)
-    p_sch.add_argument("--d", type=int, default=1)
-    p_sch.add_argument("--samples", help="sample schedule spec (JSON)")
-    p_sch.add_argument("--steps", help="step schedule spec (JSON)")
-    p_sch.add_argument("--delay", help="delay function spec (JSON)")
+    p_sch = sub.add_parser("schedule", help="print a config's schedule table")
+    p_sch.add_argument("--config", required=True)
     p_sch.add_argument("--rows", type=int, default=10)
     p_sch.add_argument("--out")
     p_sch.set_defaults(func=cmd_schedule)

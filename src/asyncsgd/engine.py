@@ -129,17 +129,14 @@ class RunTrace:
     gradient in execution order: node c, round i, local step h, step eta,
     the gate's t_glob and t_delay, the last broadcast the local model
     contains and the first local round whose own updates survive in it.
-    stamp[i, c]: the number of broadcasts emitted when the server applied
-    the round-i update of node c, or -1; it is in broadcast b exactly when
-    0 <= stamp[i, c] < b.  bcast_k[b]: broadcast b holds every update of
-    rounds < bcast_k[b] (in an engine trace bcast_k[b] = b; 0 is the
-    initial w0).  grads[j]: the gradient of record j, if recorded."""
+    Broadcast b holds every update of rounds < b (broadcast 0 is the
+    initial w0) and, of later rounds, the update (i, c) exactly when
+    0 <= stamp[i, c] < b, where stamp[i, c] is the number of broadcasts
+    emitted when the server applied the round-i update of node c, or -1."""
 
     table: AssignmentTable
     records: np.recarray
     stamp: np.ndarray
-    bcast_k: np.ndarray
-    grads: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -239,9 +236,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         w0: Optional[np.ndarray] = None,
         checkpoint_interval: int = 1,
         record_trace: bool = True,
-        record_gradients: bool = False,
-        record_iterates: bool = False,
-        audit_ledger: bool = False) -> RunResult:
+        record_iterates: bool = False) -> RunResult:
     """Deterministic event-driven execution of the full protocol.
 
     Stops after exactly K gradient computations across all nodes.  The
@@ -291,11 +286,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     v_hat = base_w.copy()
     k_srv = 0                 # round count k of the last broadcast
     pending: dict = {}        # (i, c) -> scaled payload, sent but not applied
-    applied: dict = {}        # audit-ledger copy of applied scaled payloads
     records = np.zeros(K, dtype=RECORD) if record_trace else None
     stamp = np.full((rounds, n + 1), -1) if record_trace else None
-    grad_rows = np.zeros((K, dim)) if record_trace and record_gradients \
-        else None
     checkpoints = []
 
     grads = 0
@@ -310,25 +302,12 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     def push(time: int, handler, payload) -> None:
         buckets.setdefault(time, []).append((draw(), handler, payload))
 
-    def check_ledger() -> None:
-        total = base_w.copy()
-        for p in applied.values():
-            total -= p
-        err = np.linalg.norm(v_hat - total)
-        scale = max(1.0, float(np.linalg.norm(v_hat)))
-        if err > 1e-9 * scale:
-            raise EngineError(f"server ledger invariant broken: |v - sum| "
-                              f"= {err:.3e}")
-
     def server_apply(msg) -> None:
         nonlocal k_srv
         i, c, payload = msg
         if payload is not None:
             np.subtract(v_hat, payload, out=v_hat)
             del pending[(i, c)]
-            if audit_ledger:
-                applied[(i, c)] = payload
-                check_ledger()
             if not isfinite(v_hat.dot(zeros)):
                 raise NonFiniteError(f"server model non-finite after round "
                                      f"{i} from node {c}")
@@ -343,7 +322,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             snapshot = v_hat.copy()
             hi = delay_hi[k_srv]
             for cc in range(1, n + 1):
-                push(now + 1 + randint(0, hi),
+                push(now + 1 + randint(hi),
                      node_receive, (cc, k_srv, snapshot))
 
     def ship_round(nd: _Node) -> None:
@@ -359,7 +338,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             nd.U = np.zeros(dim)
             pending[(i, c)] = payload
         messages += 1
-        push(now + 1 + randint(0, delay_hi[i]), server_apply, (i, c, payload))
+        push(now + 1 + randint(delay_hi[i]), server_apply, (i, c, payload))
         nd.i = i = i + 1
         nd.h = 0
         if i == rounds:
@@ -398,8 +377,6 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         if records is not None:
             records[grads] = (nd.c, i, h, eta, t_glob, t_delay, nd.k,
                               nd.acc_round)
-            if grad_rows is not None:
-                grad_rows[grads] = g
         step = eta * g
         nd.U += step if per_iter else g
         nd.w -= step
@@ -465,8 +442,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     if not np.isfinite(w_final).all():
         raise NonFiniteError("final model non-finite")
     trace = None if records is None else RunTrace(
-        table, records.view(np.recarray), stamp, np.arange(k_srv + 1),
-        grad_rows)
+        table, records.view(np.recarray), stamp)
 
     return RunResult(
         w_final=w_final, v_hat=v_hat, k_final=k_srv, grads=grads,
@@ -492,7 +468,7 @@ def audit_consistency(trace: RunTrace, df: DelayFunction):
     node, rnd, occ, _first, _order = table.index()
     c, i, h, b, acc = rec.c, rec.i, rec.h, rec.bcast_id, rec.acc_round
     t = rho(table, c, i, h)
-    base = table.start[trace.bcast_k[b]]  # P[k] of the record's model
+    base = table.start[b]  # broadcast b holds every round below b
     upper = t - np.ceil(eval_delay(df, t)).astype(np.int64)
     # updates t' in [base, upper) are not known to be in the model: each
     # must be in the broadcast or be the node's own surviving update
@@ -513,18 +489,3 @@ def audit_gate_invariant(trace: RunTrace, df: DelayFunction):
     tau = eval_delay(df, np.maximum(rec.t_glob, 0))
     bad = np.flatnonzero(rec.t_delay > tau)
     return (True, None) if len(bad) == 0 else (False, rec[bad[0]])
-
-
-def audit_gate_equivalence(run_kwargs: dict, df: DelayFunction) -> bool:
-    """Run one seeded configuration under both gates.
-
-    True when the lag gate never admits a gradient that the tau-comparison
-    invariant forbids (and the tau gate trivially satisfies it too).
-    """
-    for gate in (GATE_LAG, GATE_TAU):
-        res = run(gate=gate, delay_fn=df, record_trace=True, **run_kwargs)
-        ok, _bad = audit_gate_invariant(res.trace, df)
-        if not ok:
-            return False
-    return True
-

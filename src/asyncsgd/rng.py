@@ -56,10 +56,11 @@ def stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
 class Replay:
     """Scalar draws of `gen`, replayed in pure Python from its raw words.
 
-    ``random()`` and ``integers(0, hi)`` return what the same calls on `gen`
-    would, in any interleaving; `gen` must not be drawn from directly once
-    wrapped.  Like numpy's Philox, 32-bit draws take the low half of a fresh
-    64-bit word and cache the high half for the next 32-bit draw.
+    ``random()`` and ``integers(hi)`` return what ``random()`` and
+    ``integers(0, hi)`` on `gen` would, in any interleaving; `gen` must not
+    be drawn from directly once wrapped.  Like numpy's Philox, 32-bit draws
+    take the low half of a fresh 64-bit word and cache the high half for
+    the next 32-bit draw.
     """
 
     __slots__ = ("_word", "_half")
@@ -84,14 +85,14 @@ class Replay:
         self._half = word >> 32
         return word & _MASK32
 
-    def integers(self, lo: int, hi: int) -> int:
+    def integers(self, hi: int) -> int:
         """Generator.integers(0, hi) for 1 <= hi <= 2**32: Lemire rejection.
 
-        Only ``lo == 0`` is supported.  ``hi == 1`` consumes nothing.
+        ``hi == 1`` consumes nothing.
         """
-        if lo != 0 or not 1 <= hi <= 1 << 32:
-            raise ValueError(f"Replay.integers supports only 0 <= x < hi with "
-                             f"1 <= hi <= 2**32, not [{lo}, {hi})")
+        if not 1 <= hi <= 1 << 32:
+            raise ValueError(f"Replay.integers supports 1 <= hi <= 2**32, "
+                             f"not {hi}")
         if hi == 1:
             return 0
         if hi == 1 << 32:

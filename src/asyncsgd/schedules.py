@@ -336,6 +336,10 @@ class StepSchedule:
                               M1: float) -> "StepSchedule":
         if mu <= 0:
             raise ScheduleError("mu must be positive")
+        if M0 <= 1:  # ln(M0 + t) at t = 0 must be positive
+            raise ScheduleError(f"M0 must be > 1, got {M0}")
+        if M1 < 0:
+            raise ScheduleError(f"M1 must be non-negative, got {M1}")
         return StepSchedule(kind=STRONGLY_CONVEX_ROUND, mu=mu, M0=M0, M1=M1,
                             mode=PER_ROUND)
 

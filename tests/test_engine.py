@@ -15,7 +15,7 @@ from asyncsgd.engine import (DeadlockError, EngineError, NonFiniteError,
                              RECORD, RunTrace, rho, rho_inverse, run,
                              serial_sgd,
                              make_step_fn, audit_consistency,
-                             audit_gate_invariant, audit_gate_equivalence)
+                             audit_gate_invariant)
 from asyncsgd.problems import Problem
 from asyncsgd.schedules import (DelayFunction, SampleSchedule, StepSchedule,
                                 eval_delay, make_strongly_convex_schedules,
@@ -39,6 +39,20 @@ class FakeGen:
 
     def integers(self, lo, hi):
         return self.indices.pop(0)
+
+
+@pytest.fixture
+def recorded_grads(monkeypatch):
+    """Every gradient the engine computes, in order, through its grad seam."""
+    out = []
+
+    def recording(*args):
+        g = problems.grad(*args)
+        out.append(g.copy())
+        return g
+
+    monkeypatch.setattr(engine, "grad", recording)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +198,10 @@ def quadratic_setup(n, seed, M=120, dim=3):
 
 
 def broadcast_extras(trace, b):
-    """The applied updates (i, c) with i >= k_b in broadcast b: those whose
+    """The applied updates (i, c) with i >= b in broadcast b: those whose
     apply stamp is below b."""
-    k = int(trace.bcast_k[b])
-    stamp = trace.stamp[k:]
-    return {(k + int(i), int(c))
+    stamp = trace.stamp[b:]
+    return {(b + int(i), int(c))
             for i, c in np.argwhere((0 <= stamp) & (stamp < b))}
 
 
@@ -202,8 +215,8 @@ def audit_oracle(trace, df):
         upper = t - math.ceil(eval_delay(df, float(t)))
         if upper <= 0:
             continue
-        k = int(trace.bcast_k[rec.bcast_id])
-        extras = broadcast_extras(trace, int(rec.bcast_id))
+        k = int(rec.bcast_id)
+        extras = broadcast_extras(trace, k)
         for t_prime in range(sum(len(r) for r in table_rows(table)[:k]),
                              upper):
             cp, ip, hp = rho_inverse(table, t_prime)
@@ -286,9 +299,11 @@ def test_gate_equivalence_matched_power(d):
     for seed in (0, 1):
         _ds, prob, part = quadratic_setup(2, seed)
         table = build_assignment(sam, part.p, 2, rounds=60, seed=seed)
-        kwargs = dict(problem=prob, partition=part, table=table, samples=sam,
-                      steps=st, K=150, seed=seed, d=d)
-        assert audit_gate_equivalence(kwargs, df)
+        # the lag gate never admits a gradient the tau invariant forbids
+        for gate in (engine.GATE_LAG, engine.GATE_TAU):
+            res = run(prob, part, table, sam, st, df, K=150, seed=seed,
+                      gate=gate, d=d, record_trace=True)
+            assert audit_gate_invariant(res.trace, df)[0], (gate, seed)
 
 
 def test_incompatible_schedule_can_violate_tau_invariant():
@@ -305,39 +320,42 @@ def test_incompatible_schedule_can_violate_tau_invariant():
     assert not ok
 
 
-def test_server_ledger_invariant():
-    df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
-    _ds, prob, part = quadratic_setup(5, 8)
-    table = build_assignment(sam, part.p, 5, rounds=40, seed=8)
-    # audit_ledger raises if the invariant breaks at any dequeue
-    res = run(prob, part, table, sam, st, df, K=400, seed=8,
-              audit_ledger=True)
-    assert res.grads == 400
+def assert_round_sums(res, grads):
+    """Each checkpoint, the model of broadcast k, equals w0 = 0 minus the
+    per-round scaled gradient block sums it is supposed to contain, and the
+    final model is minus every scaled gradient (to 1e-9)."""
+    sums = {}
+    for rec, g in zip(res.trace.records, grads, strict=True):
+        key = (rec.i, rec.c)
+        sums[key] = sums.get(key, 0.0) + rec.eta * g
+    for k, _t, model in res.checkpoints:
+        extras = broadcast_extras(res.trace, k)
+        expect = np.zeros_like(model)
+        for (i, c), v in sums.items():
+            if i < k or (i, c) in extras:
+                expect -= v
+        assert np.abs(model - expect).max() <= 1e-9, k
+    assert np.abs(res.w_final + sum(sums.values())).max() <= 1e-9
 
 
-def test_round_sum_identity():
-    """The model at broadcast k equals w0 minus the per-round scaled
-    gradient block sums it is supposed to contain (to 1e-9)."""
+def test_round_sum_identity(recorded_grads):
+    """The round sums hold at every broadcast of a small lag-gate run and of
+    the 20-node tau pin's run: the server model is w0 minus exactly the
+    updates the server has applied."""
     sam = SampleSchedule.constant(8)
     st = StepSchedule.inverse_t(0.1, 0.01)
     _ds, prob, part = quadratic_setup(3, 4)
     table = build_assignment(sam, part.p, 3, rounds=30, seed=4)
     res = run(prob, part, table, sam, st, None, K=160, seed=4,
-              record_trace=True, record_gradients=True)
-    # per (round, node) scaled sums from the gradient records
-    sums = {}
-    for rec, g in zip(res.trace.records, res.trace.grads):
-        key = (rec.i, rec.c)
-        sums[key] = sums.get(key, np.zeros(prob.dim)) + rec.eta * g
-    for k, _t, model in res.checkpoints:
-        # checkpoint k is the model of broadcast k
-        assert res.trace.bcast_k[k] == k
-        extras = broadcast_extras(res.trace, k)
-        expect = np.zeros(prob.dim)
-        for (i, c), v in sums.items():
-            if i < k or (i, c) in extras:
-                expect -= v
-        assert np.allclose(model, expect, atol=1e-9)
+              record_trace=True)
+    assert_round_sums(res, recorded_grads)
+    recorded_grads.clear()
+    df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
+    _ds, prob, part = quadratic_setup(20, 13, M=400, dim=3)
+    table = build_assignment(sam, part.p, 20, rounds=200, seed=13)
+    res = run(prob, part, table, sam, st, df, K=3000, seed=13,
+              gate=engine.GATE_TAU, d=1, record_trace=True)
+    assert_round_sums(res, recorded_grads)
 
 
 def test_trace_record_count_and_determinism():
@@ -363,13 +381,14 @@ def sha256_of(w):
     return hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
 
 
-def trace_digest(trace):
-    """Hash of the records and, per broadcast b, (b, k_b, sorted extras)."""
+def trace_digest(res):
+    """Hash of the records and, per broadcast b, (b, b, sorted extras); b
+    appears twice so that the pinned digests keep their bytes."""
     h = hashlib.sha256()
-    for r in trace.records.tolist():
+    for r in res.trace.records.tolist():
         h.update(repr(r).encode())
-    for b, k in enumerate(trace.bcast_k.tolist()):
-        h.update(repr((b, k, sorted(broadcast_extras(trace, b)))).encode())
+    for b in range(res.k_final + 1):
+        h.update(repr((b, b, sorted(broadcast_extras(res.trace, b)))).encode())
     return h.hexdigest()
 
 
@@ -395,8 +414,8 @@ def test_determinism_pinned_tau_gate_four_nodes_traced():
     assert sha256_of(res.w_final) == ("24b9ab74bc21761227c2a3d17b9b54ab"
                                       "e6764cc0cd0f58b719273825013bbfb0")
     assert (res.messages, res.k_final) == (354, 78)
-    assert trace_digest(res.trace) == ("ff7b0b3b7621a18233cce9be35ebf0a5"
-                                       "59019452297bf76e65cd4a70ccefe5da")
+    assert trace_digest(res) == ("ff7b0b3b7621a18233cce9be35ebf0a5"
+                                 "59019452297bf76e65cd4a70ccefe5da")
 
 
 def test_determinism_pinned_explicit_schedule_exact_rounds():
@@ -412,8 +431,8 @@ def test_determinism_pinned_explicit_schedule_exact_rounds():
     assert sha256_of(res.w_final) == ("707bf08e3f6133331cc274064e7d9c10"
                                       "6c60cc086a59bd51d5d744a35328aa83")
     assert (res.messages, res.k_final) == (20, 6)
-    assert trace_digest(res.trace) == ("123e26dd39a9064b574864b6f86b2127"
-                                       "84d164cb5c38c0a83e1f123c2c1a65d2")
+    assert trace_digest(res) == ("123e26dd39a9064b574864b6f86b2127"
+                                 "84d164cb5c38c0a83e1f123c2c1a65d2")
 
 
 def test_determinism_pinned_logistic_power_law_per_iteration():
@@ -431,25 +450,25 @@ def test_determinism_pinned_logistic_power_law_per_iteration():
                                       "5a007a2757af1f0a8920b269172dae1c")
     assert (res.messages, res.k_final) == (48, 15)
     assert res.rounds_completed == {1: 16, 2: 16, 3: 16}
-    assert trace_digest(res.trace) == ("bbeedad1a306027ff4a6aee10dfb1469"
-                                       "d88aa83178fa1165eb478666ecf9e6de")
+    assert trace_digest(res) == ("bbeedad1a306027ff4a6aee10dfb1469"
+                                 "d88aa83178fa1165eb478666ecf9e6de")
 
 
-def test_determinism_pinned_tau_gate_twenty_nodes_full_record():
+def test_determinism_pinned_tau_gate_twenty_nodes_full_record(
+        recorded_grads):
     df, sam, st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
     _ds, prob, part = quadratic_setup(20, 13, M=400, dim=3)
     table = build_assignment(sam, part.p, 20, rounds=200, seed=13)
     res = run(prob, part, table, sam, st, df, K=3000, seed=13,
               gate=engine.GATE_TAU, d=1, record_trace=True,
-              record_gradients=True, record_iterates=True,
-              audit_ledger=True)
+              record_iterates=True)
     assert sha256_of(res.w_final) == ("9cdb2df9c337514eee70e0f4c5bb8956"
                                       "5a64f114c3f0245e76ed1e020fa4d84a")
     assert (res.messages, res.k_final) == (3520, 156)
-    assert trace_digest(res.trace) == ("c734f6779965a0260ef972e48aaaa577"
-                                       "d1bb4f3188e65e488ed133f80a9e2833")
-    assert sha256_of(res.trace.grads) == ("c6312aaa8cb29b5467c64bf597ddd779"
-                                          "e0329541d7a0bda1e564d8fb46e49f01")
+    assert trace_digest(res) == ("c734f6779965a0260ef972e48aaaa577"
+                                 "d1bb4f3188e65e488ed133f80a9e2833")
+    assert sha256_of(np.array(recorded_grads)) == (
+        "c6312aaa8cb29b5467c64bf597ddd779e0329541d7a0bda1e564d8fb46e49f01")
     assert len(res.iterates) == 3000
     assert sha256_of(np.array(res.iterates)) == (
         "58261307d449c11cd3ec7e99754ca486d7168586b6c1ccfc462bbf40cbcf0db6")
@@ -480,7 +499,7 @@ def test_adversarial_withheld_update_detected():
     records.t_delay = 2 * records.i + 1
     # only broadcast 0 (the initial model) exists and nothing is applied
     trace = RunTrace(table=table, records=records,
-                     stamp=np.full((60, 3), -1), bcast_k=np.array([0]))
+                     stamp=np.full((60, 3), -1))
     ok, bad_t = audit_consistency(trace, df)
     assert not ok
     # first record t whose required prefix reaches node 2's first update
@@ -601,8 +620,7 @@ def test_single_node_trace_names_received_broadcasts():
     assert trace.records[-1].bcast_id > 0
     for rec in trace.records:
         # the gate's prefix P[k] is that of the broadcast the record names
-        k = trace.bcast_k[rec.bcast_id]
-        assert sam.prefix_sum(k) == rec.t_glob + 1 - rec.t_delay
+        assert sam.prefix_sum(rec.bcast_id) == rec.t_glob + 1 - rec.t_delay
         assert rec.acc_round == 0
     assert audit_consistency(trace, df) == (True, None)
     assert audit_gate_invariant(trace, df) == (True, None)

@@ -317,29 +317,51 @@ def test_cli_runtime_error_exit_2(tmp_path):
     assert cli.main(["run", "--config", path]) == cli.EXIT_RUNTIME
 
 
-def test_cli_schedule_csv(capsys):
-    code = cli.main(["schedule", "--strongly-convex", "--rows", "2"])
+@pytest.mark.parametrize("field,value,fragment", [
+    ("M0", 1.0, "steps: M0 must be > 1, got 1.0"),
+    ("M0", 0.0, "steps: M0 must be > 1, got 0.0"),
+    ("M1", -100.0, "steps: M1 must be non-negative, got -100.0")])
+def test_cli_run_rejects_strongly_convex_round_out_of_domain(
+        tmp_path, capsys, field, value, fragment):
+    """M0 <= 1 makes ln(M0) at t = 0 zero or negative, and M1 < 0 can make
+    the step sizes negative: each is a config error naming the field."""
+    steps = dict({"kind": "strongly_convex_round", "mu": 1.0, "M0": 100.0,
+                  "M1": 5.0}, **{field: value})
+    path = write_config(tmp_path, quad_config(steps=steps))
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+
+
+def schedule_rows(tmp_path, capsys, rows, **overrides):
+    """The data rows `schedule --config` prints for quad_config(**overrides)."""
+    path = write_config(tmp_path, quad_config(**overrides))
+    code = cli.main(["schedule", "--config", path, "--rows", str(rows)])
     assert code == cli.EXIT_OK
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[1].split(",")[1] == "16"
-
-
-def test_cli_schedule_bad_params(capsys):
-    assert cli.main(["schedule", "--samples", '{"kind": "constant", "s": 0}',
-                     "--steps", '{"kind": "constant", "eta": 0.1}']) == \
-        cli.EXIT_CONFIG
-    assert cli.main(["schedule", "--rows", "2"]) == cli.EXIT_CONFIG
-    assert "--samples" in capsys.readouterr().err
-
-
-def test_cli_schedule_from_specs(capsys):
-    code = cli.main(["schedule", "--samples", '{"kind": "constant", "s": 5}',
-                     "--steps", '{"kind": "constant", "eta": 0.1}',
-                     "--delay", json.dumps(DELAY), "--d", "1",
-                     "--rows", "3"])
-    assert code == cli.EXIT_OK
-    rows = [line.split(",")
+    return [line.split(",")
             for line in capsys.readouterr().out.strip().splitlines()[1:]]
+
+
+def test_cli_schedule_csv(tmp_path, capsys):
+    rows = schedule_rows(tmp_path, capsys, 2, steps=None,
+                         samples={"kind": "strongly_convex", "m": 7747})
+    assert rows[0][1] == "16"
+
+
+def test_cli_schedule_bad_params(tmp_path, capsys):
+    path = write_config(tmp_path,
+                        quad_config(samples={"kind": "constant", "s": 0}))
+    assert cli.main(["schedule", "--config", path]) == cli.EXIT_CONFIG
+    assert "samples" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # specs come only from a config
+        cli.main(["schedule", "--samples", '{"kind": "constant", "s": 5}'])
+    assert exc.value.code == 2
+
+
+def test_cli_schedule_from_specs(tmp_path, capsys):
+    rows = schedule_rows(tmp_path, capsys, 3,
+                         samples={"kind": "constant", "s": 5},
+                         steps={"kind": "constant", "eta": 0.1},
+                         delay=DELAY, d=1)
     assert [row[:4] for row in rows] == [["0", "5", "5", "0.1"],
                                          ["1", "5", "10", "0.1"],
                                          ["2", "5", "15", "0.1"]]
@@ -347,6 +369,20 @@ def test_cli_schedule_from_specs(capsys):
     assert [float(row[4]) for row in rows] == pytest.approx(
         [100 + math.sqrt(5 * (i + 1)) for i in range(3)], abs=1e-6)
     assert [row[5] for row in rows] == ["", "true", "true"]
+
+
+def test_cli_schedule_rejects_what_run_rejects(tmp_path, capsys):
+    """An incompatible schedule is a config error, as for run; with
+    allow_incompatible its table shows the failing window."""
+    specs = dict(samples={"kind": "power_law", "a": 5.0},
+                 delay={"g": 2.0, "M0": 0.0, "M1": 10.0})
+    path = write_config(tmp_path, quad_config(**specs))
+    assert cli.main(["schedule", "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "fails at round 2" in err and "allow_incompatible" in err
+    rows = schedule_rows(tmp_path, capsys, 4, allow_incompatible=True,
+                         **specs)
+    assert [row[5] for row in rows] == ["", "true", "false", "false"]
 
 
 def test_cli_experiment(tmp_path):
