@@ -8,8 +8,7 @@ is deterministic and auditable against the configured delay function.
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
                         eval_delay, sample_size, round_step,
                         per_iteration_step, make_strongly_convex_schedules,
-                        verify_delay_compatibility, max_constant_sample,
-                        rounds_for_budget)
+                        verify_delay_compatibility, rounds_for_budget)
 from .problems import Problem, OptimumInfo, grad, loss, objective, \
     full_gradient, variance_constant, find_optimum
 from .data import (DataSet, Partition, AssignmentTable, parse_libsvm,
@@ -24,7 +23,7 @@ __all__ = [
     "DelayFunction", "SampleSchedule", "StepSchedule", "eval_delay",
     "sample_size", "round_step", "per_iteration_step",
     "make_strongly_convex_schedules", "verify_delay_compatibility",
-    "max_constant_sample", "rounds_for_budget",
+    "rounds_for_budget",
     "Problem", "OptimumInfo", "grad", "loss", "objective", "full_gradient",
     "variance_constant", "find_optimum",
     "DataSet", "Partition", "AssignmentTable", "parse_libsvm", "load_libsvm",

@@ -8,6 +8,7 @@ named Philox streams in :mod:`asyncsgd.rng`.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -35,8 +36,9 @@ class DataSet:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.X.ndim != 2 or len(self.X) == 0:
-            raise DataFormatError("data set must be a non-empty 2-d matrix")
+        if self.X.ndim != 2 or 0 in self.X.shape:
+            raise DataFormatError("data set must be a 2-d matrix with at "
+                                  "least one row and one feature column")
         if len(self.X) != len(self.y):
             raise DataFormatError("feature/label length mismatch")
         if not np.all(np.isfinite(self.X)):
@@ -155,11 +157,16 @@ def partition(ds: DataSet, n: int, mode: str = UNBIASED,
     """
     if n < 1:
         raise ValueError("need at least one node")
+    if n > len(ds):  # checked before any length-n array is allocated
+        raise ValueError(f"n={n} nodes for {len(ds)} samples leaves a node "
+                         f"with none")
     if p is None:
         pv = np.full(n, 1.0 / n)
     else:
-        pv = np.asarray(p, dtype=float)
-        if len(pv) != n or np.any(pv <= 0) or abs(pv.sum() - 1.0) > 1e-9:
+        flat = all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in p)
+        pv = np.asarray(p if flat else [], dtype=float)
+        if len(pv) != n or not np.all(pv > 0) or abs(pv.sum() - 1.0) > 1e-9:
             raise ValueError("p must be a length-n probability vector > 0")
     gen = rng.stream(seed, rng.PARTITION)
     if mode == UNBIASED:
@@ -246,8 +253,7 @@ class AssignmentTable:
 
 
 def build_assignment(sched: SampleSchedule, p: Sequence[float], n: int,
-                     rounds: int, seed: int,
-                     deterministic_split: bool = False) -> AssignmentTable:
+                     rounds: int, seed: int) -> AssignmentTable:
     """Draw the a(i, t) table: s_i categorical draws over p per round.
 
     All rows come from one pass: Generator.choice(nodes, size=s_i, p=p) is
@@ -255,10 +261,6 @@ def build_assignment(sched: SampleSchedule, p: Sequence[float], n: int,
     scaled to end at 1, and each random() value takes one 64-bit word, so
     sum_i s_i values drawn in blocks consume the stream as one choice per
     row does, and give the same rows.
-
-    With deterministic_split the per-node counts are fixed to the
-    largest-remainder rounding of p_c * s_i and only the within-row order
-    is randomized.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -267,23 +269,13 @@ def build_assignment(sched: SampleSchedule, p: Sequence[float], n: int,
         raise ValueError("p must be a length-n probability vector")
     gen = rng.stream(seed, rng.ASSIGNMENT)
     bounds = sched.prefix_sums(rounds)
-    if deterministic_split:
-        nodes = np.arange(1, n + 1)
-        parts = [np.empty(0, dtype=np.int64)]
-        for s_i in np.diff(bounds).tolist():
-            if s_i:
-                row = np.repeat(nodes, _proportional_sizes(s_i, pv))
-                gen.shuffle(row)
-                parts.append(row)
-        node = np.concatenate(parts)
-    else:
-        cdf = pv.cumsum()
-        cdf /= cdf[-1]
-        node = np.empty(bounds[-1], dtype=np.int64)
-        for lo in range(0, len(node), _BLOCK):
-            u = gen.random(min(_BLOCK, len(node) - lo))
-            node[lo:lo + len(u)] = cdf.searchsorted(u, side="right")
-        node += 1
+    cdf = pv.cumsum()
+    cdf /= cdf[-1]
+    node = np.empty(bounds[-1], dtype=np.int64)
+    for lo in range(0, len(node), _BLOCK):
+        u = gen.random(min(_BLOCK, len(node) - lo))
+        node[lo:lo + len(u)] = cdf.searchsorted(u, side="right")
+    node += 1
     return AssignmentTable(node, np.asarray(bounds, dtype=np.int64), n)
 
 

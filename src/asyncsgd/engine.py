@@ -64,7 +64,7 @@ from .data import AssignmentTable, Partition
 from .problems import Problem, grad
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
                         EXPLICIT, PER_ITERATION, eval_delay,
-                        per_iteration_step, round_step, rounds_for_budget)
+                        per_iteration_step, round_step)
 
 GATE_LAG = "lag"  # wait while i > k + d
 GATE_TAU = "tau"  # wait while tau(t_glob) < t_delay
@@ -178,20 +178,6 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
     if not np.all(np.isfinite(w)):
         raise NonFiniteError("serial SGD produced non-finite iterates")
     return (w, history) if record_iterates else w
-
-
-def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
-    """Per-iteration step function eta(t) matching the step schedule.
-
-    Per iteration, iteration t gets eta_t; per round, it gets the round
-    step of the round that contains t, the smallest i with
-    sum_{j<=i} s_j >= t + 1.  Either is exactly what a distributed run
-    applies to that gradient.
-    """
-    if steps.mode == PER_ITERATION:
-        return functools.partial(per_iteration_step, steps)
-    return lambda t: round_step(steps, samples,
-                                rounds_for_budget(samples, t + 1))
 
 
 # ---------------------------------------------------------------------------

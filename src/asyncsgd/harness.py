@@ -66,7 +66,6 @@ class RunConfig:
     checkpoint_interval: int = 1
     test_dataset: Optional[dict] = None
     allow_incompatible: bool = False
-    deterministic_split: bool = False
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
@@ -299,9 +298,8 @@ def prepare(cfg: RunConfig) -> PreparedRun:
 
     part = data_mod.partition(ds, cfg.n, mode=cfg.partition, p=cfg.p,
                               seed=cfg.seed)
-    table = data_mod.build_assignment(
-        samples, part.p, cfg.n, rounds=rows, seed=cfg.seed,
-        deterministic_split=cfg.deterministic_split)
+    table = data_mod.build_assignment(samples, part.p, cfg.n, rounds=rows,
+                                      seed=cfg.seed)
     return PreparedRun(config=cfg, dataset=ds, test_dataset=test_ds,
                        problem=problem, partition=part, table=table,
                        samples=samples, steps=steps, delay_fn=delay_fn)

@@ -42,10 +42,6 @@ def _ceil(x: float) -> int:
     return math.ceil(x - _CEIL_EPS * max(1.0, abs(x)))
 
 
-def _floor(x: float) -> int:
-    return math.floor(x + _CEIL_EPS * max(1.0, abs(x)))
-
-
 # ---------------------------------------------------------------------------
 # Delay functions
 # ---------------------------------------------------------------------------
@@ -113,27 +109,6 @@ def _eval_delay_array(df: DelayFunction, x: np.ndarray) -> np.ndarray:
     for j in np.flatnonzero(near).tolist():
         tau[j] = eval_delay(df, float(x[j]))
     return tau
-
-
-def verify_delay_monotonicity(df: DelayFunction, x_max: float,
-                              points: int = 1000) -> bool:
-    """Check tau(x) nondecreasing and x - tau(x) nondecreasing numerically.
-
-    Uses a geometric grid of `points` points on (x_lo, x_max] where x_lo is
-    the smallest admissible argument for the gamma family.
-    """
-    x_lo = 0.0 if df.gamma == GAMMA_ONE else max(0.0, 1.0 + 1e-9 - df.M0)
-    xs = [x_lo + (x_max - x_lo) * ((1.02 ** k - 1) / (1.02 ** points - 1))
-          for k in range(points + 1)]
-    prev_tau = None
-    prev_diff = None
-    for x in xs:
-        t = eval_delay(df, x)
-        diff = x - t
-        if prev_tau is not None and (t < prev_tau - 1e-9 or diff < prev_diff - 1e-9):
-            return False
-        prev_tau, prev_diff = t, diff
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +183,6 @@ class SampleSchedule:
         return SampleSchedule(kind=EXPLICIT, values=tuple(map(int, vals)))
 
     # -- evaluation ---------------------------------------------------------
-
-    def __getitem__(self, i: int) -> int:
-        return sample_size(self, i)
 
     def prefix_sum(self, i: int) -> int:
         """Sum of s_j for j < i (so prefix_sum(0) == 0)."""
@@ -384,7 +356,7 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
         raise ScheduleError("d must be non-negative")
     samples = SampleSchedule.matched_log(m=m, d=d)  # validates the log domain
     M0 = (m + 1) ** 2 / 4.0
-    M1 = max(d + 2.0, 72.0 * L / mu, samples[0] / 2.0)
+    M1 = max(d + 2.0, 72.0 * L / mu, sample_size(samples, 0) / 2.0)
     df = DelayFunction(g=2.0, M0=M0, M1=M1, gamma=GAMMA_FOUR_LOG)
     steps = StepSchedule.strongly_convex_round(mu=mu, M0=M0, M1=M1)
     ok, bad = verify_delay_compatibility(samples, df, d, i_max=max(2000, 2 * d))
@@ -392,13 +364,6 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
         raise ScheduleError(f"constructed schedules violate the delay "
                             f"property at round {bad}")
     return df, samples, steps
-
-
-def max_constant_sample(eta: float, mu: float, d: int) -> int:
-    """Largest constant sample size s with (d+1)*s <= 1/(eta*mu)."""
-    if eta <= 0 or mu <= 0:
-        raise ScheduleError("eta and mu must be positive")
-    return _floor(1.0 / (eta * mu * (d + 1)))
 
 
 def rounds_for_budget(sched: SampleSchedule, K: int) -> int:

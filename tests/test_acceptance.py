@@ -13,11 +13,12 @@ import pytest
 from scipy import stats
 
 import conftest
+from oracles import make_step_fn
 
 from asyncsgd import data, engine, harness, problems, rng, schedules
 from asyncsgd.data import build_assignment, partition, synthetic_quadratic
 from asyncsgd.engine import (audit_consistency, audit_gate_invariant, rho,
-                             rho_inverse, run, serial_sgd, make_step_fn)
+                             rho_inverse, run, serial_sgd)
 from asyncsgd.problems import Problem
 from asyncsgd.schedules import (DelayFunction, SampleSchedule, StepSchedule,
                                 make_strongly_convex_schedules,

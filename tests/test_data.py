@@ -4,12 +4,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asyncsgd import data, rng
 from asyncsgd.data import (AssignmentTable, DataFormatError, DataSet,
                            build_assignment, parse_libsvm, partition,
                            synthetic_logistic, synthetic_quadratic)
-from asyncsgd.schedules import SampleSchedule
+from asyncsgd.schedules import SampleSchedule, sample_size
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,7 @@ def test_parse_zero_one_labels():
     ("nope 1:1\n", "bad label"),
     ("", "empty"),
     ("+3 1:1\n", "not binary"),
+    ("1\n0\n", "one feature column"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(DataFormatError, match=fragment):
@@ -58,6 +60,59 @@ def test_dataset_invariants():
         DataSet(X=np.zeros((2, 2)), y=np.zeros(3))
     with pytest.raises(DataFormatError):
         DataSet(X=np.array([[np.inf, 0.0]]), y=np.zeros(1))
+
+
+LABELS = {"+1": 1, "1": 1, "1.0": 1, "-1": 0, "0": 0, "-1.0": 0}
+# Each turns a valid line into one the parser must reject.
+CORRUPTIONS = (
+    lambda line, last: "2 " + line,             # label 2 is not binary
+    lambda line, last: line + " 3",
+    lambda line, last: line + " a:1",
+    lambda line, last: line + f" {last + 1}:x",
+    lambda line, last: line + f" {last}:1",      # not ascending (0 at start)
+    lambda line, last: line + f" {last + 1}:inf",
+    lambda line, last: line + f" {last + 1}:nan",
+)
+
+
+@st.composite
+def libsvm_line(draw):
+    """(text, label, {index: value}, corrupted) for one data line; indices
+    stay at most 1000, since the parser allocates rows x max index."""
+    label = draw(st.sampled_from(sorted(LABELS)))
+    idx = sorted(draw(st.sets(st.integers(1, 1000), max_size=5)))
+    vals = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=len(idx), max_size=len(idx)))
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    text = sep.join([label] + [f"{j}:{v!r}" for j, v in zip(idx, vals)])
+    corrupt = draw(st.none() | st.sampled_from(CORRUPTIONS))
+    if corrupt is not None:
+        text = corrupt(text, idx[-1] if idx else 0)
+    return text, LABELS[label], dict(zip(idx, vals)), corrupt is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.one_of(libsvm_line(), st.sampled_from(
+    [("", None, None, False), ("# comment", None, None, False)])),
+    max_size=8))
+def test_parse_libsvm_fuzz(lines):
+    """Mixed valid and corrupted lines parse to the expected X and y, or
+    raise DataFormatError when any line is bad or no feature is left."""
+    text = "\n".join(line for line, *_ in lines)
+    rows = [(label, feats) for _, label, feats, _ in lines
+            if label is not None]
+    dim = max((max(feats, default=0) for _, feats in rows), default=0)
+    if any(bad for *_, bad in lines) or dim == 0:
+        with pytest.raises(DataFormatError):
+            parse_libsvm(text)
+        return
+    ds = parse_libsvm(text)
+    X = np.zeros((len(rows), dim))
+    for r, (_, feats) in enumerate(rows):
+        for j, v in feats.items():
+            X[r, j - 1] = v
+    assert np.array_equal(ds.X, X)
+    assert ds.y.tolist() == [label for label, _ in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +240,11 @@ def test_assignment_marginals_long_run():
         assert abs(freq - pc) < 0.01
 
 
-def test_assignment_deterministic_split():
-    sched = SampleSchedule.explicit([10, 7])
-    table = build_assignment(sched, [0.5, 0.5], 2, rounds=2, seed=0,
-                             deterministic_split=True)
-    row0, row1 = table_rows(table)
-    assert np.sum(row0 == 1) == 5
-    # largest-remainder: 7 splits as 4 + 3 in some order
-    assert sorted(int(np.sum(row1 == c)) for c in (1, 2)) == [3, 4]
-
-
 def test_assignment_row_lengths_and_range():
     sched = SampleSchedule.power_law(a=3.0)
     table = build_assignment(sched, [0.5, 0.5], 2, rounds=6, seed=1)
     for i, row in enumerate(table_rows(table)):
-        assert len(row) == sched[i]
+        assert len(row) == sample_size(sched, i)
         assert all(1 <= c <= 2 for c in row.tolist())
 
 
@@ -253,9 +298,6 @@ def built_table_pins(monkeypatch, sched, n, rounds, seed, **kwargs):
      "d304c6c6ef1b3c0f6f64fdc6aaaccdd3", ([850, 0, 0, 0], 1, 0, 0)),
     ("empty-round", SampleSchedule.power_law(a=0.7, c=1.2), 20, 60, {},
      "ed4adcc3158a5e7dab77f7cac817feea", ([645, 0, 0, 0], 4, 0, 0)),
-    ("deterministic-split", SampleSchedule.power_law(a=2.0, c=1.0), 5, 40,
-     {"deterministic_split": True}, "e6a9049a9be15e0290eef8d50cca1752",
-     ([263, 0, 0, 0], 4, 0, 3826457520)),
 ])
 def test_assignment_pinned(monkeypatch, case, sched, n, rounds, kwargs,
                            digest, state):

@@ -2,19 +2,20 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as hs
+from oracles import make_step_fn
 
 from asyncsgd import data, engine, problems, rng, schedules
 from asyncsgd.data import AssignmentTable, build_assignment, partition, \
     synthetic_quadratic, synthetic_logistic
 from asyncsgd.engine import (DeadlockError, EngineError, NonFiniteError,
                              RECORD, RunTrace, rho, rho_inverse, run,
-                             serial_sgd,
-                             make_step_fn, audit_consistency,
+                             serial_sgd, audit_consistency,
                              audit_gate_invariant)
 from asyncsgd.problems import Problem
 from asyncsgd.schedules import (DelayFunction, SampleSchedule, StepSchedule,
@@ -100,6 +101,36 @@ def test_rho_bijective_random_tables(seed):
         assert rho(table, c, i, h) == t
         seen.add((c, i, h))
     assert len(seen) == total
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hs.data())
+def test_rho_and_rho_inverse_are_inverses(data):
+    """On tables with empty rounds and empty (round, node) cells, every
+    label maps to its t and back, and every input outside the table raises
+    IndexError."""
+    n = data.draw(hs.integers(1, 6), label="n")
+    rows = data.draw(hs.lists(hs.lists(hs.integers(1, n), max_size=8),
+                              min_size=1, max_size=10), label="rows")
+    table = table_from_rows(rows, n)
+    labels = [(c, i, row[:pos].count(c))
+              for i, row in enumerate(rows) for pos, c in enumerate(row)]
+    total = len(labels)
+    assert [rho_inverse(table, t) for t in range(total)] == labels
+    for t in (-1, total):
+        with pytest.raises(IndexError):
+            rho_inverse(table, t)
+    if labels:
+        c, i, h = (np.array(col) for col in zip(*labels))
+        assert rho(table, c, i, h).tolist() == list(range(total))
+    index = {label: t for t, label in enumerate(labels)}
+    for label in itertools.product(range(n + 2), range(-1, len(rows) + 1),
+                                   range(-1, 10)):
+        if label in index:
+            assert rho(table, *label) == index[label]
+        else:
+            with pytest.raises(IndexError):
+                rho(table, *label)
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,19 @@ def test_cli_rejects_optimum_budget_field(tmp_path, capsys, command):
     assert "optimum_budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,problem", [
+    ("run", "quadratic_mean"), ("run", "logistic_ridge"),
+    ("run", "logistic_plain"), ("optimum", "logistic_ridge")])
+def test_cli_rejects_libsvm_file_without_features(tmp_path, capsys, command,
+                                                  problem):
+    data_path = tmp_path / "labels.libsvm"
+    data_path.write_text("1\n0\n1\n0\n")
+    path = write_raw_config(tmp_path, problem={"kind": problem},
+                            dataset={"path": str(data_path)})
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    assert "one feature column" in capsys.readouterr().err
+
+
 def test_cli_optimum_has_no_budget_option(tmp_path):
     path = write_config(tmp_path, quad_config())
     with pytest.raises(SystemExit) as exc:
@@ -582,6 +595,15 @@ DELAY = {"g": 2.0, "M0": 0.0, "M1": 100.0}
      "steps field 'eta0' must be finite, got nan"),
     (dict(samples={"kind": "constant", "s": 5, "d": 1}),
      "unknown samples field 'd'"),
+    (dict(deterministic_split=True),
+     "unknown config field 'deterministic_split'"),
+    # n is checked against the samples before any length-n array is built
+    (dict(n=2 ** 62), f"n={2 ** 62} nodes for 150 samples"),
+    (dict(n=2, p=[[0.25, 0.25], [0.25, 0.25]]),
+     "p must be a length-n probability vector"),
+    (dict(n=2, p=["a", "b"]), "p must be a length-n probability vector"),
+    (dict(n=2, p=[[0.5], [0.5]]), "p must be a length-n probability vector"),
+    (dict(n=2, p=[math.nan, 1.0]), "p must be a length-n probability vector"),
 ])
 def test_cli_run_rejects_bad_nested_spec(tmp_path, capsys, fields,
                                          fragment):
