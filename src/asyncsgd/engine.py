@@ -21,9 +21,9 @@ the prefix sums sum_{j<i} s_j, the scales scale[i], the delay-draw
 bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  All but the
 scales are array passes: the prefix sums are the table's row starts
 and the s_{i,c} come from AssignmentTable.counts, a blocked bincount.
-A table that ends where an explicit schedule ends holds all the work
-there is, so a node that ships its last row stops; past any other table's
-last row more rounds exist, so stepping there is an error.
+The table prepare builds ends at the budget's last round T, so a run
+computes its K gradients from rounds 0..T; a node that ships the
+table's last row stops.
 The server counts the updates applied per round.  An empty round ships
 None, since its update is exactly zero.  The tau gate decides the
 trajectory, so it evaluates tau by the scalar code, once per t_glob; the
@@ -63,7 +63,7 @@ from . import rng
 from .data import AssignmentTable, Partition
 from .problems import Problem, grad
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
-                        EXPLICIT, PER_ITERATION, eval_delay,
+                        PER_ITERATION, eval_delay,
                         per_iteration_step, round_step)
 
 GATE_LAG = "lag"  # wait while i > k + d
@@ -189,9 +189,6 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
 # final state depends on the chunk size.
 _DRAW_CHUNK = 1024
 
-_EXHAUSTED = ("assignment table exhausted before the gradient budget; "
-              "build more rounds")
-
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "gen", "acc_round",
                  "waiting", "X", "y", "draws")
@@ -245,13 +242,13 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     tau_gate = gate == GATE_TAU
     need_t = tau_gate or record_trace  # t_glob/t_delay per gradient
 
-    # Per-round tables.  They stop at the table's last round: an explicit
-    # schedule has no sample size beyond its values.
+    # Per-round tables.  They stop at the table's last round: no node
+    # steps past it.
     rounds = table.rounds
     P = table.start.tolist()
     if K > P[-1]:
-        raise EngineError(_EXHAUSTED)
-    final = samples.kind == EXPLICIT and rounds == len(samples.values)
+        raise EngineError("assignment table exhausted before the gradient "
+                          "budget; build more rounds")
     delay_hi = (2 * np.maximum(np.diff(P), 1) + 1).tolist()
     scale = [1.0] * rounds if per_iter else \
         [round_step(steps, samples, i) for i in range(rounds)]
@@ -328,9 +325,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         nd.i = i = i + 1
         nd.h = 0
         if i == rounds:
-            if final:
-                return  # no work left: the node stops
-            raise EngineError(_EXHAUSTED)
+            return  # no work left: the node stops
         nd.s_ic = s_rows[i][c]
         nxt.append((draw(), node_step, nd))
 

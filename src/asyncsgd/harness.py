@@ -241,6 +241,8 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     """Validate a config and build every runnable piece."""
     if cfg.K < 1:
         raise ConfigError(f"K must be >= 1, got {cfg.K}")
+    if cfg.K > 2 ** 63 - 1:  # no table holds more slots
+        raise ConfigError(f"K must be <= 2**63 - 1, got {cfg.K}")
     if cfg.n < 1:
         raise ConfigError(f"n must be >= 1, got {cfg.n}")
     if cfg.d < 0:
@@ -280,17 +282,15 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     if samples.kind == schedules.EXPLICIT and \
             samples.prefix_sum(len(samples.values)) < cfg.K:
         raise ConfigError("samples: explicit schedule does not cover K")
-    # T + d + 6 table rows let nodes run ahead of the server; an explicit
-    # schedule has only as many rows as values
-    rows = schedules.rounds_for_budget(samples, cfg.K) + cfg.d + 6
-    if samples.kind == schedules.EXPLICIT:
-        rows = min(rows, len(samples.values))
+    # the table ends at the budget's last round T: a node that ships its
+    # row T stops, so no round past T is ever reached
+    T = schedules.rounds_for_budget(samples, cfg.K)
 
     if cfg.gate == engine.GATE_TAU and delay_fn is None:
         raise ConfigError("gate 'tau' needs a 'delay' spec")
-    if delay_fn is not None and not cfg.allow_incompatible:
+    if delay_fn is not None and not cfg.allow_incompatible and cfg.d <= T:
         ok, bad = schedules.verify_delay_compatibility(
-            samples, delay_fn, cfg.d, i_max=max(rows - 1, cfg.d))
+            samples, delay_fn, cfg.d, i_max=T)
         if not ok:
             raise ConfigError(f"samples/delay: delay compatibility fails at "
                               f"round {bad}; set allow_incompatible to "
@@ -298,7 +298,7 @@ def prepare(cfg: RunConfig) -> PreparedRun:
 
     part = data_mod.partition(ds, cfg.n, mode=cfg.partition, p=cfg.p,
                               seed=cfg.seed)
-    table = data_mod.build_assignment(samples, part.p, cfg.n, rounds=rows,
+    table = data_mod.build_assignment(samples, part.p, cfg.n, rounds=T + 1,
                                       seed=cfg.seed)
     return PreparedRun(config=cfg, dataset=ds, test_dataset=test_ds,
                        problem=problem, partition=part, table=table,

@@ -622,18 +622,25 @@ def test_table_exhaustion_raises():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_explicit_table_runs_to_its_last_slot(n):
-    """A table that ends where its explicit schedule ends holds all the
-    work there is: a node that ships the last row stops while others still
-    hold slots, and only a budget above the table's slots raises."""
-    sam = SampleSchedule.explicit([10, 10, 10])
+    """A table of rounds_for_budget(K) + 1 rows, the rows that prepare
+    builds, whether its schedule ends there (explicit) or not (constant):
+    a node that ships the last row stops while others still hold slots,
+    and only a budget above the table's slots raises."""
     st = StepSchedule.constant(0.1)
     _ds, prob, part = quadratic_setup(n, 0, M=200)
-    for seed in range(4):
-        table = build_assignment(sam, part.p, n, rounds=3, seed=seed)
-        res = run(prob, part, table, sam, st, None, K=30, seed=seed)
-        assert res.grads == 30
-        with pytest.raises(EngineError, match="assignment table exhausted"):
-            run(prob, part, table, sam, st, None, K=31, seed=seed)
+    for sam in (SampleSchedule.explicit([10, 10, 10]),
+                SampleSchedule.constant(10)):
+        rounds = schedules.rounds_for_budget(sam, 30) + 1
+        assert rounds == 3
+        for seed in range(4):
+            table = build_assignment(sam, part.p, n, rounds=rounds,
+                                     seed=seed)
+            res = run(prob, part, table, sam, st, None, K=30, seed=seed)
+            assert res.grads == 30
+            assert max(res.rounds_completed.values()) <= table.rounds
+            with pytest.raises(EngineError,
+                               match="assignment table exhausted"):
+                run(prob, part, table, sam, st, None, K=31, seed=seed)
 
 
 def test_single_node_trace_names_received_broadcasts():

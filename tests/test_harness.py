@@ -23,6 +23,10 @@ def quad_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+STEPS = {"kind": "inverse_t", "eta0": 0.1, "beta": 0.01}
+DELAY = {"g": 2.0, "M0": 0.0, "M1": 100.0}
+
+
 # ---------------------------------------------------------------------------
 # config parsing and validation
 # ---------------------------------------------------------------------------
@@ -70,6 +74,7 @@ def test_config_rejects_backend_field(backend):
           problem={"kind": "logistic_plain"}), "strongly convex"),
     (dict(samples={"kind": "power_law", "a": 1.0, "c": -1.0}), "samples"),
     (dict(checkpoint_interval=-1), "checkpoint_interval"),
+    (dict(K=2 ** 63), "K must be <= 2\\*\\*63 - 1"),  # no table holds it
 ])
 def test_prepare_validation_errors(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -92,6 +97,15 @@ def test_prepare_rejects_budget_below_s0():
     with pytest.raises(ConfigError, match="s_0"):
         harness.prepare(quad_config(
             samples={"kind": "strongly_convex", "m": 7747}, K=10))
+
+
+@pytest.mark.parametrize("delay", [None, DELAY])
+def test_prepare_checks_only_rounds_the_run_reaches(delay):
+    """The table ends at round T = 19, so d = 10**30 leaves no round of
+    the compatibility window [d, T] to check and nothing to walk."""
+    prep = harness.prepare(quad_config(d=10 ** 30, delay=delay))
+    assert prep.table.rounds == 20
+    assert harness.run_prepared(prep).grads == 400
 
 
 def test_prepare_rejects_incompatible_delay():
@@ -543,10 +557,6 @@ def test_cli_run_rejects_mistyped_field(tmp_path, capsys, field, value):
     assert repr(field) in capsys.readouterr().err
 
 
-STEPS = {"kind": "inverse_t", "eta0": 0.1, "beta": 0.01}
-DELAY = {"g": 2.0, "M0": 0.0, "M1": 100.0}
-
-
 @pytest.mark.parametrize("fields,fragment", [
     (dict(steps={"kind": "inverse_t", "beta": 0.01}),
      "missing required steps field 'eta0'"),
@@ -617,7 +627,8 @@ EXPLICIT = {"kind": "explicit", "values": [3, 5, 4, 6, 7, 5, 8, 6, 9, 7]}
 
 @pytest.mark.parametrize("delay", [None, DELAY])
 def test_cli_run_explicit_schedule_shorter_than_table(tmp_path, delay):
-    """Ten values cover K=30 but are fewer than T + d + 6 table rows."""
+    """Ten values cover K=30 with rounds to spare; the table ends at the
+    budget's round T, before the values end."""
     path = write_raw_config(tmp_path, samples=EXPLICIT, K=30, n=2,
                             delay=delay)
     assert cli.main(["run", "--config", path,
@@ -649,6 +660,97 @@ def test_cli_run_explicit_schedule_must_cover_K(tmp_path, capsys):
     path = write_raw_config(tmp_path, samples=EXPLICIT, K=61, n=2)
     assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
     assert "does not cover K" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# a run ends where its budget ends
+# ---------------------------------------------------------------------------
+
+def assert_completes(cfg: RunConfig) -> None:
+    """execute makes K gradients, no node steps past the table's last row
+    and both trace audits pass."""
+    prep, res, _metrics, _opt = harness.execute(cfg, record_trace=True,
+                                                with_optimum=False)
+    assert res.grads == cfg.K
+    assert max(res.rounds_completed.values()) <= prep.table.rounds
+    assert engine.audit_consistency(res.trace, prep.delay_fn) == (True, None)
+    assert engine.audit_gate_invariant(res.trace, prep.delay_fn) == \
+        (True, None)
+
+
+def sc_quad_config(M: int, **overrides) -> RunConfig:
+    return quad_config(**dict(
+        dataset={"synthetic": "quadratic", "M": M, "dim": 3, "seed": 0},
+        samples={"kind": "strongly_convex", "m": 7747}, steps=None, d=1,
+        checkpoint_interval=0) | overrides)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("gate", [engine.GATE_LAG, engine.GATE_TAU])
+def test_hundred_nodes_complete(gate, seed):
+    """About 16 slots a round over 100 nodes: most rounds are empty for
+    most nodes, which ship them at once and stop after round T."""
+    assert_completes(sc_quad_config(1000, n=100, K=10000, gate=gate,
+                                    seed=seed))
+
+
+@pytest.mark.parametrize("K", [8000, 20000])
+@pytest.mark.parametrize("n", [2, 5])
+def test_tau_gate_runs_ahead_and_completes(n, K):
+    """The tau gate bounds staleness in iterations, not rounds, so nodes
+    run many rounds ahead of the last broadcast."""
+    for seed in range(6):
+        assert_completes(sc_quad_config(500, n=n, K=K, gate=engine.GATE_TAU,
+                                        seed=seed))
+
+
+@st.composite
+def compatible_configs(draw) -> RunConfig:
+    """A quadratic config whose delay function is compatible with its
+    sample schedule over rounds d..T (or which prepare rejects)."""
+    n = draw(st.integers(1, 100))
+    d = draw(st.integers(0, 2))
+    K = draw(st.integers(50, 2000))
+    kind = draw(st.sampled_from([schedules.CONSTANT, schedules.POWER_LAW,
+                                 harness.STRONGLY_CONVEX]))
+    delay = None
+    if kind == harness.STRONGLY_CONVEX:
+        samples = {"kind": kind, "m": draw(st.integers(100, 8000))}
+    else:
+        if kind == schedules.CONSTANT:
+            samples = {"kind": kind, "s": draw(st.integers(1, 60))}
+        else:
+            samples = {"kind": kind, "a": draw(st.floats(0.5, 10.0)),
+                       "b": float(draw(st.integers(0, 5))),
+                       "c": draw(st.sampled_from([0.5, 1.0]))}
+        sched = harness.build_spec("samples", harness.SAMPLES, samples)
+        P = sched.prefix_sums(schedules.rounds_for_budget(sched, K) + 1)
+        window = max(P[i + 1] - P[max(i - d, 0)] for i in range(len(P) - 1))
+        delay = {"g": draw(st.floats(1.5, 3.0)), "M0": 0.0,
+                 "M1": float(window + 1 + draw(st.integers(0, 30)))}
+    mode = draw(st.sampled_from([schedules.PER_ROUND,
+                                 schedules.PER_ITERATION]))
+    return RunConfig(
+        problem={"kind": "quadratic_mean"},
+        dataset={"synthetic": "quadratic", "M": draw(st.integers(n, 300)),
+                 "dim": draw(st.integers(1, 3)), "seed": draw(
+                     st.integers(0, 9))},
+        samples=samples, delay=delay, K=K, n=n, d=d,
+        steps={"kind": schedules.INVERSE_T, "eta0": 0.1, "beta": 0.01,
+               "mode": mode},
+        gate=draw(st.sampled_from([engine.GATE_LAG, engine.GATE_TAU])),
+        seed=draw(st.integers(0, 2 ** 16)), checkpoint_interval=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=compatible_configs())
+def test_any_compatible_config_completes(cfg):
+    try:
+        harness.prepare(cfg)
+    except ConfigError as exc:  # a budget below s_0
+        assert "s_0" in str(exc)
+        return
+    assert_completes(cfg)
 
 
 def json_kind(value) -> str:
