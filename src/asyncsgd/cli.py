@@ -210,8 +210,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (harness.ConfigError, schedules.ScheduleError, ValueError,
-            OSError, json.JSONDecodeError) as exc:
+    # ConfigError, ScheduleError, DataFormatError and JSONDecodeError are
+    # ValueErrors; a MemoryError is a config that asks for more than fits
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except engine.EngineError as exc:

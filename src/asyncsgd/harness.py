@@ -168,26 +168,25 @@ def _quadratic_mean(ds: data_mod.DataSet) -> problems.Problem:
 
 
 def _logistic_plain(ds: data_mod.DataSet) -> problems.Problem:
-    p = problems.Problem.logistic_plain(ds.dim)
-    return problems.Problem.logistic_plain(
-        ds.dim, L=problems.smoothness_constants(p, ds)[1])
+    return problems.Problem.logistic_plain(ds.dim)
 
 
 def _logistic_ridge(ds: data_mod.DataSet,
                     lam: Optional[float] = None) -> problems.Problem:
     lam = 1.0 / len(ds) if lam is None else lam
-    p = problems.Problem.logistic_ridge(ds.dim, lam=lam)
-    return problems.Problem.logistic_ridge(
-        ds.dim, lam, L=problems.smoothness_constants(p, ds)[1])
+    return problems.Problem.logistic_ridge(ds.dim, lam=lam)
 
 
-def _strongly_convex(problem: problems.Problem, d: int, m: int = 7747):
-    """(delay, samples, steps) matched to the problem's mu and L."""
+def _strongly_convex(problem: problems.Problem, ds: data_mod.DataSet,
+                     d: int, m: int = 7747):
+    """(delay, samples, steps) matched to the problem's mu and its L on
+    the data set."""
     if problem.mu <= 0:
         raise ConfigError("kind 'strongly_convex' needs a strongly convex "
                           "problem")
     return schedules.make_strongly_convex_schedules(
-        mu=problem.mu, L=problem.L, d=d, m=m)
+        mu=problem.mu, L=problems.smoothness_constants(problem, ds)[1],
+        d=d, m=m)
 
 
 # The builders of each spec, keyed by the value of the spec's key; a
@@ -265,7 +264,7 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     if cfg.samples.get("kind") == STRONGLY_CONVEX:
         delay_fn, samples, steps = build_spec(
             "samples", {STRONGLY_CONVEX: _strongly_convex}, cfg.samples,
-            problem, cfg.d)
+            problem, ds, cfg.d)
     else:
         samples = build_spec("samples", SAMPLES, cfg.samples)
     if cfg.steps is not None:
@@ -309,8 +308,7 @@ def prepare(cfg: RunConfig) -> PreparedRun:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def accuracy(problem: problems.Problem, w: np.ndarray,
-             ds: data_mod.DataSet) -> float:
+def accuracy(w: np.ndarray, ds: data_mod.DataSet) -> float:
     """Fraction of samples classified correctly (sigmoid threshold 0.5)."""
     z = ds.X @ w[:-1] + w[-1]
     pred = (z >= 0).astype(int)
@@ -351,7 +349,7 @@ def compute_metrics(prep: PreparedRun, result: engine.RunResult,
     acc = None
     if problem.kind != problems.QUADRATIC_MEAN:
         test = prep.test_dataset if prep.test_dataset is not None else ds
-        acc = accuracy(problem, result.w_final, test)
+        acc = accuracy(result.w_final, test)
     return RunMetrics(
         K=result.grads, T=rounds_used(prep.samples, prep.config.K),
         t=ts, Y_w=Yw, Y_F=YF, Y_A=YA, accuracy=acc,

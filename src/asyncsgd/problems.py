@@ -18,7 +18,6 @@ full concatenated vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,23 +39,21 @@ class Problem:
     kind: str
     dim: int           # model dimension (d_feat + 1 for logistic)
     mu: float
-    L: float
     lam: float = 0.0
 
     @staticmethod
-    def logistic_plain(d_feat: int, L: float = 1.0) -> "Problem":
-        return Problem(kind=LOGISTIC_PLAIN, dim=d_feat + 1, mu=0.0, L=L)
+    def logistic_plain(d_feat: int) -> "Problem":
+        return Problem(kind=LOGISTIC_PLAIN, dim=d_feat + 1, mu=0.0)
 
     @staticmethod
-    def logistic_ridge(d_feat: int, lam: float, L: Optional[float] = None) -> "Problem":
+    def logistic_ridge(d_feat: int, lam: float) -> "Problem":
         if lam <= 0:
             raise ValueError("ridge problems need lambda > 0")
-        return Problem(kind=LOGISTIC_RIDGE, dim=d_feat + 1, mu=lam,
-                       L=L if L is not None else 1.0 + lam, lam=lam)
+        return Problem(kind=LOGISTIC_RIDGE, dim=d_feat + 1, mu=lam, lam=lam)
 
     @staticmethod
     def quadratic_mean(dim: int) -> "Problem":
-        return Problem(kind=QUADRATIC_MEAN, dim=dim, mu=1.0, L=1.0)
+        return Problem(kind=QUADRATIC_MEAN, dim=dim, mu=1.0)
 
 
 @dataclass
@@ -249,7 +246,8 @@ def find_optimum(p: Problem, dataset) -> OptimumInfo:
     run damped Newton from w = 0.  `exact` is true when ||grad F(w*)|| <=
     OPTIMUM_TOL.  Plain logistic regression on linearly separable data has
     no finite minimizer: when every sample has a positive margin at the
-    returned point, `exact` is false whatever the certificate says.
+    returned point, `exact` is false whatever the certificate says.  A
+    non-finite F(w*) (data too large for double precision) is a ValueError.
     """
     if p.kind == QUADRATIC_MEAN:
         w = dataset.X.mean(axis=0)
@@ -258,7 +256,7 @@ def find_optimum(p: Problem, dataset) -> OptimumInfo:
             w = _newton(p, dataset)
     F = objective(p, w, dataset)
     if not np.isfinite(F):
-        raise FloatingPointError("objective is non-finite at the optimum")
+        raise ValueError("objective is non-finite at the optimum")
     g_norm = float(np.linalg.norm(full_gradient(p, w, dataset)))
     exact = p.kind == QUADRATIC_MEAN or g_norm <= OPTIMUM_TOL
     if exact and p.kind == LOGISTIC_PLAIN:

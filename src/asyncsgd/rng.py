@@ -88,15 +88,14 @@ class Replay:
     def integers(self, hi: int) -> int:
         """Generator.integers(0, hi) for 1 <= hi <= 2**32: Lemire rejection.
 
-        ``hi == 1`` consumes nothing.
+        ``hi == 1`` consumes nothing; ``hi == 2**32`` returns the raw 32-bit
+        word, since its low product word and threshold are both 0.
         """
         if not 1 <= hi <= 1 << 32:
             raise ValueError(f"Replay.integers supports 1 <= hi <= 2**32, "
                              f"not {hi}")
         if hi == 1:
             return 0
-        if hi == 1 << 32:
-            return self._uint32()
         m = self._uint32() * hi
         if m & _MASK32 < hi:
             threshold = ((1 << 32) - hi) % hi

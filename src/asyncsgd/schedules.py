@@ -29,12 +29,8 @@ _NEAR_INT = 1e-9
 _INT64_MAX = 2 ** 63 - 1
 
 
-class DomainError(ValueError):
-    """Raised when a schedule formula is evaluated outside its domain."""
-
-
 class ScheduleError(ValueError):
-    """Raised for invalid schedule parameters."""
+    """Raised for invalid schedule parameters or a formula out of domain."""
 
 
 def _ceil(x: float) -> int:
@@ -80,29 +76,27 @@ def eval_delay(df: DelayFunction, x):
     if isinstance(x, np.ndarray):
         return _eval_delay_array(df, x)
     if x < 0:
-        raise DomainError(f"delay function evaluated at negative x={x}")
+        raise ScheduleError(f"delay function evaluated at negative x={x}")
     z = x + df.M0
     if df.gamma == GAMMA_ONE:
         gam = 1.0
     elif z <= 1.0:
-        raise DomainError(f"4*ln(z) undefined or <= 0 for z={z}")
+        raise ScheduleError(f"4*ln(z) undefined or <= 0 for z={z}")
     else:
         gam = 4.0 * math.log(z)
-    if z == 0.0:
-        return df.M1
     return df.M1 + (z / gam) ** (1.0 / df.g)
 
 
 def _eval_delay_array(df: DelayFunction, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size and x.min() < 0:
-        raise DomainError(f"delay function evaluated at negative "
-                          f"x={x.min()}")
+        raise ScheduleError(f"delay function evaluated at negative "
+                            f"x={x.min()}")
     z = x + df.M0
     if df.gamma == GAMMA_ONE:
         tau = df.M1 + z ** (1.0 / df.g)  # 0 ** (1/g) + M1 is M1 exactly
     elif z.size and z.min() <= 1.0:
-        raise DomainError(f"4*ln(z) undefined or <= 0 for z={z.min()}")
+        raise ScheduleError(f"4*ln(z) undefined or <= 0 for z={z.min()}")
     else:
         tau = df.M1 + (z / (4.0 * np.log(z))) ** (1.0 / df.g)
     near = np.abs(tau - np.rint(tau)) <= _NEAR_INT * np.maximum(tau, 1.0)
@@ -228,7 +222,7 @@ def _closed_form(sched: SampleSchedule, i: int) -> int:
         m, d = sched.m, sched.d
         arg = (m + i + 1) / (2 * (d + 1))
         if arg <= 1.0:
-            raise DomainError(f"log argument {arg} <= 1 at round {i}")
+            raise ScheduleError(f"log argument {arg} <= 1 at round {i}")
         return _ceil((m + i + 1) / (16 * (d + 1) ** 2) / math.log(arg))
     if sched.kind == EXPLICIT:
         if i >= len(sched.values):
@@ -344,9 +338,7 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
     """Build the (tau, {s_i}, {eta_bar_i}) triple for strongly convex problems.
 
     tau has g = 2 and gamma(z) = 4 ln z; M0 = (m+1)^2/4;
-    M1 = max{d+2, 72 L/mu, s_0/2}.  The returned pair
-    (schedule, delay) is verified against the delay-compatibility property
-    before being returned.
+    M1 = max{d+2, 72 L/mu, s_0/2}.
     """
     if mu <= 0:
         raise ScheduleError("mu must be positive")
@@ -359,18 +351,22 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
     M1 = max(d + 2.0, 72.0 * L / mu, sample_size(samples, 0) / 2.0)
     df = DelayFunction(g=2.0, M0=M0, M1=M1, gamma=GAMMA_FOUR_LOG)
     steps = StepSchedule.strongly_convex_round(mu=mu, M0=M0, M1=M1)
-    ok, bad = verify_delay_compatibility(samples, df, d, i_max=max(2000, 2 * d))
-    if not ok:
-        raise ScheduleError(f"constructed schedules violate the delay "
-                            f"property at round {bad}")
     return df, samples, steps
 
 
 def rounds_for_budget(sched: SampleSchedule, K: int) -> int:
-    """Smallest T with sum_{j=0}^{T} s_j >= K."""
+    """Smallest T with sum_{j=0}^{T} s_j >= K; the prefix sums are cached
+    up to round T.  Rounds that hold a sample each from round 1 on reach K
+    by round K, so rounds 0..K short of K samples are a ScheduleError."""
     if K < 1:
         raise ScheduleError("budget K must be positive")
     cum = sched._cum
-    while cum[-1] < K:
-        sched.prefix_sum(len(cum))
+    total = cum[-1]
+    while total < K:
+        i = len(cum) - 1
+        if i > K:
+            raise ScheduleError(f"rounds 0..{K} hold fewer than K={K} "
+                                f"samples")
+        total += sample_size(sched, i)
+        cum.append(total)
     return bisect.bisect_left(cum, K) - 1

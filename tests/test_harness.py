@@ -84,7 +84,7 @@ def test_prepare_validation_errors(overrides, fragment):
 @pytest.mark.parametrize("builders,context", [
     (harness.DATASETS, 0), (harness.PROBLEMS, 1), (harness.SAMPLES, 0),
     (harness.STEPS, 0), (harness.DELAYS, 0), ({None: RunConfig}, 0),
-    ({harness.STRONGLY_CONVEX: harness._strongly_convex}, 2),
+    ({harness.STRONGLY_CONVEX: harness._strongly_convex}, 3),
 ])
 def test_every_spec_field_has_a_json_type(builders, context):
     for builder in builders.values():
@@ -233,7 +233,7 @@ def test_accuracy_threshold():
                                 "seed": 3, "separation": 4.0, "noise": 0.5})
     prob = harness.build_problem({"kind": "logistic_ridge"}, ds)
     info = problems.find_optimum(prob, ds)
-    acc = harness.accuracy(prob, info.w_star, ds)
+    acc = harness.accuracy(info.w_star, ds)
     assert acc > 0.95  # well-separated clusters classify cleanly
 
 
@@ -614,6 +614,21 @@ def test_cli_run_rejects_mistyped_field(tmp_path, capsys, field, value):
     (dict(n=2, p=["a", "b"]), "p must be a length-n probability vector"),
     (dict(n=2, p=[[0.5], [0.5]]), "p must be a length-n probability vector"),
     (dict(n=2, p=[math.nan, 1.0]), "p must be a length-n probability vector"),
+    # about 10**7 empty rounds come before the first sample
+    (dict(samples={"kind": "matched_power", "g": 1.0000001}, K=10000),
+     "rounds 0..10000 hold fewer than K=10000 samples"),
+    # every round is empty
+    (dict(samples={"kind": "matched_power", "g": 2.0, "d": 10 ** 11}),
+     "rounds 0..400 hold fewer than K=400 samples"),
+    (dict(samples={"kind": "power_law", "a": 0.0, "b": 1e-300}),
+     "rounds 0..400 hold fewer than K=400 samples"),
+    # F(w*) overflows
+    (dict(dataset={"synthetic": "quadratic", "M": 150, "dim": 3,
+                   "scale": 1e160}),
+     "config error: objective is non-finite at the optimum"),
+    # a 21.3 PiB data set, which no host allocates
+    (dict(dataset={"synthetic": "quadratic", "M": 10 ** 15, "dim": 3}),
+     "config error: Unable to allocate"),
 ])
 def test_cli_run_rejects_bad_nested_spec(tmp_path, capsys, fields,
                                          fragment):
@@ -795,6 +810,92 @@ def test_cli_run_mutated_nested_spec_exits_0_or_1(tmp_path_factory, data):
     code = cli.main(["run", "--config", str(path),
                      "--out", str(tmp / "m.json")])
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+
+
+# (spec, a valid spec, the number fields to vary in it)
+NUMBER_FIELDS = [
+    ("dataset", {"synthetic": "quadratic", "M": 150, "dim": 3, "seed": 0,
+                 "scale": 1.0}, ["M", "dim", "seed", "scale"]),
+    ("dataset", {"synthetic": "logistic", "M": 150, "dim": 3, "seed": 0,
+                 "separation": 2.0, "noise": 1.5},
+     ["M", "dim", "seed", "separation", "noise"]),
+    ("samples", {"kind": "constant", "s": 20}, ["s"]),
+    ("samples", {"kind": "power_law", "a": 5.0, "b": 1.0, "c": 1.0},
+     ["a", "b", "c"]),
+    ("samples", {"kind": "matched_power", "g": 2.0, "m": 0, "d": 0},
+     ["g", "m", "d"]),
+    ("samples", {"kind": "matched_log", "m": 100, "d": 0}, ["m", "d"]),
+    ("samples", {"kind": "strongly_convex", "m": 7747}, ["m"]),
+    ("steps", {"kind": "constant", "eta": 0.1}, ["eta"]),
+    ("steps", STEPS, ["eta0", "beta"]),
+    ("steps", {"kind": "strongly_convex_round", "mu": 1.0, "M0": 100.0,
+               "M1": 5.0}, ["mu", "M0", "M1"]),
+    ("delay", DELAY, ["g", "M0", "M1"]),
+    ("problem", {"kind": "logistic_ridge", "lam": 0.01}, ["lam"]),
+]
+# Small valid values, 0, negatives, 10**15..10**30, 1e-300 and 1e15..1e300,
+# and nothing between about 10**6 and 10**15: a data set of 10**15 rows is
+# refused at once, while 10**8 rows would be allocated and filled
+SPEC_NUMBERS = st.one_of(
+    st.integers(1, 20), st.floats(0.5, 10.0), st.sampled_from([0, 0.0]),
+    st.integers(-10 ** 30, -1), st.floats(-1e300, -1e-300),
+    st.integers(10 ** 15, 10 ** 30), st.just(1e-300),
+    st.floats(1e15, 1e300))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_cli_run_out_of_range_spec_number_exits_cleanly(tmp_path_factory,
+                                                        data):
+    """Any number in any nested spec ends in exit code 0, 1 or 2, never
+    in a traceback: too large, zero, negative, tiny or huge."""
+    what, spec, fields = data.draw(st.sampled_from(NUMBER_FIELDS))
+    name = data.draw(st.sampled_from(fields))
+    doc = json.loads(quad_config(K=data.draw(st.integers(1, 500)),
+                                 n=data.draw(st.integers(1, 3))).to_json())
+    doc[what] = dict(spec, **{name: data.draw(SPEC_NUMBERS)})
+    tmp = tmp_path_factory.mktemp("number")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["run", "--config", str(path),
+                     "--out", str(tmp / "m.json")])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
+
+
+def test_prepare_evaluates_the_schedule_only_up_to_T(monkeypatch):
+    """prepare walks the sample sizes once, up to the budget's round T."""
+    calls = []
+    sample_size = schedules.sample_size
+
+    def counted(sched, i):
+        calls.append(i)
+        return sample_size(sched, i)
+
+    monkeypatch.setattr(schedules, "sample_size", counted)
+    prep = harness.prepare(quad_config(
+        samples={"kind": "strongly_convex", "m": 7747}, steps=None, K=1000))
+    T = prep.table.rounds - 1
+    assert T == 58
+    assert len(calls) <= T + 3
+    assert max(calls) == T
+
+
+def test_strongly_convex_reads_L_from_the_data_set():
+    """The derived M1 = max{d + 2, 72 L / mu, s_0 / 2} takes L from the
+    data set: logistic L = max ||[x; 1]||^2 / 4 + lambda."""
+    cfg = quad_config(problem={"kind": "logistic_ridge", "lam": 0.01},
+                      dataset={"synthetic": "logistic", "M": 300, "dim": 4,
+                               "seed": 2},
+                      samples={"kind": "strongly_convex", "m": 7747},
+                      steps=None, K=1000)
+    prep = harness.prepare(cfg)
+    mu, L = problems.smoothness_constants(prep.problem, prep.dataset)
+    assert mu == 0.01 and L > 1.0
+    df, _samples, steps = schedules.make_strongly_convex_schedules(
+        mu=mu, L=L, d=cfg.d, m=7747)
+    assert prep.delay_fn.M1 == df.M1 == 72.0 * L / mu
+    assert prep.steps == steps
 
 
 def test_readme_config_prepares():

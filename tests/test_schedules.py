@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from asyncsgd import harness, schedules
-from asyncsgd.schedules import (DelayFunction, DomainError, SampleSchedule,
+from asyncsgd.schedules import (DelayFunction, SampleSchedule,
                                 ScheduleError, StepSchedule, eval_delay,
                                 sample_size, round_step, per_iteration_step,
                                 verify_delay_compatibility,
@@ -43,11 +43,11 @@ def test_eval_delay_strongly_convex_constants():
 
 def test_eval_delay_domain_errors():
     df = DelayFunction(g=2.0, M0=1.0, M1=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScheduleError):
         eval_delay(df, -1.0)
     df_log = DelayFunction(g=2.0, M0=0.5, M1=0.0,
                            gamma=schedules.GAMMA_FOUR_LOG)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScheduleError):
         eval_delay(df_log, 0.0)  # z = 0.5 <= 1
 
 
@@ -252,11 +252,11 @@ def test_eval_delay_array_has_the_scalar_floor_and_ceil(df):
 
 
 def test_eval_delay_array_domain_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(ScheduleError):
         eval_delay(DelayFunction(g=2.0, M0=1.0, M1=0.0), np.array([3.0, -1.0]))
     df_log = DelayFunction(g=2.0, M0=0.5, M1=0.0,
                            gamma=schedules.GAMMA_FOUR_LOG)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScheduleError):
         eval_delay(df_log, np.array([0.0, 5.0]))
     assert eval_delay(df_log, np.array([])).shape == (0,)
 
