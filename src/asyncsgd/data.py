@@ -101,6 +101,9 @@ def parse_libsvm(source) -> DataSet:
         labels.append(label)
     if not rows:
         raise DataFormatError("empty input")
+    if len(rows) * max_idx > 2 ** 28:  # 2 GiB of float64
+        raise DataFormatError(f"feature index {max_idx} makes a {len(rows)}"
+                              f" x {max_idx} matrix, over 2**28 entries")
     X = np.zeros((len(rows), max_idx))
     for r, feats in enumerate(rows):
         for idx, val in feats.items():

@@ -5,9 +5,9 @@ queue and seeded message delays.  It is fully deterministic for a given
 (config, seed), which is what makes the delay audits possible.
 
 The server applies round updates to the global model v_hat and broadcasts
-(v_hat, k) once round k has been received from every node.  Each node runs
-local SGD on its shard, gated so that the staleness of its local model
-never exceeds the configured delay function.
+(v_hat, k) once every node with work in round k has shipped it.  Each node
+runs local SGD on its shard, gated so that the staleness of its local
+model never exceeds the configured delay function.
 
 One step rule serves both step modes: a node's round-i update U sums its
 gradients per round and its steps eta_t g per iteration, and the node
@@ -15,34 +15,37 @@ leaves it as scale[i] * U, when it ships U, re-applies it on a broadcast
 or flushes it at the end.  scale[i] is eta_bar_i per round and 1.0, an
 exact product, per iteration.
 
-The engine reads everything that depends only on the round from tables
-built once at entry, each bounded by the assignment table's rounds:
-the prefix sums sum_{j<i} s_j, the scales scale[i], the delay-draw
-bounds 2 max(s_i, 1) + 1 and the per-node counts s_{i,c}.  All but the
-scales are array passes: the prefix sums are the table's row starts
-and the s_{i,c} come from AssignmentTable.counts, a blocked bincount.
-The table prepare builds ends at the budget's last round T, so a run
-computes its K gradients from rounds 0..T; a node that ships the
-table's last row stops.
-The server counts the updates applied per round.  An empty round ships
-None, since its update is exactly zero.  The tau gate decides the
-trajectory, so it evaluates tau by the scalar code, once per t_glob; the
-audits evaluate it for all records in one array pass, whose floor and
-ceil are the scalar ones (see schedules.eval_delay).
-Each node draws its sample indices from its stream in chunks; the indices
-consumed are exactly those of one scalar draw per gradient.
+The engine reads what depends only on the round from tables built at
+entry, up to the table's last round T: the prefix sums P[i] = sum_{j<i}
+s_j (the table's row starts), the scales, the delay-draw bounds
+2 max(s_i, 1) + 1, the counts s_{i,c} (AssignmentTable.counts) and the
+non-empty cells per round.  The tau gate evaluates tau by the scalar
+code, once per t_glob; the audits evaluate it for all records in one
+array pass, whose floor and ceil are the scalar ones (see
+schedules.eval_delay).
 
-Time advances in integer ticks.  Every event lands at least one tick after
-the one that schedules it, so a tick's events are all known when it starts:
-each tick keeps a bucket of (draw, handler, payload) entries in push order,
-where draw is a uniform draw from the interleave stream taken at push time.
-A tick's bucket is sorted by draw alone with a stable sort, so push order
-breaks equal draws, and the loop calls handler(payload); ticks with no
-events are skipped.  The interleave draws and message delays come from
-`rng.Replay`, which returns exactly what the Generator's scalar random()
-and integers(0, hi) would.  Round updates and the server model are checked
-for inf and NaN as isfinite(x @ zeros), which is NaN exactly when some
-entry is not finite.
+Events exist only where a node has work.  A node ships round i in the
+handler of its last gradient there and enters its next round j with
+s_{j,c} > 0, or stops with every round completed: an empty cell gets no
+event, draw or message, and a round without work is broadcast as soon as
+every earlier round is, at tick 0 too.  A broadcast draws one delay per
+live node into that node's inbox, where arrival ticks and k rise
+together: an entry is dropped when a newer broadcast arrives no later.  A
+step first adopts the newest broadcast arrived by its tick.  The gate
+passes a model of broadcast k iff k >= wake_k: i - d (lag), or the least
+k with P[k] >= t_glob + 1 - floor(tau(t_glob)) (tau).  A node steps at
+the next tick if its model passes, else at the arrival of the first
+broadcast that does.
+
+Time advances in integer ticks.  An event lands at least one tick after
+the one that schedules it, so a tick's events are all known when it
+starts.  A tick's bucket of (draw, handler, payload) entries, draw being
+a uniform draw from the interleave stream taken at push time, is sorted
+by draw with a stable sort (push order breaks ties); empty ticks are
+skipped.  `rng.Replay` gives the interleave draws and message delays,
+exactly the Generator's scalar random() and integers(0, hi).  Round
+updates and the server model are checked for inf and NaN as
+isfinite(x @ zeros), which is NaN exactly when some entry is not finite.
 
 A traced run fills RunTrace's flat columns: a RECORD row per gradient and
 a stamp per round update (i, c), the number of broadcasts emitted before
@@ -53,6 +56,8 @@ from __future__ import annotations
 import functools
 import math
 import time as time_mod
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional
@@ -132,7 +137,8 @@ class RunTrace:
     Broadcast b holds every update of rounds < b (broadcast 0 is the
     initial w0) and, of later rounds, the update (i, c) exactly when
     0 <= stamp[i, c] < b, where stamp[i, c] is the number of broadcasts
-    emitted when the server applied the round-i update of node c, or -1."""
+    emitted when the server applied the round-i update of node c, or -1
+    (never applied; always for an empty cell, s_{i,c} = 0)."""
 
     table: AssignmentTable
     records: np.recarray
@@ -191,7 +197,7 @@ _DRAW_CHUNK = 1024
 
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "gen", "acc_round",
-                 "waiting", "X", "y", "draws")
+                 "wake_k", "X", "y", "draws", "inbox")
 
     def __init__(self, c: int, w0: np.ndarray, local,
                  gen: np.random.Generator):
@@ -200,10 +206,11 @@ class _Node:
         self.w = w0.copy()
         self.U = np.zeros_like(self.w)
         self.gen = gen
-        self.waiting = False
+        self.wake_k = math.inf  # gated: the first k that opens the gate
         self.X = local.X
         self.y = local.y.astype(float).tolist()
         self.draws: list = []  # pending sample indices, next one last
+        self.inbox: deque = deque()  # (arrival tick, k, model), both rising
 
     def next_index(self) -> int:
         if not self.draws:
@@ -240,10 +247,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     base_w = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=float)
     per_iter = steps.mode == PER_ITERATION
     tau_gate = gate == GATE_TAU
-    need_t = tau_gate or record_trace  # t_glob/t_delay per gradient
 
-    # Per-round tables.  They stop at the table's last round: no node
-    # steps past it.
+    # Per-round tables, to the table's last round: no node steps past it.
     rounds = table.rounds
     P = table.start.tolist()
     if K > P[-1]:
@@ -252,8 +257,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     delay_hi = (2 * np.maximum(np.diff(P), 1) + 1).tolist()
     scale = [1.0] * rounds if per_iter else \
         [round_step(steps, samples, i) for i in range(rounds)]
-    s_rows = table.counts().tolist()              # s_rows[i][c] = s_{i,c}
-    arrived = [0] * (rounds + 1)  # round updates applied, per round
+    counts = table.counts()
+    s_rows = counts.tolist() + [[1] * (n + 1)]  # s_{i,c}, then a sentinel
+    # per round: the updates the server waits for, and those it has applied
+    need = np.count_nonzero(counts, axis=1).tolist() + [-1]
+    arrived = [0] * (rounds + 1)
     tau_at = functools.cache(lambda x: eval_delay(delay_fn, float(max(x, 0))))
     if per_iter:
         _node, _rnd, _occ, first, order = table.index()  # rho(c, i, h)
@@ -263,8 +271,6 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     nodes = [_Node(c, base_w, partition.local(c),
                    rng.stream(seed, rng.NODE_SAMPLING, c))
              for c in range(1, n + 1)]
-    for nd in nodes:
-        nd.s_ic = s_rows[0][nd.c]
 
     v_hat = base_w.copy()
     k_srv = 0                 # round count k of the last broadcast
@@ -274,79 +280,100 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     checkpoints = []
 
     grads = 0
-    messages = 0
     iterates: list = []
     zeros = np.zeros(dim)  # x @ zeros is NaN iff x has an inf or a NaN
     isfinite = math.isfinite
     buckets: dict = {}    # tick -> [(draw, handler, payload)] in push order
-    now = 0               # the current tick
-    nxt: list = []        # bucket of tick now + 1; handlers append to it
+    now = 0               # the current tick; nxt is the bucket of now + 1
 
     def push(time: int, handler, payload) -> None:
         buckets.setdefault(time, []).append((draw(), handler, payload))
 
-    def server_apply(msg) -> None:
+    def broadcast() -> None:
+        # emit a broadcast for every newly completed round
         nonlocal k_srv
+        while arrived[k_srv] == need[k_srv]:
+            k_srv += 1
+            snapshot = v_hat.copy()
+            if checkpoint_interval and k_srv % checkpoint_interval == 0:
+                checkpoints.append((k_srv, P[k_srv], snapshot))
+            hi = delay_hi[k_srv]
+            for nd in [nd for nd in nodes if nd.i < rounds]:
+                at = now + 1 + randint(hi)
+                inbox = nd.inbox
+                while inbox and inbox[-1][0] >= at:
+                    inbox.pop()  # overtaken: never the newest arrived
+                inbox.append((at, k_srv, snapshot))
+                if k_srv >= nd.wake_k:
+                    nd.wake_k = math.inf
+                    push(at, node_step, nd)
+
+    def schedule(nd: _Node) -> None:
+        # nd's next step, by the gate rule of the module docstring
+        if tau_gate:
+            t1 = P[nd.i + 1] - (nd.s_ic - nd.h)  # t_glob + 1
+            tau = tau_at(t1 - 1)
+            wake_k = nd.k if tau >= t1 - P[nd.k] else \
+                bisect_left(P, t1 - math.floor(tau))
+        else:
+            wake_k = nd.i - d
+        if nd.k >= wake_k:
+            nxt.append((draw(), node_step, nd))
+            return
+        at = next((at for at, kb, _m in nd.inbox if kb >= wake_k), None)
+        if at is None:
+            nd.wake_k = wake_k  # the first broadcast it passes wakes nd
+        else:
+            push(at, node_step, nd)
+
+    def server_apply(msg) -> None:
         i, c, payload = msg
-        if payload is not None:
-            np.subtract(v_hat, payload, out=v_hat)
-            del pending[(i, c)]
-            if not isfinite(v_hat.dot(zeros)):
-                raise NonFiniteError(f"server model non-finite after round "
-                                     f"{i} from node {c}")
+        np.subtract(v_hat, payload, out=v_hat)
+        del pending[(i, c)]
+        if not isfinite(v_hat.dot(zeros)):
+            raise NonFiniteError(f"server model non-finite after round "
+                                 f"{i} from node {c}")
         if stamp is not None:
             stamp[i, c] = k_srv
         arrived[i] += 1
-        # emit broadcasts for every newly completed round
-        while arrived[k_srv] == n:
-            k_srv += 1
-            if checkpoint_interval and k_srv % checkpoint_interval == 0:
-                checkpoints.append((k_srv, P[k_srv], v_hat.copy()))
-            snapshot = v_hat.copy()
-            hi = delay_hi[k_srv]
-            for cc in range(1, n + 1):
-                push(now + 1 + randint(hi),
-                     node_receive, (cc, k_srv, snapshot))
+        if arrived[k_srv] == need[k_srv]:
+            broadcast()
 
-    def ship_round(nd: _Node) -> None:
-        # round finished: ship U (None if the round is empty) and advance
-        nonlocal messages
+    def enter(nd: _Node, i: int) -> bool:
+        # move nd to its first round >= i with work; with none, it stops
+        while not s_rows[i][nd.c]:
+            i += 1
+        nd.i, nd.h, nd.s_ic = i, 0, s_rows[i][nd.c]
+        return i < rounds
+
+    def ship_round(nd: _Node) -> bool:
+        # round finished: ship U and enter the next round with work
         i, c = nd.i, nd.c
-        payload = nd.U if nd.h else None
-        if payload is not None:
-            payload *= scale[i]
-            if not isfinite(payload.dot(zeros)):
-                raise NonFiniteError(f"node {c} produced a non-finite "
-                                     f"round update in round {i}")
-            nd.U = np.zeros(dim)
-            pending[(i, c)] = payload
-        messages += 1
+        payload = nd.U
+        payload *= scale[i]
+        if not isfinite(payload.dot(zeros)):
+            raise NonFiniteError(f"node {c} produced a non-finite "
+                                 f"round update in round {i}")
+        nd.U = np.zeros(dim)
+        pending[(i, c)] = payload
         push(now + 1 + randint(delay_hi[i]), server_apply, (i, c, payload))
-        nd.i = i = i + 1
-        nd.h = 0
-        if i == rounds:
-            return  # no work left: the node stops
-        nd.s_ic = s_rows[i][c]
-        nxt.append((draw(), node_step, nd))
+        return enter(nd, i + 1)
 
     def node_step(nd: _Node) -> None:
         nonlocal grads
+        inbox = nd.inbox
+        if inbox and inbox[0][0] <= now:
+            # adopt the newest arrived broadcast: replace the local model,
+            # re-applying the current partial round
+            while len(inbox) > 1 and inbox[1][0] <= now:
+                inbox.popleft()
+            _at, nd.k, model = inbox.popleft()
+            if n > 1:  # U is zero at h = 0
+                nd.w = model - scale[nd.i] * nd.U if nd.h else model.copy()
+                nd.acc_round = nd.i
+            # with one node, keeping w is exact: every aggregated update is
+            # its own, and the iterates stay bit-identical to serial SGD
         i, h = nd.i, nd.h
-        if h >= nd.s_ic:
-            ship_round(nd)
-            return
-        if need_t:
-            # global index of this gradient and its distance to the prefix
-            # the local model is known to contain
-            t_glob = P[i + 1] - (nd.s_ic - h) - 1
-            t_delay = t_glob + 1 - P[nd.k]
-        if tau_gate:
-            blocked = tau_at(t_glob) < t_delay
-        else:
-            blocked = i > nd.k + d
-        if blocked:
-            nd.waiting = True
-            return
         # one gradient computation
         idx = nd.next_index()
         g = grad(problem, nd.w, nd.X[idx], nd.y[idx])
@@ -356,8 +383,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         else:
             eta = scale[i]
         if records is not None:
-            records[grads] = (nd.c, i, h, eta, t_glob, t_delay, nd.k,
-                              nd.acc_round)
+            # global index of this gradient and its distance to the prefix
+            # the local model is known to contain
+            t_glob = P[i + 1] - (nd.s_ic - h) - 1
+            records[grads] = (nd.c, i, h, eta, t_glob, t_glob + 1 - P[nd.k],
+                              nd.k, nd.acc_round)
         step = eta * g
         nd.U += step if per_iter else g
         nd.w -= step
@@ -365,36 +395,22 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             iterates.append(nd.w.copy())
         nd.h = h + 1
         grads += 1
-        if grads < K:
-            nxt.append((draw(), node_step, nd))
+        if (h + 1 < nd.s_ic or ship_round(nd)) and grads < K:
+            schedule(nd)
 
-    def node_receive(msg) -> None:
-        c, kb, model = msg
-        nd = nodes[c - 1]
-        if kb <= nd.k or nd.i == rounds:  # stale, or the node has stopped
-            return
-        nd.k = kb
-        if n > 1:
-            # replace the local model, re-applying the current partial round
-            nd.w = model - scale[nd.i] * nd.U
-            nd.acc_round = nd.i
-        # with a single node every aggregated update is the node's own, so
-        # replacement is a mathematical no-op; skipping it keeps the iterate
-        # stream bit-identical to serial SGD, and acc_round stays 0
-        if nd.waiting:
-            nd.waiting = False
-            nxt.append((draw(), node_step, nd))
-
+    nxt = buckets.setdefault(0, [])  # the first steps run at tick 0
     for nd in nodes:
-        push(0, node_step, nd)
+        if enter(nd, 0):
+            schedule(nd)
+    broadcast()  # rounds no node has work in complete at once
 
     by_draw = itemgetter(0)
     while grads < K:
         bucket = buckets.pop(now, None)
         if not bucket:
             if not buckets:
-                stuck = {nd.c: {"round": nd.i, "k": nd.k,
-                                "waiting": nd.waiting} for nd in nodes}
+                stuck = {nd.c: {"round": nd.i, "k": nd.k, "waiting":
+                                nd.wake_k < math.inf} for nd in nodes}
                 raise DeadlockError(
                     f"no runnable events with {grads}/{K} gradients done; "
                     f"server k={k_srv}, nodes={stuck}")
@@ -427,7 +443,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
 
     return RunResult(
         w_final=w_final, v_hat=v_hat, k_final=k_srv, grads=grads,
-        messages=messages,
+        messages=sum(arrived) + len(pending),
         rounds_completed={nd.c: nd.i for nd in nodes},
         checkpoints=checkpoints, trace=trace, iterates=iterates,
         wall_time=time_mod.perf_counter() - t_start)

@@ -55,6 +55,13 @@ def test_parse_errors(text, fragment):
         parse_libsvm(text)
 
 
+def test_parse_refuses_a_huge_dense_matrix():
+    """Two lines with feature index 10**9 would make a 2 x 10**9 matrix
+    (14.9 GiB); the parser names the index before allocating it."""
+    with pytest.raises(DataFormatError, match="feature index 1000000000"):
+        parse_libsvm("+1 1000000000:1\n-1 1:1\n")
+
+
 def test_dataset_invariants():
     with pytest.raises(DataFormatError):
         DataSet(X=np.zeros((2, 2)), y=np.zeros(3))

@@ -280,8 +280,8 @@ def test_audit_matches_scalar_oracle(n, gate, convex, s, g, slack, K, seed,
         sam, st = SampleSchedule.constant(s), StepSchedule.inverse_t(0.1, 0.01)
         df = DelayFunction(g=float(g), M0=0.0, M1=float(slack))
     _ds, prob, part = quadratic_setup(n, seed % 97, M=40, dim=2)
-    # a node ships rows it has no slot in without gating, so it can run
-    # far ahead of the server when rounds hold one or two slots
+    # a node skips rows it has no slot in, so it can enter a round far
+    # ahead of the server when rounds hold one or two slots
     table = build_assignment(sam, part.p, n,
                              rounds=schedules.rounds_for_budget(sam, K) + 60,
                              seed=seed)
@@ -403,10 +403,11 @@ def test_trace_record_count_and_determinism():
             (b.c, b.i, b.h, b.eta, b.bcast_id)
 
 
-# Fingerprints of small runs.  The first three were recorded before the
-# event loop read its per-round quantities from precomputed tables, the last
-# two before per-tick buckets replaced the event heap.  Any change to event
-# order, stream consumption or floating-point arithmetic shows up here.
+# Fingerprints of small runs, recorded when events became limited to cells
+# with work: empty (node, round) cells lost their events and messages, and
+# nodes adopt broadcasts from an inbox at their next step, so the interleave
+# stream is consumed differently.  Any change to event order, stream
+# consumption or floating-point arithmetic shows up here.
 
 def sha256_of(w):
     return hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
@@ -430,10 +431,10 @@ def test_determinism_pinned_lag_gate_five_nodes():
     res = run(prob, part, table, sam, st, df, K=2000, seed=3,
               gate=engine.GATE_LAG, d=1, record_trace=False,
               checkpoint_interval=5)
-    assert sha256_of(res.w_final) == ("cc9cdb7cd66ba0d17b1a74fc9f259908"
-                                      "85ec102588dedafbded816d84a9ad25d")
-    assert (res.messages, res.k_final) == (589, 116)
-    assert res.rounds_completed == {1: 118, 2: 117, 3: 118, 4: 119, 5: 117}
+    assert sha256_of(res.w_final) == ("eecefc2ac0af96a769d1ab57410e690b"
+                                      "59ad949b70eb5474c3205964c6fb2c43")
+    assert (res.messages, res.k_final) == (575, 116)
+    assert res.rounds_completed == {1: 118, 2: 117, 3: 118, 4: 117, 5: 118}
 
 
 def test_determinism_pinned_tau_gate_four_nodes_traced():
@@ -442,11 +443,11 @@ def test_determinism_pinned_tau_gate_four_nodes_traced():
     table = build_assignment(sam, part.p, 4, rounds=200, seed=4)
     res = run(prob, part, table, sam, st, df, K=1500, seed=4,
               gate=engine.GATE_TAU, d=1, record_trace=True)
-    assert sha256_of(res.w_final) == ("24b9ab74bc21761227c2a3d17b9b54ab"
-                                      "e6764cc0cd0f58b719273825013bbfb0")
-    assert (res.messages, res.k_final) == (354, 78)
-    assert trace_digest(res) == ("ff7b0b3b7621a18233cce9be35ebf0a5"
-                                 "59019452297bf76e65cd4a70ccefe5da")
+    assert sha256_of(res.w_final) == ("4f7be645095dc45f97a10045f8cf6457"
+                                      "c8112e868759fb3b2d822d588c5d4c4f")
+    assert (res.messages, res.k_final) == (355, 78)
+    assert trace_digest(res) == ("bbfd7b74daadcb49f4c236f8a42e8002"
+                                 "3f20e4fadfee4381f90c69d548694c89")
 
 
 def test_determinism_pinned_explicit_schedule_exact_rounds():
@@ -459,11 +460,11 @@ def test_determinism_pinned_explicit_schedule_exact_rounds():
     table = build_assignment(sam, part.p, 3, rounds=len(vals), seed=5)
     res = run(prob, part, table, sam, st, None, K=sum(vals[:7]), seed=5,
               record_trace=True)
-    assert sha256_of(res.w_final) == ("707bf08e3f6133331cc274064e7d9c10"
-                                      "6c60cc086a59bd51d5d744a35328aa83")
-    assert (res.messages, res.k_final) == (20, 6)
-    assert trace_digest(res) == ("123e26dd39a9064b574864b6f86b2127"
-                                 "84d164cb5c38c0a83e1f123c2c1a65d2")
+    assert sha256_of(res.w_final) == ("70bd8e744f27c70ac1aa53b635f47ec5"
+                                      "efd8be670374ce0a251b2382d71dd1c9")
+    assert (res.messages, res.k_final) == (19, 6)
+    assert trace_digest(res) == ("104b07dbc8be4f791e9fc780a256132d"
+                                 "dfd7f963f5b34c86b1a6aaae39ca0d00")
 
 
 def test_determinism_pinned_logistic_power_law_per_iteration():
@@ -477,12 +478,12 @@ def test_determinism_pinned_logistic_power_law_per_iteration():
     table = build_assignment(sam, part.p, 3, rounds=40, seed=8)
     res = run(Problem.logistic_ridge(3, 0.1), part, table, sam, st, None,
               K=4000, seed=8, record_trace=True)
-    assert sha256_of(res.w_final) == ("ab7886d1eedeb047b5cbf892d1de48f5"
-                                      "5a007a2757af1f0a8920b269172dae1c")
-    assert (res.messages, res.k_final) == (48, 15)
+    assert sha256_of(res.w_final) == ("65211f88c5c263df720c08ebfd53b62a"
+                                      "46ceafacf459d2c2455bff6ddd28e935")
+    assert (res.messages, res.k_final) == (46, 15)
     assert res.rounds_completed == {1: 16, 2: 16, 3: 16}
-    assert trace_digest(res) == ("bbeedad1a306027ff4a6aee10dfb1469"
-                                 "d88aa83178fa1165eb478666ecf9e6de")
+    assert trace_digest(res) == ("57644ce2aefa6ac73580e0dc355cf111"
+                                 "da8e6331748e36e538f08539a29a5287")
 
 
 def test_determinism_pinned_tau_gate_twenty_nodes_full_record(
@@ -493,16 +494,16 @@ def test_determinism_pinned_tau_gate_twenty_nodes_full_record(
     res = run(prob, part, table, sam, st, df, K=3000, seed=13,
               gate=engine.GATE_TAU, d=1, record_trace=True,
               record_iterates=True)
-    assert sha256_of(res.w_final) == ("9cdb2df9c337514eee70e0f4c5bb8956"
-                                      "5a64f114c3f0245e76ed1e020fa4d84a")
-    assert (res.messages, res.k_final) == (3520, 156)
-    assert trace_digest(res) == ("c734f6779965a0260ef972e48aaaa577"
-                                 "d1bb4f3188e65e488ed133f80a9e2833")
+    assert sha256_of(res.w_final) == ("d6b053d822d2f11d52b29762ef36d905"
+                                      "113e4bb513938dcd8e3a70e5e99bca8e")
+    assert (res.messages, res.k_final) == (2088, 160)
+    assert trace_digest(res) == ("eb5dafc9536a70f068b8417c461b8712"
+                                 "f54c23f28365c3f4a89593e4b6fee220")
     assert sha256_of(np.array(recorded_grads)) == (
-        "c6312aaa8cb29b5467c64bf597ddd779e0329541d7a0bda1e564d8fb46e49f01")
+        "bcd4af1d65f24c67c05724031696738873659437f1a3b106b004cdd5b00cfb43")
     assert len(res.iterates) == 3000
     assert sha256_of(np.array(res.iterates)) == (
-        "58261307d449c11cd3ec7e99754ca486d7168586b6c1ccfc462bbf40cbcf0db6")
+        "c8bdb07514f01de0be884ce892a2d9200664105d355cf36ea888c80b82f3efa4")
 
 
 def test_node_source_frequencies_match_p():
@@ -609,6 +610,20 @@ def test_server_overflow_raises():
     with pytest.raises(NonFiniteError, match="server model"):
         run(prob, part, table, sam, StepSchedule.constant(1.0), None, K=40,
             seed=0, record_trace=False)
+
+
+@pytest.mark.parametrize("K,gate,match", [
+    (0, engine.GATE_LAG, "K must be >= 1"),
+    (10, "eager", "unknown gate 'eager'"),
+    (10, engine.GATE_TAU, "tau gate needs a delay function")])
+def test_run_rejects_bad_entry_arguments(K, gate, match):
+    """run's own checks, which prepare's config checks otherwise precede."""
+    sam = SampleSchedule.constant(4)
+    _ds, prob, part = quadratic_setup(2, 7)
+    table = build_assignment(sam, part.p, 2, rounds=10, seed=7)
+    with pytest.raises(EngineError, match=match):
+        run(prob, part, table, sam, StepSchedule.constant(0.1), None, K=K,
+            seed=7, gate=gate)
 
 
 def test_table_exhaustion_raises():

@@ -704,7 +704,7 @@ def sc_quad_config(M: int, **overrides) -> RunConfig:
 @pytest.mark.parametrize("gate", [engine.GATE_LAG, engine.GATE_TAU])
 def test_hundred_nodes_complete(gate, seed):
     """About 16 slots a round over 100 nodes: most rounds are empty for
-    most nodes, which ship them at once and stop after round T."""
+    most nodes, which skip them without an event or a message."""
     assert_completes(sc_quad_config(1000, n=100, K=10000, gate=gate,
                                     seed=seed))
 
@@ -766,6 +766,26 @@ def test_any_compatible_config_completes(cfg):
         assert "s_0" in str(exc)
         return
     assert_completes(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=compatible_configs())
+def test_only_cells_with_work_send_messages(cfg):
+    """Over gate, step mode and schedule kind with up to 100 nodes: the
+    messages are the non-empty (node, round) cells the nodes shipped, and
+    in every completed round the stamp is -1 exactly for the empty cells."""
+    try:
+        prep = harness.prepare(cfg)
+    except ConfigError as exc:  # a budget below s_0
+        assert "s_0" in str(exc)
+        return
+    res = harness.run_prepared(prep, record_trace=True)
+    counts = prep.table.counts()
+    assert res.messages == sum(int(np.count_nonzero(counts[:r, c]))
+                               for c, r in res.rounds_completed.items())
+    done = slice(0, res.k_final)
+    assert np.array_equal(res.trace.stamp[done, 1:] == -1,
+                          counts[done, 1:] == 0)
 
 
 def json_kind(value) -> str:
