@@ -287,7 +287,7 @@ def prepare(cfg: RunConfig) -> PreparedRun:
 
     if cfg.gate == engine.GATE_TAU and delay_fn is None:
         raise ConfigError("gate 'tau' needs a 'delay' spec")
-    if delay_fn is not None and not cfg.allow_incompatible and cfg.d <= T:
+    if delay_fn is not None and not cfg.allow_incompatible:
         ok, bad = schedules.verify_delay_compatibility(
             samples, delay_fn, cfg.d, i_max=T)
         if not ok:

@@ -220,9 +220,7 @@ def _closed_form(sched: SampleSchedule, i: int) -> int:
         return _ceil(base ** (1.0 / (g - 1)) / (d + 1))
     if sched.kind == MATCHED_LOG:
         m, d = sched.m, sched.d
-        arg = (m + i + 1) / (2 * (d + 1))
-        if arg <= 1.0:
-            raise ScheduleError(f"log argument {arg} <= 1 at round {i}")
+        arg = (m + i + 1) / (2 * (d + 1))  # >= e, as matched_log requires
         return _ceil((m + i + 1) / (16 * (d + 1) ** 2) / math.log(arg))
     if sched.kind == EXPLICIT:
         if i >= len(sched.values):
@@ -235,11 +233,9 @@ def verify_delay_compatibility(sched: SampleSchedule, df: DelayFunction,
                                d: int, i_max: int):
     """Check tau(sum_{j<=i} s_j) >= 1 + sum_{j=i-d}^{i} s_j for i in [d, i_max].
 
-    Returns (True, None) if the inequality holds everywhere, otherwise
-    (False, first violating i).
+    Returns (True, None) if the inequality holds everywhere (also when
+    i_max < d leaves no round to check), otherwise (False, first violating i).
     """
-    if i_max < d:
-        raise ScheduleError("i_max must be >= d")
     P = np.array(sched.prefix_sums(i_max + 1))
     total = P[d + 1:]                 # sum_{j<=i} s_j for i in [d, i_max]
     window = total - P[:len(total)]   # sum_{j=i-d}^{i} s_j
@@ -344,9 +340,7 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
         raise ScheduleError("mu must be positive")
     if L < mu:
         raise ScheduleError("L must be >= mu")
-    if d < 0:
-        raise ScheduleError("d must be non-negative")
-    samples = SampleSchedule.matched_log(m=m, d=d)  # validates the log domain
+    samples = SampleSchedule.matched_log(m=m, d=d)  # validates m, d, log domain
     M0 = (m + 1) ** 2 / 4.0
     M1 = max(d + 2.0, 72.0 * L / mu, sample_size(samples, 0) / 2.0)
     df = DelayFunction(g=2.0, M0=M0, M1=M1, gamma=GAMMA_FOUR_LOG)

@@ -185,6 +185,16 @@ def test_partition_rejects_node_without_samples():
         partition(ds, 5, seed=0)
 
 
+def test_partition_biased_rejects_more_nodes_than_label_groups_hold():
+    """One positive among 100 samples: the largest-remainder split of n=3
+    gives the positive group no node."""
+    ds = DataSet(X=np.arange(100.0)[:, None],
+                 y=(np.arange(100) == 7).astype(np.int8))
+    with pytest.raises(ValueError,
+                       match="n exceeds distinct usable label groups"):
+        partition(ds, 3, mode=data.BIASED_BY_LABEL, seed=0)
+
+
 def test_partition_local_is_a_copy_of_the_node_rows():
     ds = make_binary(100)
     part = partition(ds, 3, seed=2)
@@ -217,6 +227,17 @@ def test_assignment_single_node_all_ones():
     table = build_assignment(sched, [1.0], 1, rounds=5, seed=0)
     for row in table_rows(table):
         assert set(row.tolist()) == {1}
+
+
+@pytest.mark.parametrize("p,n,rounds,match", [
+    ([0.5, 0.5], 2, 0, "need at least one round"),
+    ([0.5, 0.5], 3, 4, "p must be a length-n probability vector"),
+    ([1.5, -0.5], 2, 4, "p must be a length-n probability vector"),
+    ([0.5, 0.4], 2, 4, "p must be a length-n probability vector")])
+def test_assignment_rejects_bad_arguments(p, n, rounds, match):
+    with pytest.raises(ValueError, match=match):
+        build_assignment(SampleSchedule.constant(10), p, n, rounds=rounds,
+                         seed=0)
 
 
 def test_assignment_zero_mass_node():

@@ -162,6 +162,15 @@ def test_serial_rejects_bad_budget():
                    FakeGen([]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_serial_divergence_raises_non_finite():
+    ds = data.DataSet(X=np.array([[2.0]]), y=np.zeros(1))
+    # w_1 = 2e300, and the second step overflows
+    with pytest.raises(NonFiniteError, match="serial SGD"):
+        serial_sgd(Problem.quadratic_mean(1), ds, lambda t: 1e300, 2,
+                   FakeGen([0, 0]))
+
+
 def random_config(seed):
     """A small single-node setup plus the matching serial pieces."""
     gen = rng.stream(seed, "equiv-config")
@@ -584,6 +593,21 @@ def test_non_finite_round_update_raises(bad):
     with pytest.raises(NonFiniteError, match="round update"):
         run(prob, part, table, sam, StepSchedule.constant(0.1), None, K=30,
             seed=6, w0=w0, record_trace=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_in_the_last_partial_round_raises_non_finite():
+    """With x = 1 and eta = 3, w_t - 1 = -(-2)^t: every shipped round
+    (t <= 1000) is finite, and w overflows at t = 1024, inside the
+    unsent round that the final flush reads."""
+    ds = data.DataSet(X=np.ones((1, 1)), y=np.zeros(1))
+    part = partition(ds, 1, seed=0)
+    sam = SampleSchedule.constant(100)
+    table = build_assignment(sam, part.p, 1, rounds=11, seed=0)
+    with pytest.raises(NonFiniteError, match="final model non-finite"):
+        run(Problem.quadratic_mean(1), part, table, sam,
+            StepSchedule.constant(3.0), None, K=1090, seed=0,
+            record_trace=False)
 
 
 def huge_setup(n):

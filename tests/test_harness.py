@@ -452,6 +452,41 @@ def test_cli_audit_violation_exit_3(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["audit", "--config", path]) == cli.EXIT_AUDIT
     assert "staleness contract violated" in capsys.readouterr().err
+    out = tmp_path / "m.json"
+    assert cli.main(["run", "--config", path, "--audit",
+                     "--out", str(out)]) == cli.EXIT_AUDIT
+    assert "staleness contract violated" in capsys.readouterr().err
+    assert not out.exists()  # a failed audit writes no metrics
+
+
+def test_cli_audit_gate_invariant_violation_exit_3(tmp_path, capsys):
+    """The lag gate lets two gradients at t_glob = 8 run on the initial
+    model, t_delay = 9 > tau(8) = 8.83, so the gate invariant fails; the
+    staleness contract asks only for updates below 8 - ceil(8.83) < 0,
+    so the consistency audit passes."""
+    cfg = quad_config(dataset={"synthetic": "quadratic", "M": 200, "dim": 3,
+                               "seed": 0},
+                      samples={"kind": "constant", "s": 5},
+                      delay={"g": 2.0, "M0": 0.0, "M1": 6.0},
+                      allow_incompatible=True, K=600, n=2, seed=0)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_AUDIT
+    err = capsys.readouterr().err
+    assert "gate invariant violated" in err
+    assert "staleness contract" not in err
+
+
+def test_cli_grid_fails_when_every_point_fails(tmp_path, capsys):
+    # tau(0) = 0 blocks every node's first gradient, whatever the step size
+    cfg = quad_config(dataset={"synthetic": "quadratic", "M": 200, "dim": 3,
+                               "seed": 0},
+                      samples={"kind": "constant", "s": 100},
+                      steps={"kind": "constant", "eta": 0.1},
+                      delay={"g": 2.0, "M0": 0.0, "M1": 0.0}, gate="tau",
+                      allow_incompatible=True, K=1000, n=2)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", path, "--grid"]) == cli.EXIT_RUNTIME
+    assert "runtime error: every grid point failed" in capsys.readouterr().err
 
 
 def test_cli_optimum(tmp_path, capsys):
@@ -557,6 +592,13 @@ def test_cli_run_rejects_mistyped_field(tmp_path, capsys, field, value):
     assert repr(field) in capsys.readouterr().err
 
 
+def test_cli_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fields,fragment", [
     (dict(steps={"kind": "inverse_t", "beta": 0.01}),
      "missing required steps field 'eta0'"),
@@ -629,6 +671,21 @@ def test_cli_run_rejects_mistyped_field(tmp_path, capsys, field, value):
     # a 21.3 PiB data set, which no host allocates
     (dict(dataset={"synthetic": "quadratic", "M": 10 ** 15, "dim": 3}),
      "config error: Unable to allocate"),
+    (dict(delay=dict(DELAY, gamma="two")), "unknown gamma kind 'two'"),
+    (dict(samples={"kind": "power_law", "a": 0, "b": 0}),
+     "power-law schedule is identically zero"),
+    (dict(samples={"kind": "explicit", "values": [0, 200]}),
+     "explicit schedule needs integer values >= 1"),
+    (dict(steps={"kind": "inverse_sqrt_t", "eta0": 0, "beta": 0.01}),
+     "steps: eta0 and beta must be positive"),
+    (dict(steps={"kind": "strongly_convex_round", "mu": 0, "M0": 100.0,
+                 "M1": 5.0}),
+     "steps: mu must be positive"),
+    (dict(partition="by_magic"), "unknown partition mode 'by_magic'"),
+    # 200 * 0.001 rounds to no sample for node 2
+    (dict(n=2, p=[0.999, 0.001],
+          dataset={"synthetic": "quadratic", "M": 200, "dim": 3}),
+     "unbiased partitioning of 200 samples leaves a node with none"),
 ])
 def test_cli_run_rejects_bad_nested_spec(tmp_path, capsys, fields,
                                          fragment):

@@ -1,5 +1,6 @@
 """Gradient/loss correctness and the curvature constants."""
 
+import json
 import math
 import time
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asyncsgd import problems, rng
+from asyncsgd import cli, problems, rng
 from asyncsgd.data import DataSet
 from asyncsgd.problems import (Problem, grad, loss, objective, full_gradient,
                                variance_constant, smoothness_constants,
@@ -262,6 +263,70 @@ def test_find_optimum_plain_non_separable_certified():
     info = find_optimum(p, ds)
     assert info.exact
     assert info.grad_norm <= 1e-10
+
+
+@pytest.fixture
+def newton_log(monkeypatch):
+    """Log "H" for each Newton step (one Hessian) and "F" for each objective
+    evaluation: the start, one per line-search try, and find_optimum's F*."""
+    log = []
+    for name, tag in (("_hessian", "H"), ("objective", "F")):
+        def logged(*args, _fn=getattr(problems, name), _tag=tag):
+            log.append(_tag)
+            return _fn(*args)
+        monkeypatch.setattr(problems, name, logged)
+    return log
+
+
+def line_search_tries(log) -> list:
+    """Objective evaluations of each Newton step's line search."""
+    assert log[0] == log[-1] == "F"
+    return [len(tries) for tries in "".join(log[1:-1]).split("H")[1:]]
+
+
+def test_cli_optimum_halves_an_overshooting_newton_step(tmp_path, capsys,
+                                                        newton_log):
+    """Well separated clusters: one full Newton step on the way is rejected
+    and the halved step is accepted; the solve is still certified."""
+    config = {"problem": {"kind": "logistic_ridge"},
+              "dataset": {"synthetic": "logistic", "M": 20, "dim": 5,
+                          "seed": 1, "separation": 30, "noise": 1.5},
+              "samples": {"kind": "constant", "s": 10}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["optimum", "--config", str(path)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["exact"]
+    tries = line_search_tries(newton_log)
+    assert sum(t - 1 for t in tries) == 1  # halvings
+
+
+# Features near 1e3 and lambda = 1e-12 put the Hessian's condition number
+# near 1/eps, so rounding ends each solve before its certificate and before
+# the step cap.  NO_STEP_ACCEPTED is separable (three points, four
+# parameters): F falls to about 1e-10 and no step length along the last
+# direction passes either test.  In NOT_DESCENT, rows 2 and 4 are one point
+# with both labels; the last computed direction has g . d >= 0.
+NO_STEP_ACCEPTED = DataSet(
+    X=np.array([[997.0, 1001.0, 997.0], [1002.0, 1001.0, 1002.0],
+                [1002.0, 1004.0, 1000.0]]),
+    y=np.array([1, 0, 1], dtype=np.int8))
+NOT_DESCENT = DataSet(
+    X=np.array([[999.0, 1004.0], [999.0, 998.0], [1003.0, 996.0],
+                [999.0, 998.0], [996.0, 1002.0], [1004.0, 1003.0]]),
+    y=np.array([0, 1, 1, 0, 0, 1], dtype=np.int8))
+
+
+@pytest.mark.parametrize("ds,last_tries", [
+    (NO_STEP_ACCEPTED, problems._MAX_HALVINGS),  # every step length fails
+    (NOT_DESCENT, 0)],  # g . d >= 0: no step is tried
+    ids=["no-step-accepted", "not-a-descent-direction"])
+def test_find_optimum_stops_where_rounding_wins(newton_log, ds, last_tries):
+    info = find_optimum(Problem.logistic_ridge(ds.dim, lam=1e-12), ds)
+    tries = line_search_tries(newton_log)
+    assert len(tries) < problems._MAX_NEWTON
+    assert tries[-1] == last_tries
+    assert not info.exact and info.grad_norm > problems.OPTIMUM_TOL
+    assert np.all(np.isfinite(info.w_star))
 
 
 # ---------------------------------------------------------------------------

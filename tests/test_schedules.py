@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from asyncsgd import harness, schedules
 from asyncsgd.schedules import (DelayFunction, SampleSchedule,
@@ -90,6 +91,22 @@ def test_sample_size_beyond_int64_is_schedule_error():
     assert sample_size(SampleSchedule.constant(2 ** 63 - 1), 0) == 2 ** 63 - 1
     with pytest.raises(ScheduleError):
         sample_size(SampleSchedule.constant(2 ** 63), 0)
+
+
+def test_round_index_must_be_non_negative():
+    sched = SampleSchedule.constant(5)
+    with pytest.raises(ScheduleError, match="round index must be "
+                                            "non-negative, got -1"):
+        sample_size(sched, -1)
+    with pytest.raises(ScheduleError, match="round index must be "
+                                            "non-negative, got -1"):
+        round_step(StepSchedule.constant(0.1), sched, -1)
+
+
+def test_unknown_sample_schedule_kind():
+    with pytest.raises(ScheduleError,
+                       match="unknown sample schedule kind 'bogus'"):
+        sample_size(SampleSchedule(kind="bogus"), 0)
 
 
 def test_explicit_and_constant():
@@ -222,6 +239,39 @@ def test_verify_delay_compatibility_matches_scalar_loop(sched, df, d):
         verify_oracle(sched, df, d, i_max=400)
 
 
+samples_schedules = st.one_of(
+    st.builds(SampleSchedule.constant, st.integers(1, 40)),
+    st.builds(SampleSchedule.power_law, st.floats(0.5, 5.0),
+              st.floats(0.0, 5.0), st.floats(0.0, 2.0)),
+    st.builds(SampleSchedule.matched_power, st.floats(1.2, 4.0),
+              st.integers(0, 20), st.integers(0, 3)),
+    st.builds(SampleSchedule.matched_log, st.integers(16, 400),
+              st.integers(0, 2)))
+delay_functions = st.one_of(
+    st.builds(DelayFunction, st.floats(1.1, 4.0), st.floats(0.0, 50.0),
+              st.floats(0.0, 60.0)),
+    st.builds(DelayFunction, st.floats(1.1, 4.0), st.floats(2.0, 5000.0),
+              st.floats(0.0, 60.0), st.just(schedules.GAMMA_FOUR_LOG)))
+
+
+# tau(4) = 3 + sqrt(4) = 1 + s_0 holds with equality, which passes; rounds
+# 1..10 of the second pair fail, and with i_max < d no round is checked
+@settings(max_examples=300, deadline=None)
+@given(sched=samples_schedules, df=delay_functions, d=st.integers(0, 6),
+       i_max=st.integers(0, 40))
+@example(sched=SampleSchedule.constant(4),
+         df=DelayFunction(2.0, 0.0, 3.0), d=0, i_max=5)
+@example(sched=SampleSchedule.constant(100),
+         df=DelayFunction(2.0, 0.0, 0.0), d=11, i_max=10)
+@example(sched=SampleSchedule.constant(100),
+         df=DelayFunction(2.0, 0.0, 0.0), d=10 ** 30, i_max=10)
+def test_verify_delay_compatibility_property(sched, df, d, i_max):
+    """Any schedule, delay function, d and i_max, also i_max < d, gets the
+    verdict of the round-by-round scalar loop."""
+    assert verify_delay_compatibility(sched, df, d, i_max) == \
+        verify_oracle(sched, df, d, i_max)
+
+
 def delay_range(df, x_max):
     xs = np.arange(x_max + 1, dtype=float)
     scalar = np.array([eval_delay(df, x) for x in xs.tolist()])
@@ -306,6 +356,15 @@ def test_strongly_convex_rejects_small_m():
         make_strongly_convex_schedules(mu=1.0, L=1.0, d=1, m=3)
 
 
+@pytest.mark.parametrize("mu,L,d,match", [
+    (0.0, 1.0, 1, "mu must be positive"),
+    (2.0, 1.0, 1, "L must be >= mu"),
+    (1.0, 1.0, -1, "m and d must be non-negative integers")])
+def test_strongly_convex_rejects_bad_constants(mu, L, d, match):
+    with pytest.raises(ScheduleError, match=match):
+        make_strongly_convex_schedules(mu=mu, L=L, d=d, m=7747)
+
+
 # ---------------------------------------------------------------------------
 # round_step / per_iteration_step
 # ---------------------------------------------------------------------------
@@ -370,6 +429,11 @@ def test_rounds_for_budget():
     assert rounds_for_budget(SampleSchedule.constant(100), 20000) == 199
     assert rounds_for_budget(SampleSchedule.power_law(50.0), 20000) == 28
     assert rounds_for_budget(SampleSchedule.explicit([5]), 5) == 0
+
+
+def test_rounds_for_budget_rejects_empty_budget():
+    with pytest.raises(ScheduleError, match="budget K must be positive"):
+        rounds_for_budget(SampleSchedule.constant(5), 0)
 
 
 def test_rounds_for_budget_brute_force():
