@@ -94,6 +94,10 @@ class RunMetrics:
     messages: int
     rounds_completed: dict
     wall_time: float = 0.0
+    # the certificate of the optimum that Y_w and Y_F read (None: no
+    # optimum): ||grad F(w*)|| and whether it is within OPTIMUM_TOL
+    optimum_exact: Optional[bool] = None
+    optimum_grad_norm: Optional[float] = None
 
     def to_json(self) -> str:
         """Every field, with non-finite floats (also in lists) as null."""
@@ -355,7 +359,9 @@ def compute_metrics(prep: PreparedRun, result: engine.RunResult,
         t=ts, Y_w=Yw, Y_F=YF, Y_A=YA, accuracy=acc,
         final_Y_w=Yw[-1], final_Y_F=YF[-1], messages=result.messages,
         rounds_completed=result.rounds_completed,
-        wall_time=result.wall_time)
+        wall_time=result.wall_time,
+        optimum_exact=None if opt is None else opt.exact,
+        optimum_grad_norm=None if opt is None else opt.grad_norm)
 
 
 def run_prepared(prep: PreparedRun,

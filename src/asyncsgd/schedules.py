@@ -11,10 +11,21 @@ The three objects built here drive the whole simulator:
 All arithmetic is double precision; ceilings are taken after a 1e-12
 relative nudge so that representation error cannot flip an exact integer
 boundary (the strongly convex schedule must give s_0 = 16 exactly).
+
+``rounds_for_budget`` walks the sample sizes in blocks of rounds (64 at
+first, doubling up to 65,536, never past round K), each one numpy pass of
+the closed form with the nudge applied in array form.  numpy's log and pow
+may differ from libm in the last bit, so a value whose nudged value lies
+within a relative 1e-9 of an integer, and any value that is non-finite or
+above 2**63 - 1, is left to the scalar ``sample_size`` (a power law with
+c = 0 or 1 calls no pow, so only the last two are); the walk calls it only
+for rounds before the first one that reaches K.  Every s_i and every
+ScheduleError is therefore the scalar code's.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -27,6 +38,7 @@ _CEIL_EPS = 1e-12
 # by the scalar code, so floor and ceil match it (see eval_delay).
 _NEAR_INT = 1e-9
 _INT64_MAX = 2 ** 63 - 1
+_FIRST_BLOCK, _MAX_BLOCK = 64, 2 ** 16  # rounds per pass of rounds_for_budget
 
 
 class ScheduleError(ValueError):
@@ -348,19 +360,84 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
     return df, samples, steps
 
 
+def _block_sizes(sched: SampleSchedule, start: int, stop: int):
+    """(sizes, scalar): s_i for i in [start, stop) as ints from one array
+    pass, and the offsets j whose s_{start+j} is left to the scalar
+    sample_size (sizes[j] is 0 there): rounds past an explicit list, values
+    above 2**63 - 1, and closed-form values that are non-finite or whose
+    nudged value lies near an integer (for a power law with c = 0 or 1,
+    which calls no pow, only those non-finite or too large).  Raises
+    nothing."""
+    n = stop - start
+    if sched.kind == CONSTANT:
+        return [sched.s] * n, [] if sched.s <= _INT64_MAX else list(range(n))
+    if sched.kind == EXPLICIT:
+        vals = sched.values[start:stop]
+        past = list(range(len(vals), n))
+        return ([v if v <= _INT64_MAX else 0 for v in vals] + [0] * len(past),
+                [j for j, v in enumerate(vals) if v > _INT64_MAX] + past)
+    i = np.arange(start, stop, dtype=float)
+    with np.errstate(all="ignore"):
+        try:
+            x = _closed_form_array(sched, i)
+        except OverflowError:  # a parameter beyond the float range
+            x = np.full(n, np.nan)
+        y = x - _CEIL_EPS * np.maximum(1.0, np.abs(x))
+        if sched.kind == POWER_LAW and sched.c in (0, 1):
+            # i**0 and i**1 are exact: the scalar code's float ops, bit for
+            # bit; False for NaN, inf and every ceil above 2**63 - 1
+            kept = np.abs(y) < 2.0 ** 63
+        else:
+            # False for NaN, inf and every |y| >= 5e8
+            kept = np.abs(y - np.rint(y)) > _NEAR_INT * np.maximum(np.abs(y),
+                                                                   1.0)
+        sizes = np.where(kept, np.ceil(y), 0.0).astype(np.int64)
+    return sizes.tolist(), np.flatnonzero(~kept).tolist()
+
+
+def _closed_form_array(sched: SampleSchedule, i: np.ndarray) -> np.ndarray:
+    """_closed_form before the ceiling, for the float rounds i; NaN for a
+    kind it does not know, which the scalar code then rejects."""
+    if sched.kind == POWER_LAW:
+        return sched.a * i ** sched.c + sched.b
+    if sched.kind == MATCHED_POWER:
+        g, m, d = sched.g, sched.m, sched.d
+        base = (i + (m + 1)) / (d + 1) * (g - 1) / g
+        return base ** (1.0 / (g - 1)) / (d + 1)
+    if sched.kind == MATCHED_LOG:
+        m, d = sched.m, sched.d
+        arg = (i + (m + 1)) / (2 * (d + 1))
+        return (i + (m + 1)) / (16 * (d + 1) ** 2) / np.log(arg)
+    return np.full(len(i), np.nan)
+
+
 def rounds_for_budget(sched: SampleSchedule, K: int) -> int:
     """Smallest T with sum_{j=0}^{T} s_j >= K; the prefix sums are cached
     up to round T.  Rounds that hold a sample each from round 1 on reach K
-    by round K, so rounds 0..K short of K samples are a ScheduleError."""
+    by round K, so rounds 0..K short of K samples are a ScheduleError.
+
+    The sizes come a block of rounds at a time (see the module docstring);
+    a round past the first one that reaches K is never evaluated by the
+    scalar code, raises nothing and does not enter the cache."""
     if K < 1:
         raise ScheduleError("budget K must be positive")
     cum = sched._cum
-    total = cum[-1]
-    while total < K:
+    block = _FIRST_BLOCK
+    while cum[-1] < K:
         i = len(cum) - 1
         if i > K:
             raise ScheduleError(f"rounds 0..{K} hold fewer than K={K} "
                                 f"samples")
-        total += sample_size(sched, i)
-        cum.append(total)
+        sizes, scalar = _block_sizes(sched, i, min(i + block, K + 1))
+        block = min(2 * block, _MAX_BLOCK)
+        total, done = cum[-1], 0
+        for j in scalar:
+            total += sum(sizes[done:j])  # the samples of rounds before i + j
+            if total >= K:
+                break
+            sizes[j] = sample_size(sched, i + j)
+            done = j
+        # Python ints: an int64 cumsum would wrap silently
+        sums = list(itertools.accumulate(sizes, initial=cum[-1]))
+        cum.extend(sums[1:bisect.bisect_left(sums, K, 1) + 1])
     return bisect.bisect_left(cum, K) - 1

@@ -11,7 +11,9 @@ as executable when its own lines (the header of a compound statement)
 carry bytecode, so docstrings and ``nonlocal`` declarations do not count;
 the ``if __name__ == "__main__":`` guard and its body do not count either.
 The script prints each unreached statement as ``file:line: source`` and
-then the total.  Tracing makes the suite several times slower.
+then the total.  It exits with pytest's status if a test fails, else with
+1 if any statement is unreached, else 0.  Tracing makes the suite several
+times slower.
 """
 from __future__ import annotations
 
@@ -113,7 +115,7 @@ def main(argv: list) -> int:
             print(f"src/asyncsgd/{name}:{line}: {text}")
             total += 1
     print(f"{total} unreached src/ statements (pytest exit status {status})")
-    return int(status)
+    return int(status) or int(total > 0)
 
 
 if __name__ == "__main__":

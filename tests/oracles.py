@@ -2,12 +2,15 @@
 
 `make_step_fn` is the serial oracle's step rule: `engine.serial_sgd` with
 it runs the iterates a one-node distributed run must reproduce bit for bit.
+`scalar_rounds_for_budget` is the round-by-round walk that
+`rounds_for_budget` must agree with, value and error.
 """
 import functools
 
-from asyncsgd.schedules import (PER_ITERATION, SampleSchedule, StepSchedule,
+from asyncsgd.schedules import (PER_ITERATION, SampleSchedule,
+                                ScheduleError, StepSchedule,
                                 per_iteration_step, round_step,
-                                rounds_for_budget)
+                                rounds_for_budget, sample_size)
 
 
 def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
@@ -22,3 +25,16 @@ def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
         return functools.partial(per_iteration_step, steps)
     return lambda t: round_step(steps, samples,
                                 rounds_for_budget(samples, t + 1))
+
+
+def scalar_rounds_for_budget(samples: SampleSchedule, K: int) -> int:
+    """Smallest T with sum_{j<=T} s_j >= K, one scalar sample_size call per
+    round and none past T; rounds 0..K short of K samples are an error."""
+    if K < 1:
+        raise ScheduleError("budget K must be positive")
+    total = 0
+    for i in range(K + 1):
+        total += sample_size(samples, i)
+        if total >= K:
+            return i
+    raise ScheduleError(f"rounds 0..{K} hold fewer than K={K} samples")

@@ -226,6 +226,7 @@ def test_metrics_json_holds_every_field_with_nan_as_null():
         assert len(doc[name]) == len(doc["t"])
         assert all(v is None for v in doc[name])
     assert doc["final_Y_w"] is None and doc["final_Y_F"] is None
+    assert doc["optimum_exact"] is None and doc["optimum_grad_norm"] is None
 
 
 def test_accuracy_threshold():
@@ -940,22 +941,20 @@ def test_cli_run_out_of_range_spec_number_exits_cleanly(tmp_path_factory,
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
 
 
-def test_prepare_evaluates_the_schedule_only_up_to_T(monkeypatch):
-    """prepare walks the sample sizes once, up to the budget's round T."""
-    calls = []
-    sample_size = schedules.sample_size
-
-    def counted(sched, i):
-        calls.append(i)
-        return sample_size(sched, i)
-
-    monkeypatch.setattr(schedules, "sample_size", counted)
+def test_prepare_evaluates_the_schedule_only_up_to_T():
+    """prepare caches the sample sizes up to the budget's round T and no
+    further, and never evaluates a round past T."""
     prep = harness.prepare(quad_config(
         samples={"kind": "strongly_convex", "m": 7747}, steps=None, K=1000))
     T = prep.table.rounds - 1
     assert T == 58
-    assert len(calls) <= T + 3
-    assert max(calls) == T
+    assert len(prep.samples._cum) == T + 2
+    # s_0 = 0, s_1 = 1 and s_2 = 2**1000, which no int64 holds; K = 1
+    # ends at T = 1
+    prep = harness.prepare(quad_config(
+        samples={"kind": "power_law", "a": 1.0, "c": 1000.0}, K=1))
+    assert prep.table.rounds == 2
+    assert prep.samples._cum == [0, 0, 1]
 
 
 def test_strongly_convex_reads_L_from_the_data_set():
@@ -983,6 +982,30 @@ def test_readme_config_prepares():
     assert prep.problem.kind == problems.LOGISTIC_RIDGE
     assert prep.samples == schedules.SampleSchedule.power_law(50.0, c=1.0)
     assert prep.steps == schedules.StepSchedule.inverse_t(0.1, 0.001)
+
+
+def test_metrics_json_says_whether_the_optimum_is_certified(tmp_path):
+    """The README config measures against a certified optimum; six
+    samples with features near 1e4 and lambda = 1e-12 leave the Newton
+    solve short of its certificate, and the metrics JSON says so."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = [(0, 9999, 10004), (1, 9999, 9998), (1, 10003, 9996),
+            (0, 9999, 9998), (0, 9996, 10002), (1, 10004, 10003)]
+    data = tmp_path / "near-1e4.libsvm"
+    data.write_text("".join(f"{2 * y - 1} 1:{a} 2:{b}\n" for y, a, b in rows))
+    configs = {
+        True: RunConfig.from_json(readme.split("```json\n", 1)[1]
+                                  .split("```", 1)[0]),
+        False: quad_config(problem={"kind": "logistic_ridge", "lam": 1e-12},
+                           dataset={"path": str(data)},
+                           steps={"kind": "constant", "eta": 1e-9}, K=100)}
+    for exact, cfg in configs.items():
+        out = tmp_path / "metrics.json"
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["optimum_exact"] is exact
+        assert (doc["optimum_grad_norm"] <= problems.OPTIMUM_TOL) is exact
 
 
 def test_cli_trace_file(tmp_path):

@@ -1,5 +1,6 @@
 """Schedule construction and the delay-compatibility properties."""
 
+import itertools
 import json
 import math
 
@@ -14,6 +15,8 @@ from asyncsgd.schedules import (DelayFunction, SampleSchedule,
                                 verify_delay_compatibility,
                                 make_strongly_convex_schedules,
                                 rounds_for_budget)
+
+from oracles import scalar_rounds_for_budget
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +432,76 @@ def test_rounds_for_budget():
     assert rounds_for_budget(SampleSchedule.constant(100), 20000) == 199
     assert rounds_for_budget(SampleSchedule.power_law(50.0), 20000) == 28
     assert rounds_for_budget(SampleSchedule.explicit([5]), 5) == 0
+    # the first block reaches round K = 10, but s_2 = 2**1000 + 10 and the
+    # rounds after it, which no int64 holds, lie past T = 0
+    sched = SampleSchedule.power_law(a=1.0, b=10.0, c=1000.0)
+    assert rounds_for_budget(sched, 10) == 0 and sched._cum == [0, 10]
+    # sums past 2**63 - 1, where an int64 cumsum would wrap
+    assert rounds_for_budget(SampleSchedule.constant(2 ** 62), 2 ** 64) == 3
+
+
+# Every kind, with parameters that put s_i exactly on integers (integer a
+# with c = 0, 1 or 2, g = 2 with m = d = 0, constant and explicit lists) and
+# ones that do not.
+all_schedules = st.one_of(
+    st.builds(SampleSchedule.constant, st.integers(1, 40)),
+    st.builds(SampleSchedule.power_law, st.integers(1, 6),
+              st.integers(0, 5), st.sampled_from([0, 1, 2])),
+    st.builds(SampleSchedule.power_law, st.floats(0.0, 5.0),
+              st.floats(0.5, 5.0), st.floats(0.0, 2.5)),
+    st.builds(SampleSchedule.matched_power,
+              st.one_of(st.just(2.0), st.floats(1.2, 4.0)),
+              st.integers(0, 10 ** 7), st.integers(0, 10)),
+    st.builds(SampleSchedule.matched_log, st.integers(10 ** 2, 10 ** 7),
+              st.integers(0, 10)),
+    st.builds(SampleSchedule.explicit,
+              st.lists(st.integers(1, 50), min_size=1, max_size=80)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sched=all_schedules, start=st.integers(0, 10 ** 6),
+       n=st.integers(0, 300))
+@example(sched=SampleSchedule.matched_power(g=2.0), start=0, n=64)
+@example(sched=SampleSchedule.power_law(a=1.0, c=1000.0), start=0, n=9)
+@example(sched=SampleSchedule.explicit([3, 2 ** 63, 4]), start=1, n=5)
+def test_block_sizes_are_the_scalar_ones(sched, start, n):
+    """An array-pass s_i is the scalar one; every other s_i, among them
+    each that the scalar code rejects, is left to the scalar code."""
+    sizes, scalar = schedules._block_sizes(sched, start, start + n)
+    assert len(sizes) == n
+    assert all(sizes[j] == 0 for j in scalar)
+    kept = sorted(set(range(n)) - set(scalar))
+    assert [sizes[j] for j in kept] == \
+        [sample_size(sched, start + j) for j in kept]
+
+
+def scalar_outcome(walk, sched, K):
+    try:
+        return walk(sched, K)
+    except ScheduleError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sched=all_schedules, K=st.integers(1, 3000),
+       more=st.integers(0, 3000))
+@example(sched=SampleSchedule.power_law(a=1.0, c=1000.0), K=5, more=0)
+@example(sched=SampleSchedule.matched_power(g=1.0000001), K=3000, more=0)
+@example(sched=SampleSchedule.explicit([5, 1, 2 ** 63]), K=5, more=3)
+@example(sched=SampleSchedule.constant(2 ** 63), K=5, more=0)
+@example(sched=SampleSchedule.power_law(a=10 ** 400), K=5, more=0)
+@example(sched=SampleSchedule(kind="bogus"), K=5, more=0)
+def test_rounds_for_budget_is_the_scalar_walk(sched, K, more):
+    """The block walk gives the scalar walk's T and error, type and
+    message, also from a cache that an earlier budget filled; the cache
+    holds the scalar prefix sums up to round T and no further."""
+    for budget in (K, K + more):
+        want = scalar_outcome(scalar_rounds_for_budget, sched, budget)
+        assert scalar_outcome(rounds_for_budget, sched, budget) == want
+        if isinstance(want, int):
+            assert sched._cum == list(itertools.accumulate(
+                (sample_size(sched, i) for i in range(want + 1)),
+                initial=0))
 
 
 def test_rounds_for_budget_rejects_empty_budget():
