@@ -129,8 +129,7 @@ def _run_audits(prep: harness.PreparedRun, result) -> int:
 
 def cmd_schedule(args) -> int:
     prep = harness.prepare(_load_config(args.config))
-    _write_out(args.out, harness.schedule_table(
-        prep.samples, prep.steps, prep.delay_fn, prep.config.d, args.rows))
+    _write_out(args.out, harness.schedule_table(prep, args.rows))
     return EXIT_OK
 
 

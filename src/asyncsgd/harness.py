@@ -278,16 +278,13 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     if cfg.delay is not None:
         delay_fn = build_spec("delay", DELAYS, cfg.delay, key=None)
 
-    s0 = schedules.sample_size(samples, 0)
-    if s0 > 0 and cfg.K < s0:
-        raise ConfigError(f"K={cfg.K} is smaller than the first round "
-                          f"sample size s_0={s0}")
-    if samples.kind == schedules.EXPLICIT and \
-            samples.prefix_sum(len(samples.values)) < cfg.K:
-        raise ConfigError("samples: explicit schedule does not cover K")
     # the table ends at the budget's last round T: a node that ships its
     # row T stops, so no round past T is ever reached
     T = schedules.rounds_for_budget(samples, cfg.K)
+    s0 = samples.prefix_sum(1)
+    if cfg.K < s0:
+        raise ConfigError(f"K={cfg.K} is smaller than the first round "
+                          f"sample size s_0={s0}")
 
     if cfg.gate == engine.GATE_TAU and delay_fn is None:
         raise ConfigError("gate 'tau' needs a 'delay' spec")
@@ -449,22 +446,21 @@ def run_suite(name: str, seed: int = 0,
     return buf.getvalue()
 
 
-def schedule_table(samples: schedules.SampleSchedule,
-                   steps: schedules.StepSchedule,
-                   delay_fn: Optional[schedules.DelayFunction],
-                   d: int, rows: int) -> str:
-    """CSV of (i, s_i, cumulative, eta_bar_i, tau(cumulative), window ok)."""
+def schedule_table(prep: PreparedRun, rows: int) -> str:
+    """CSV of (i, s_i, cumulative, eta_bar_i, tau(cumulative), window ok)
+    for the first min(rows, T + 1) rounds of a prepared run."""
+    d, rows = prep.config.d, min(max(rows, 0), prep.table.rounds)
+    sums = prep.samples.prefix_sums(rows)
+    tau = ok = [""] * rows
+    if prep.delay_fn is not None:
+        x, good = schedules.delay_windows(prep.delay_fn, np.array(sums), d)
+        tau = [f"{v:.6f}" for v in x.tolist()]
+        ok = ok[:d] + [str(v).lower() for v in good.tolist()]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["i", "s_i", "sum_s", "eta_bar", "tau", "window_ok"])
     for i in range(rows):
-        s_i = schedules.sample_size(samples, i)
-        total = samples.prefix_sum(i + 1)
-        eta = schedules.round_step(steps, samples, i)
-        tau = ok = ""
-        if delay_fn is not None:
-            x = schedules.eval_delay(delay_fn, float(total))
-            window = 1 + total - samples.prefix_sum(max(0, i - d))
-            tau, ok = f"{x:.6f}", "" if i < d else str(x >= window).lower()
-        writer.writerow([i, s_i, total, f"{eta:.12g}", tau, ok])
+        eta = schedules.round_step(prep.steps, prep.samples, i)
+        writer.writerow([i, sums[i + 1] - sums[i], sums[i + 1],
+                         f"{eta:.12g}", tau[i], ok[i]])
     return buf.getvalue()

@@ -117,7 +117,8 @@ def loss(p: Problem, w: np.ndarray, x: np.ndarray, y: float) -> float:
 def _sigmoids(w: np.ndarray, X: np.ndarray) -> tuple:
     """Margins z = X~ w of every sample and their sigmoids 1/(1 + e^-z)."""
     z = X @ w[:-1] + w[-1]
-    return z, 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # e^-z = inf gives the sigmoid 0
+        return z, 1.0 / (1.0 + np.exp(-z))
 
 
 def objective(p: Problem, w: np.ndarray, dataset):
@@ -252,8 +253,7 @@ def find_optimum(p: Problem, dataset) -> OptimumInfo:
     if p.kind == QUADRATIC_MEAN:
         w = dataset.X.mean(axis=0)
     else:
-        with np.errstate(over="ignore"):
-            w = _newton(p, dataset)
+        w = _newton(p, dataset)
     F = objective(p, w, dataset)
     if not np.isfinite(F):
         raise ValueError("objective is non-finite at the optimum")

@@ -12,15 +12,15 @@ All arithmetic is double precision; ceilings are taken after a 1e-12
 relative nudge so that representation error cannot flip an exact integer
 boundary (the strongly convex schedule must give s_0 = 16 exactly).
 
-``rounds_for_budget`` walks the sample sizes in blocks of rounds (64 at
-first, doubling up to 65,536, never past round K), each one numpy pass of
-the closed form with the nudge applied in array form.  numpy's log and pow
-may differ from libm in the last bit, so a value whose nudged value lies
-within a relative 1e-9 of an integer, and any value that is non-finite or
-above 2**63 - 1, is left to the scalar ``sample_size`` (a power law with
-c = 0 or 1 calls no pow, so only the last two are); the walk calls it only
-for rounds before the first one that reaches K.  Every s_i and every
-ScheduleError is therefore the scalar code's.
+The prefix sums of {s_i} have one writer: a walk over blocks of rounds (64
+at first, doubling up to 65,536), each one numpy pass of the closed form
+with the nudge in array form.  numpy's log and pow may differ from libm in
+the last bit, so a value whose nudged value lies within a relative 1e-9 of
+an integer, and any value that is non-finite or above 2**63 - 1, is left to
+the scalar ``sample_size`` (a power law with c = 0 or 1 calls no pow, so
+only the last two are), in round order and for no round past the first
+one whose sum reaches the budget.  Every s_i and every ScheduleError is
+therefore the scalar code's.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ _CEIL_EPS = 1e-12
 # by the scalar code, so floor and ceil match it (see eval_delay).
 _NEAR_INT = 1e-9
 _INT64_MAX = 2 ** 63 - 1
-_FIRST_BLOCK, _MAX_BLOCK = 64, 2 ** 16  # rounds per pass of rounds_for_budget
+_FIRST_BLOCK, _MAX_BLOCK = 64, 2 ** 16  # rounds per pass of _walk
 
 
 class ScheduleError(ValueError):
@@ -192,11 +192,8 @@ class SampleSchedule:
 
     def prefix_sum(self, i: int) -> int:
         """Sum of s_j for j < i (so prefix_sum(0) == 0)."""
-        cum = self._cum
-        while len(cum) <= i:
-            j = len(cum) - 1
-            cum.append(cum[-1] + sample_size(self, j))
-        return cum[i]
+        _walk(self, i, math.inf)
+        return self._cum[i]
 
     def prefix_sums(self, rounds: int) -> list:
         """[prefix_sum(i) for i in 0..rounds], from the cache that evaluates
@@ -236,7 +233,8 @@ def _closed_form(sched: SampleSchedule, i: int) -> int:
         return _ceil((m + i + 1) / (16 * (d + 1) ** 2) / math.log(arg))
     if sched.kind == EXPLICIT:
         if i >= len(sched.values):
-            raise ScheduleError(f"explicit schedule has no round {i}")
+            raise ScheduleError(f"explicit schedule has no round {i}: its "
+                                "values sum to less than K")
         return sched.values[i]
     raise ScheduleError(f"unknown sample schedule kind {sched.kind!r}")
 
@@ -249,10 +247,16 @@ def verify_delay_compatibility(sched: SampleSchedule, df: DelayFunction,
     i_max < d leaves no round to check), otherwise (False, first violating i).
     """
     P = np.array(sched.prefix_sums(i_max + 1))
-    total = P[d + 1:]                 # sum_{j<=i} s_j for i in [d, i_max]
-    window = total - P[:len(total)]   # sum_{j=i-d}^{i} s_j
-    bad = np.flatnonzero(eval_delay(df, total) < 1 + window)
+    bad = np.flatnonzero(~delay_windows(df, P, d, first=d)[1])
     return (True, None) if len(bad) == 0 else (False, d + int(bad[0]))
+
+
+def delay_windows(df: DelayFunction, P: np.ndarray, d: int, first: int = 0):
+    """tau(sum_{j<=i} s_j) for the rounds i >= first (<= d) of the prefix sums
+    P, and for the rounds i >= d whether it is >= 1 + sum_{j=i-d}^{i} s_j."""
+    tau = eval_delay(df, P[first + 1:])
+    total = P[d + 1:]
+    return tau, tau[d - first:] >= 1 + (total - P[:len(total)])
 
 
 # ---------------------------------------------------------------------------
@@ -414,21 +418,22 @@ def _closed_form_array(sched: SampleSchedule, i: np.ndarray) -> np.ndarray:
 def rounds_for_budget(sched: SampleSchedule, K: int) -> int:
     """Smallest T with sum_{j=0}^{T} s_j >= K; the prefix sums are cached
     up to round T.  Rounds that hold a sample each from round 1 on reach K
-    by round K, so rounds 0..K short of K samples are a ScheduleError.
-
-    The sizes come a block of rounds at a time (see the module docstring);
-    a round past the first one that reaches K is never evaluated by the
-    scalar code, raises nothing and does not enter the cache."""
+    by round K, so rounds 0..K short of K samples are a ScheduleError."""
     if K < 1:
         raise ScheduleError("budget K must be positive")
+    _walk(sched, K + 1, K)
+    if sched._cum[-1] < K:
+        raise ScheduleError(f"rounds 0..{K} hold fewer than K={K} samples")
+    return bisect.bisect_left(sched._cum, K) - 1
+
+
+def _walk(sched: SampleSchedule, rounds: int, K) -> None:
+    """Extend the prefix sums to index `rounds` or to the first sum >= K."""
     cum = sched._cum
     block = _FIRST_BLOCK
-    while cum[-1] < K:
+    while len(cum) <= rounds and cum[-1] < K:
         i = len(cum) - 1
-        if i > K:
-            raise ScheduleError(f"rounds 0..{K} hold fewer than K={K} "
-                                f"samples")
-        sizes, scalar = _block_sizes(sched, i, min(i + block, K + 1))
+        sizes, scalar = _block_sizes(sched, i, min(i + block, rounds))
         block = min(2 * block, _MAX_BLOCK)
         total, done = cum[-1], 0
         for j in scalar:
@@ -440,4 +445,3 @@ def rounds_for_budget(sched: SampleSchedule, K: int) -> int:
         # Python ints: an int64 cumsum would wrap silently
         sums = list(itertools.accumulate(sizes, initial=cum[-1]))
         cum.extend(sums[1:bisect.bisect_left(sums, K, 1) + 1])
-    return bisect.bisect_left(cum, K) - 1

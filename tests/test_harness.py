@@ -278,8 +278,9 @@ def test_suite_unknown_name():
 
 
 def test_schedule_table_first_row():
-    df, sam, st = schedules.make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
-    text = harness.schedule_table(sam, st, df, d=1, rows=3)
+    prep = harness.prepare(quad_config(
+        samples={"kind": "strongly_convex", "m": 7747}, steps=None, d=1))
+    text = harness.schedule_table(prep, rows=3)
     lines = text.strip().splitlines()
     assert lines[0].startswith("i,s_i,sum_s")
     first = lines[1].split(",")
@@ -384,6 +385,19 @@ def test_cli_schedule_from_specs(tmp_path, capsys):
     assert [float(row[4]) for row in rows] == pytest.approx(
         [100 + math.sqrt(5 * (i + 1)) for i in range(3)], abs=1e-6)
     assert [row[5] for row in rows] == ["", "true", "true"]
+
+
+def test_cli_schedule_prints_the_rounds_the_run_uses(tmp_path, capsys):
+    """The rows are rounds 0..T, at most --rows of them: a list that ends
+    at round T = 2 prints three rows, and rounds past T = 1 do not print."""
+    rows = schedule_rows(tmp_path, capsys, 10, K=35, samples={
+        "kind": "explicit", "values": [5, 10, 20]})
+    assert [row[:3] for row in rows] == [["0", "5", "5"], ["1", "10", "15"],
+                                         ["2", "20", "35"]]
+    rows = schedule_rows(tmp_path, capsys, 4, K=150,
+                         samples={"kind": "constant", "s": 100})
+    assert [row[:3] for row in rows] == [["0", "100", "100"],
+                                         ["1", "100", "200"]]
 
 
 def test_cli_schedule_rejects_what_run_rejects(tmp_path, capsys):
@@ -732,7 +746,8 @@ def test_cli_run_explicit_schedule_ending_at_K(tmp_path, samples, K, gate):
 def test_cli_run_explicit_schedule_must_cover_K(tmp_path, capsys):
     path = write_raw_config(tmp_path, samples=EXPLICIT, K=61, n=2)
     assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
-    assert "does not cover K" in capsys.readouterr().err
+    assert "explicit schedule has no round 10: its values sum to less " \
+        "than K" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +970,11 @@ def test_prepare_evaluates_the_schedule_only_up_to_T():
         samples={"kind": "power_law", "a": 1.0, "c": 1000.0}, K=1))
     assert prep.table.rounds == 2
     assert prep.samples._cum == [0, 0, 1]
+    # a list far longer than the budget needs is walked only up to T = 19
+    prep = harness.prepare(quad_config(
+        samples={"kind": "explicit", "values": [5] * 10 ** 6}, K=100))
+    assert prep.table.rounds == 20
+    assert len(prep.samples._cum) == 21
 
 
 def test_strongly_convex_reads_L_from_the_data_set():
@@ -984,15 +1004,21 @@ def test_readme_config_prepares():
     assert prep.steps == schedules.StepSchedule.inverse_t(0.1, 0.001)
 
 
+def write_near_1e4(tmp_path):
+    """Six LIBSVM samples with features near 1e4."""
+    rows = [(0, 9999, 10004), (1, 9999, 9998), (1, 10003, 9996),
+            (0, 9999, 9998), (0, 9996, 10002), (1, 10004, 10003)]
+    data = tmp_path / "near-1e4.libsvm"
+    data.write_text("".join(f"{2 * y - 1} 1:{a} 2:{b}\n" for y, a, b in rows))
+    return data
+
+
 def test_metrics_json_says_whether_the_optimum_is_certified(tmp_path):
     """The README config measures against a certified optimum; six
     samples with features near 1e4 and lambda = 1e-12 leave the Newton
     solve short of its certificate, and the metrics JSON says so."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    rows = [(0, 9999, 10004), (1, 9999, 9998), (1, 10003, 9996),
-            (0, 9999, 9998), (0, 9996, 10002), (1, 10004, 10003)]
-    data = tmp_path / "near-1e4.libsvm"
-    data.write_text("".join(f"{2 * y - 1} 1:{a} 2:{b}\n" for y, a, b in rows))
+    data = write_near_1e4(tmp_path)
     configs = {
         True: RunConfig.from_json(readme.split("```json\n", 1)[1]
                                   .split("```", 1)[0]),
@@ -1006,6 +1032,17 @@ def test_metrics_json_says_whether_the_optimum_is_certified(tmp_path):
         doc = json.loads(out.read_text())
         assert doc["optimum_exact"] is exact
         assert (doc["optimum_grad_norm"] <= problems.OPTIMUM_TOL) is exact
+
+
+def test_cli_run_overflowing_margins_warn_nothing(tmp_path):
+    """Margins beyond -709 overflow e^-z to inf, the correct sigmoid 0; a
+    run that gets there exits 0 under the RuntimeWarning-as-error filter."""
+    data = write_near_1e4(tmp_path)
+    cfg = quad_config(problem={"kind": "logistic_ridge", "lam": 1e-12},
+                      dataset={"path": str(data)},
+                      steps={"kind": "inverse_t", "eta0": 0.1, "beta": 0.01})
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
 
 
 def test_cli_trace_file(tmp_path):

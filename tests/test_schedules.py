@@ -1,5 +1,6 @@
 """Schedule construction and the delay-compatibility properties."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -482,19 +483,32 @@ def scalar_outcome(walk, sched, K):
         return type(err), str(err)
 
 
+def scalar_prefix_sum(sched, i):
+    return sum(sample_size(sched, j) for j in range(i))
+
+
 @settings(max_examples=300, deadline=None)
 @given(sched=all_schedules, K=st.integers(1, 3000),
-       more=st.integers(0, 3000))
-@example(sched=SampleSchedule.power_law(a=1.0, c=1000.0), K=5, more=0)
-@example(sched=SampleSchedule.matched_power(g=1.0000001), K=3000, more=0)
-@example(sched=SampleSchedule.explicit([5, 1, 2 ** 63]), K=5, more=3)
-@example(sched=SampleSchedule.constant(2 ** 63), K=5, more=0)
-@example(sched=SampleSchedule.power_law(a=10 ** 400), K=5, more=0)
-@example(sched=SampleSchedule(kind="bogus"), K=5, more=0)
-def test_rounds_for_budget_is_the_scalar_walk(sched, K, more):
+       more=st.integers(0, 3000), i=st.integers(0, 3000))
+@example(sched=SampleSchedule.power_law(a=1.0, c=1000.0), K=5, more=0, i=5)
+@example(sched=SampleSchedule.matched_power(g=1.0000001), K=3000, more=0,
+         i=3000)
+@example(sched=SampleSchedule.explicit([5, 1, 2 ** 63]), K=5, more=3, i=4)
+@example(sched=SampleSchedule.constant(2 ** 63), K=5, more=0, i=1)
+@example(sched=SampleSchedule.power_law(a=10 ** 400), K=5, more=0, i=1)
+@example(sched=SampleSchedule(kind="bogus"), K=5, more=0, i=1)
+@example(sched=SampleSchedule.explicit([5, 10, 20]), K=35, more=0, i=4)
+def test_rounds_for_budget_is_the_scalar_walk(sched, K, more, i):
     """The block walk gives the scalar walk's T and error, type and
     message, also from a cache that an earlier budget filled; the cache
-    holds the scalar prefix sums up to round T and no further."""
+    holds the scalar prefix sums up to round T and no further.  On a fresh
+    schedule, prefix_sum(i) walks the same way, with no budget."""
+    fresh = dataclasses.replace(sched, _cum=[0])
+    want = scalar_outcome(scalar_prefix_sum, fresh, i)
+    assert scalar_outcome(SampleSchedule.prefix_sum, fresh, i) == want
+    if isinstance(want, int):
+        assert fresh._cum == list(itertools.accumulate(
+            (sample_size(sched, j) for j in range(i)), initial=0))
     for budget in (K, K + more):
         want = scalar_outcome(scalar_rounds_for_budget, sched, budget)
         assert scalar_outcome(rounds_for_budget, sched, budget) == want
