@@ -57,7 +57,7 @@ def cmd_run(args) -> int:
         code = _run_audits(prep, result)
         if code != EXIT_OK:
             return code
-    if args.trace and result.trace is not None:
+    if args.trace:
         rec = result.trace.records
         t = engine.rho(result.trace.table, rec.c, rec.i, rec.h)
         with open(args.trace, "w") as fh:

@@ -54,6 +54,7 @@ it was applied (-1: never); (i, c) is in broadcast b iff 0 <= stamp < b.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time as time_mod
 from bisect import bisect_left
@@ -196,8 +197,8 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
 _DRAW_CHUNK = 1024
 
 class _Node:
-    __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "gen", "acc_round",
-                 "wake_k", "X", "y", "draws", "inbox")
+    __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "acc_round",
+                 "wake_k", "X", "y", "next_index", "inbox")
 
     def __init__(self, c: int, w0: np.ndarray, local,
                  gen: np.random.Generator):
@@ -205,18 +206,14 @@ class _Node:
         self.i = self.h = self.s_ic = self.k = self.acc_round = 0
         self.w = w0.copy()
         self.U = np.zeros_like(self.w)
-        self.gen = gen
         self.wake_k = math.inf  # gated: the first k that opens the gate
         self.X = local.X
         self.y = local.y.astype(float).tolist()
-        self.draws: list = []  # pending sample indices, next one last
+        M = len(self.y)
+        chunks = iter(lambda: gen.integers(0, M, size=_DRAW_CHUNK).tolist(),
+                      None)
+        self.next_index = itertools.chain.from_iterable(chunks).__next__
         self.inbox: deque = deque()  # (arrival tick, k, model), both rising
-
-    def next_index(self) -> int:
-        if not self.draws:
-            chunk = self.gen.integers(0, len(self.y), size=_DRAW_CHUNK)
-            self.draws = chunk.tolist()[::-1]
-        return self.draws.pop()
 
 
 def run(problem: Problem, partition: Partition, table: AssignmentTable,

@@ -281,10 +281,6 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     # the table ends at the budget's last round T: a node that ships its
     # row T stops, so no round past T is ever reached
     T = schedules.rounds_for_budget(samples, cfg.K)
-    s0 = samples.prefix_sum(1)
-    if cfg.K < s0:
-        raise ConfigError(f"K={cfg.K} is smaller than the first round "
-                          f"sample size s_0={s0}")
 
     if cfg.gate == engine.GATE_TAU and delay_fn is None:
         raise ConfigError("gate 'tau' needs a 'delay' spec")

@@ -206,11 +206,11 @@ def _hessian(p: Problem, w: np.ndarray, dataset) -> np.ndarray:
 def _newton(p: Problem, dataset) -> np.ndarray:
     """Damped Newton from w = 0 with an Armijo backtracking line search.
 
-    Stops when ||grad F|| <= OPTIMUM_TOL, when the Newton direction is not
-    a descent direction, or when no step length along it is accepted
-    (_MAX_NEWTON steps are a safety cap).  A step whose objective change is
-    within rounding of F is accepted when it lowers the gradient norm, so
-    the solve is not stalled by the last digits of F.
+    Stops when ||grad F|| <= OPTIMUM_TOL or when no step length along the
+    Newton direction is accepted (_MAX_NEWTON steps are a safety cap); a
+    direction that does not descend fails its line search.  Where a step
+    changes F by no more than rounding, Armijo cannot tell steps apart, so
+    the step is accepted only if it lowers the gradient norm.
     """
     w = np.zeros(p.dim)
     F = objective(p, w, dataset)
@@ -221,17 +221,16 @@ def _newton(p: Problem, dataset) -> np.ndarray:
             break
         d = np.linalg.lstsq(_hessian(p, w, dataset), -g, rcond=None)[0]
         slope = float(g @ d)
-        if not slope < 0.0:
-            break
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             w_new = w + alpha * d
             F_new = objective(p, w_new, dataset)
             g_new = full_gradient(p, w_new, dataset)
             g_new_norm = float(np.linalg.norm(g_new))
-            if F_new <= F + _ARMIJO * alpha * slope or (
-                    abs(F_new - F) <= _ROUNDING * abs(F)
-                    and g_new_norm < g_norm):
+            if abs(F_new - F) <= _ROUNDING * abs(F):
+                if g_new_norm < g_norm:
+                    break
+            elif F_new <= F + _ARMIJO * alpha * slope:
                 break
             alpha *= 0.5
         else:
@@ -258,7 +257,7 @@ def find_optimum(p: Problem, dataset) -> OptimumInfo:
     if not np.isfinite(F):
         raise ValueError("objective is non-finite at the optimum")
     g_norm = float(np.linalg.norm(full_gradient(p, w, dataset)))
-    exact = p.kind == QUADRATIC_MEAN or g_norm <= OPTIMUM_TOL
+    exact = g_norm <= OPTIMUM_TOL
     if exact and p.kind == LOGISTIC_PLAIN:
         margins = (2.0 * dataset.y - 1.0) * _sigmoids(w, dataset.X)[0]
         exact = not bool(np.all(margins > 0.0))

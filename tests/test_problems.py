@@ -300,33 +300,40 @@ def test_cli_optimum_halves_an_overshooting_newton_step(tmp_path, capsys,
     assert sum(t - 1 for t in tries) == 1  # halvings
 
 
-# Features near 1e3 and lambda = 1e-12 put the Hessian's condition number
-# near 1/eps, so rounding ends each solve before its certificate and before
-# the step cap.  NO_STEP_ACCEPTED is separable (three points, four
-# parameters): F falls to about 1e-10 and no step length along the last
-# direction passes either test.  In NOT_DESCENT, rows 2 and 4 are one point
-# with both labels; the last computed direction has g . d >= 0.
+# Features near 1e3 or 1e4 and lambda = 1e-12 put the Hessian's condition
+# number near 1/eps, so rounding ends each solve before its certificate and
+# before the step cap: the last line search accepts no step length.
+# NO_STEP_ACCEPTED is separable (three points, four parameters) and F falls
+# to about 1e-10.  In REPEATED_POINT, rows 2 and 4 are one point with both
+# labels.  NEAR_1E4 is REPEATED_POINT shifted by 9000: unless a step that
+# changes F by no more than rounding must lower ||grad F||, that solve
+# wanders to the step cap.
 NO_STEP_ACCEPTED = DataSet(
     X=np.array([[997.0, 1001.0, 997.0], [1002.0, 1001.0, 1002.0],
                 [1002.0, 1004.0, 1000.0]]),
     y=np.array([1, 0, 1], dtype=np.int8))
-NOT_DESCENT = DataSet(
+REPEATED_POINT = DataSet(
     X=np.array([[999.0, 1004.0], [999.0, 998.0], [1003.0, 996.0],
                 [999.0, 998.0], [996.0, 1002.0], [1004.0, 1003.0]]),
     y=np.array([0, 1, 1, 0, 0, 1], dtype=np.int8))
+NEAR_1E4 = DataSet(X=REPEATED_POINT.X + 9000.0, y=REPEATED_POINT.y)
 
 
-@pytest.mark.parametrize("ds,last_tries", [
-    (NO_STEP_ACCEPTED, problems._MAX_HALVINGS),  # every step length fails
-    (NOT_DESCENT, 0)],  # g . d >= 0: no step is tried
-    ids=["no-step-accepted", "not-a-descent-direction"])
-def test_find_optimum_stops_where_rounding_wins(newton_log, ds, last_tries):
+@pytest.mark.parametrize("ds,max_steps", [
+    (NO_STEP_ACCEPTED, problems._MAX_NEWTON),
+    (REPEATED_POINT, problems._MAX_NEWTON),
+    (NEAR_1E4, 20)],
+    ids=["no-step-accepted", "no-step-accepted-repeated-point",
+         "no-step-accepted-near-1e4"])
+def test_find_optimum_stops_where_rounding_wins(newton_log, ds, max_steps):
     info = find_optimum(Problem.logistic_ridge(ds.dim, lam=1e-12), ds)
     tries = line_search_tries(newton_log)
-    assert len(tries) < problems._MAX_NEWTON
-    assert tries[-1] == last_tries
+    assert len(tries) < max_steps
+    assert tries[-1] == problems._MAX_HALVINGS  # every step length fails
     assert not info.exact and info.grad_norm > problems.OPTIMUM_TOL
     assert np.all(np.isfinite(info.w_star))
+    if ds is NEAR_1E4:
+        assert info.grad_norm == pytest.approx(2.7784e-5, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------

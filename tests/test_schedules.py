@@ -139,6 +139,15 @@ def test_matched_log_domain_rejected():
         SampleSchedule.matched_log(m=2, d=1)  # (m+1)/(2(d+1)) < e
 
 
+@pytest.mark.parametrize("params,match", [
+    (dict(g=1.0), "requires g > 1"),
+    (dict(g=2.0, m=-1), "non-negative"),
+    (dict(g=2.0, d=-1), "non-negative")])
+def test_matched_power_domain_rejected(params, match):
+    with pytest.raises(ScheduleError, match=match):
+        SampleSchedule.matched_power(**params)
+
+
 @pytest.mark.parametrize("kind,params", [
     ("matched_power", dict(g=2.0, m=0, d=1)),
     ("matched_log", dict(m=7747, d=1)),
