@@ -12,11 +12,13 @@ All arithmetic is double precision; ceilings are taken after a 1e-12
 relative nudge so that representation error cannot flip an exact integer
 boundary (the strongly convex schedule must give s_0 = 16 exactly).
 
-The prefix sums of {s_i} have one writer: a walk over blocks of rounds (64
-at first, doubling up to 65,536), each one numpy pass of the closed form
-with the nudge in array form.  numpy's log and pow may differ from libm in
-the last bit, so a value whose nudged value lies within a relative 1e-9 of
-an integer, and any value that is non-finite or above 2**63 - 1, is left to
+Each closed form, s_i and tau, is written once and runs on one round
+(with math.log) or on a numpy array of rounds (with np.log).  The prefix
+sums of {s_i} have one writer: a walk over blocks of rounds (64 at first,
+doubling up to 65,536), each one numpy pass of that formula text with the
+nudge in array form.  numpy's log and pow may differ from libm in the last
+bit, so a value whose nudged value lies within a relative 1e-9 of an
+integer, and any value that is non-finite or above 2**63 - 1, is left to
 the scalar ``sample_size`` (a power law with c = 0 or 1 calls no pow, so
 only the last two are), in round order and for no round past the first
 one whose sum reaches the budget.  Every s_i and every ScheduleError is
@@ -34,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 _CEIL_EPS = 1e-12
-# An array tau within this relative distance of an integer is recomputed
-# by the scalar code, so floor and ceil match it (see eval_delay).
+# An array value within this relative distance of an integer is recomputed
+# by the scalar code, so floor and ceil match it (see _near_int).
 _NEAR_INT = 1e-9
 _INT64_MAX = 2 ** 63 - 1
 _FIRST_BLOCK, _MAX_BLOCK = 64, 2 ** 16  # rounds per pass of _walk
@@ -48,6 +50,13 @@ class ScheduleError(ValueError):
 def _ceil(x: float) -> int:
     """Ceiling with a relative epsilon nudge against float representation."""
     return math.ceil(x - _CEIL_EPS * max(1.0, abs(x)))
+
+
+def _near_int(y: np.ndarray) -> np.ndarray:
+    """True where y lies within a relative 1e-9 of an integer, and where it
+    is NaN or inf: there numpy's log and pow, which may differ from libm in
+    the last bit, could give another floor or ceil than the scalar code."""
+    return ~(np.abs(y - np.rint(y)) > _NEAR_INT * np.maximum(np.abs(y), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -79,41 +88,31 @@ class DelayFunction:
 def eval_delay(df: DelayFunction, x):
     """Evaluate tau(x) = M1 + ((x + M0) / gamma(x + M0))**(1/g).
 
-    x may be an array: tau is then one numpy pass.  numpy's log and
-    pow may differ from the scalar libm results in the last bits, so every
-    value within a relative 1e-9 of an integer is recomputed by the scalar
-    code: floor and ceil of each element, and with them every comparison
-    of tau with an integer, are those of the scalar evaluation.
+    x may be an array: the same formula is then one numpy pass, with the
+    domain checked at its smallest x, and every value near an integer
+    (see _near_int) is recomputed by the scalar code.  So floor and ceil
+    of each element, and with them every comparison of tau with an
+    integer, are those of the scalar evaluation.
     """
-    if isinstance(x, np.ndarray):
-        return _eval_delay_array(df, x)
-    if x < 0:
-        raise ScheduleError(f"delay function evaluated at negative x={x}")
+    array = isinstance(x, np.ndarray)
+    if array:
+        x = np.asarray(x, dtype=float)
+        lo, log = (x.min() if x.size else math.inf), np.log
+    else:
+        lo, log = x, math.log
+    if lo < 0:
+        raise ScheduleError(f"delay function evaluated at negative x={lo}")
     z = x + df.M0
     if df.gamma == GAMMA_ONE:
-        gam = 1.0
-    elif z <= 1.0:
-        raise ScheduleError(f"4*ln(z) undefined or <= 0 for z={z}")
+        gam = 1.0  # z / 1.0 is z exactly
+    elif lo + df.M0 <= 1.0:
+        raise ScheduleError(f"4*ln(z) undefined or <= 0 for z={lo + df.M0}")
     else:
-        gam = 4.0 * math.log(z)
-    return df.M1 + (z / gam) ** (1.0 / df.g)
-
-
-def _eval_delay_array(df: DelayFunction, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.size and x.min() < 0:
-        raise ScheduleError(f"delay function evaluated at negative "
-                            f"x={x.min()}")
-    z = x + df.M0
-    if df.gamma == GAMMA_ONE:
-        tau = df.M1 + z ** (1.0 / df.g)  # 0 ** (1/g) + M1 is M1 exactly
-    elif z.size and z.min() <= 1.0:
-        raise ScheduleError(f"4*ln(z) undefined or <= 0 for z={z.min()}")
-    else:
-        tau = df.M1 + (z / (4.0 * np.log(z))) ** (1.0 / df.g)
-    near = np.abs(tau - np.rint(tau)) <= _NEAR_INT * np.maximum(tau, 1.0)
-    for j in np.flatnonzero(near).tolist():
-        tau[j] = eval_delay(df, float(x[j]))
+        gam = 4.0 * log(z)
+    tau = df.M1 + (z / gam) ** (1.0 / df.g)
+    if array:
+        for j in np.flatnonzero(_near_int(tau)).tolist():
+            tau[j] = eval_delay(df, float(x[j]))
     return tau
 
 
@@ -221,21 +220,30 @@ def sample_size(sched: SampleSchedule, i: int) -> int:
 def _closed_form(sched: SampleSchedule, i: int) -> int:
     if sched.kind == CONSTANT:
         return sched.s
-    if sched.kind == POWER_LAW:
-        return _ceil(sched.a * float(i) ** sched.c + sched.b)
-    if sched.kind == MATCHED_POWER:
-        g, m, d = sched.g, sched.m, sched.d
-        base = (m + i + 1) / (d + 1) * (g - 1) / g
-        return _ceil(base ** (1.0 / (g - 1)) / (d + 1))
-    if sched.kind == MATCHED_LOG:
-        m, d = sched.m, sched.d
-        arg = (m + i + 1) / (2 * (d + 1))  # >= e, as matched_log requires
-        return _ceil((m + i + 1) / (16 * (d + 1) ** 2) / math.log(arg))
     if sched.kind == EXPLICIT:
         if i >= len(sched.values):
             raise ScheduleError(f"explicit schedule has no round {i}: its "
                                 "values sum to less than K")
         return sched.values[i]
+    # a float power, as on the array: an int i ** c could be exact or huge
+    return _ceil(_formula(sched, float(i) if sched.kind == POWER_LAW else i,
+                          math.log))
+
+
+def _formula(sched: SampleSchedule, i, log):
+    """s_i before the ceiling for the three formula kinds, on the round i
+    with log = math.log or on the float array of rounds i with np.log; a
+    ScheduleError for a kind without a formula.  With an int i the matched
+    forms' i + (m + 1) is exact."""
+    if sched.kind == POWER_LAW:
+        return sched.a * i ** sched.c + sched.b
+    g, m, d = sched.g, sched.m, sched.d
+    if sched.kind == MATCHED_POWER:
+        base = (i + (m + 1)) / (d + 1) * (g - 1) / g
+        return base ** (1.0 / (g - 1)) / (d + 1)
+    if sched.kind == MATCHED_LOG:
+        arg = (i + (m + 1)) / (2 * (d + 1))  # >= e, as matched_log requires
+        return (i + (m + 1)) / (16 * (d + 1) ** 2) / log(arg)
     raise ScheduleError(f"unknown sample schedule kind {sched.kind!r}")
 
 
@@ -366,12 +374,12 @@ def make_strongly_convex_schedules(mu: float, L: float, d: int, m: int):
 
 def _block_sizes(sched: SampleSchedule, start: int, stop: int):
     """(sizes, scalar): s_i for i in [start, stop) as ints from one array
-    pass, and the offsets j whose s_{start+j} is left to the scalar
-    sample_size (sizes[j] is 0 there): rounds past an explicit list, values
-    above 2**63 - 1, and closed-form values that are non-finite or whose
-    nudged value lies near an integer (for a power law with c = 0 or 1,
-    which calls no pow, only those non-finite or too large).  Raises
-    nothing."""
+    pass of _formula, and the offsets j whose s_{start+j} is left to the
+    scalar sample_size (sizes[j] is 0 there): rounds past an explicit list,
+    values above 2**63 - 1, every round of a kind without a formula, and
+    formula values that are non-finite or whose nudged value lies near an
+    integer (for a power law with c = 0 or 1, which calls no pow, only
+    those non-finite or too large).  Raises nothing."""
     n = stop - start
     if sched.kind == CONSTANT:
         return [sched.s] * n, [] if sched.s <= _INT64_MAX else list(range(n))
@@ -382,9 +390,9 @@ def _block_sizes(sched: SampleSchedule, start: int, stop: int):
                 [j for j, v in enumerate(vals) if v > _INT64_MAX] + past)
     i = np.arange(start, stop, dtype=float)
     with np.errstate(all="ignore"):
-        try:
-            x = _closed_form_array(sched, i)
-        except OverflowError:  # a parameter beyond the float range
+        try:  # NaN for a parameter beyond the float range or another kind
+            x = _formula(sched, i, np.log)
+        except (OverflowError, ScheduleError):
             x = np.full(n, np.nan)
         y = x - _CEIL_EPS * np.maximum(1.0, np.abs(x))
         if sched.kind == POWER_LAW and sched.c in (0, 1):
@@ -392,27 +400,9 @@ def _block_sizes(sched: SampleSchedule, start: int, stop: int):
             # bit; False for NaN, inf and every ceil above 2**63 - 1
             kept = np.abs(y) < 2.0 ** 63
         else:
-            # False for NaN, inf and every |y| >= 5e8
-            kept = np.abs(y - np.rint(y)) > _NEAR_INT * np.maximum(np.abs(y),
-                                                                   1.0)
+            kept = ~_near_int(y)  # False for NaN, inf and every |y| >= 5e8
         sizes = np.where(kept, np.ceil(y), 0.0).astype(np.int64)
     return sizes.tolist(), np.flatnonzero(~kept).tolist()
-
-
-def _closed_form_array(sched: SampleSchedule, i: np.ndarray) -> np.ndarray:
-    """_closed_form before the ceiling, for the float rounds i; NaN for a
-    kind it does not know, which the scalar code then rejects."""
-    if sched.kind == POWER_LAW:
-        return sched.a * i ** sched.c + sched.b
-    if sched.kind == MATCHED_POWER:
-        g, m, d = sched.g, sched.m, sched.d
-        base = (i + (m + 1)) / (d + 1) * (g - 1) / g
-        return base ** (1.0 / (g - 1)) / (d + 1)
-    if sched.kind == MATCHED_LOG:
-        m, d = sched.m, sched.d
-        arg = (i + (m + 1)) / (2 * (d + 1))
-        return (i + (m + 1)) / (16 * (d + 1) ** 2) / np.log(arg)
-    return np.full(len(i), np.nan)
 
 
 def rounds_for_budget(sched: SampleSchedule, K: int) -> int:

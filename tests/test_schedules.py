@@ -1,6 +1,7 @@
 """Schedule construction and the delay-compatibility properties."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -297,21 +298,52 @@ def delay_range(df, x_max):
 SC_DELAY = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)[0]
 
 
-@pytest.mark.parametrize("df", [
-    SC_DELAY, DelayFunction(g=2.0, M0=0.0, M1=3.0),
-    DelayFunction(g=3.0, M0=0.0, M1=1.0)])
-def test_eval_delay_array_has_the_scalar_floor_and_ceil(df):
-    sched = SampleSchedule.matched_log(m=7747, d=1)
-    rows = rounds_for_budget(sched, 10 ** 5) + 1 + 6
-    array, scalar = delay_range(df, sched.prefix_sum(rows))
+TABLE_T = 100_168  # the last t of the sc-quad table
+
+
+def assert_scalar_floor_and_ceil(array, scalar):
     # tau is compared only with integers, and such a verdict can differ
     # only if an integer lies between the two values
     assert np.array_equal(np.floor(array), np.floor(scalar))
     assert np.array_equal(np.ceil(array), np.ceil(scalar))
     # values near an integer are the scalar ones, bit for bit
     near = np.abs(array - np.rint(array)) <= 1e-6
-    assert near.any()
     assert np.array_equal(array[near], scalar[near])
+    return near
+
+
+@pytest.mark.parametrize("df", [
+    SC_DELAY, DelayFunction(g=2.0, M0=0.0, M1=3.0),
+    DelayFunction(g=3.0, M0=0.0, M1=1.0)])
+def test_eval_delay_array_has_the_scalar_floor_and_ceil(df):
+    sched = SampleSchedule.matched_log(m=7747, d=1)
+    rows = rounds_for_budget(sched, 10 ** 5) + 1 + 6
+    near = assert_scalar_floor_and_ceil(
+        *delay_range(df, sched.prefix_sum(rows)))
+    assert near.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(df=delay_functions, x_max=st.integers(0, 5000))
+def test_eval_delay_array_has_the_scalar_floor_and_ceil_when_drawn(df, x_max):
+    """Any delay function (g, M0, M1, both gammas) over t = 0..x_max."""
+    assert_scalar_floor_and_ceil(*delay_range(df, x_max))
+
+
+# Frozen ceil(tau) over the sc-quad table's t range: a change to the
+# formula's text or operation order shows here, also where the array and
+# scalar evaluations would change together.  Every caller compares tau only
+# with integers, and so only through its ceiling; the raw bytes of the
+# values not near an integer depend on which log and pow kernels numpy
+# dispatches on the host.
+@pytest.mark.parametrize("df,digest", [
+    (SC_DELAY, "ae95b82cb9c9db374a2697dfb53cf8e5"
+               "131f26140efed65319bfd65077b7771e"),
+    (DelayFunction(g=2.0, M0=0.0, M1=3.0),
+     "d01dae58a5e35d99e7e9458078f376dcea77cadbc37c7d5cb1c399a9a992b34e")])
+def test_eval_delay_array_is_pinned(df, digest):
+    tau = eval_delay(df, np.arange(TABLE_T + 1, dtype=float))
+    assert hashlib.sha256(np.ceil(tau).tobytes()).hexdigest() == digest
 
 
 def test_eval_delay_array_domain_errors():
@@ -322,6 +354,15 @@ def test_eval_delay_array_domain_errors():
     with pytest.raises(ScheduleError):
         eval_delay(df_log, np.array([0.0, 5.0]))
     assert eval_delay(df_log, np.array([])).shape == (0,)
+
+
+def test_compat_never_evaluates_tau_below_round_d():
+    # tau(sum_{j<=i} s_j) is undefined at round 0, where the sum is 1 and
+    # 4 ln 1 = 0, but rounds below d are not checked
+    sched = SampleSchedule.power_law(a=1.5, b=0.3, c=0.5)
+    df = DelayFunction(g=2.0, M0=0.0, M1=50.0, gamma=schedules.GAMMA_FOUR_LOG)
+    assert sample_size(sched, 0) == 1
+    assert verify_delay_compatibility(sched, df, 5, i_max=400) == (False, 31)
 
 
 @pytest.mark.parametrize("g", [2.0, 3.0])
@@ -483,6 +524,25 @@ def test_block_sizes_are_the_scalar_ones(sched, start, n):
     kept = sorted(set(range(n)) - set(scalar))
     assert [sizes[j] for j in kept] == \
         [sample_size(sched, start + j) for j in kept]
+
+
+# Frozen s_0..s_{N-1}: a change to a formula's text or operation order
+# shows here, also where the array and scalar evaluations would change
+# together.  One in eight g = 2 values is an integer before the ceiling,
+# which the walk leaves to the scalar code; the matched_log rounds are
+# those of K = 1e5.
+@pytest.mark.parametrize("sched,rounds,digest", [
+    (SampleSchedule.matched_power(g=2.0, m=10, d=1), 10_000,
+     "c795787a8f304d04ff34016ef9742afff787bb7b58212b68fc6b47e8486d4b5e"),
+    (SampleSchedule.matched_power(g=3.5, m=7, d=2), 10_000,
+     "c03a3d2f5fa63f7695a279ed1cd84978f0da00badf58444f42bebdb7453e30ec"),
+    (SampleSchedule.power_law(a=1.5, b=0.3, c=0.5), 10_000,
+     "15476945f00862b96e459e01a7b3323229c73e96444add669a21f09da9b0ac73"),
+    (SampleSchedule.matched_log(m=7747, d=1), 4_822,
+     "e7d22280e4759a6e2ec684aa447d8cdb60fb78808e287f0dcc0f669ad73ae01c")])
+def test_sample_sizes_are_pinned(sched, rounds, digest):
+    values = [sample_size(sched, i) for i in range(rounds)]
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == digest
 
 
 def scalar_outcome(walk, sched, K):
