@@ -4,7 +4,7 @@ Subcommands:
   run         execute one simulation from a JSON config
   schedule    print the per-round schedule table of a JSON config as CSV
   experiment  run a named experiment suite and print its CSV
-  audit       run with full tracing and check the staleness contract
+  audit       run with full tracing and every audit that applies
   optimum     solve for the optimum of a configured problem, with its
               gradient-norm certificate
 
@@ -107,23 +107,21 @@ def _grid_search(cfg: harness.RunConfig) -> harness.RunConfig:
 
 
 def _run_audits(prep: harness.PreparedRun, result) -> int:
-    """Both audits of a traced run; a run without a delay function has no
-    staleness contract, so nothing is audited and the exit code is 0."""
-    df = prep.delay_fn
-    if df is None:
-        print("audit: no delay function configured; nothing audited",
-              file=sys.stderr)
-        return EXIT_OK
-    ok, bad_t = engine.audit_consistency(result.trace, df)
-    if not ok:
-        print(f"audit: staleness contract violated at t={bad_t}",
-              file=sys.stderr)
-        return EXIT_AUDIT
-    ok, bad = engine.audit_gate_invariant(result.trace, df)
-    if not ok:
-        print(f"audit: gate invariant violated at record {bad}",
-              file=sys.stderr)
-        return EXIT_AUDIT
+    """Every audit that applies to a traced run: the lag rule under the lag
+    gate; the staleness contract and gate invariant with a delay function."""
+    df, cfg = prep.delay_fn, prep.config
+    audits = [] if cfg.gate != engine.GATE_LAG else \
+        [(engine.audit_lag, cfg.d, "lag rule violated at record ")]
+    if df is not None:
+        audits += [(engine.audit_consistency, df,
+                    "staleness contract violated at t="),
+                   (engine.audit_gate_invariant, df,
+                    "gate invariant violated at record ")]
+    for audit, arg, what in audits:
+        ok, bad = audit(result.trace, arg)
+        if not ok:
+            print(f"audit: {what}{bad}", file=sys.stderr)
+            return EXIT_AUDIT
     return EXIT_OK
 
 
@@ -145,7 +143,7 @@ def cmd_audit(args) -> int:
     prep, result, _metrics, _opt = harness.execute(
         cfg, record_trace=True, with_optimum=False)
     code = _run_audits(prep, result)
-    if code == EXIT_OK and prep.delay_fn is not None:
+    if code == EXIT_OK:
         print("audit passed")
     return code
 

@@ -19,37 +19,45 @@ The engine reads what depends only on the round from tables built at
 entry, up to the table's last round T: the prefix sums P[i] = sum_{j<i}
 s_j (the table's row starts), the scales, the delay-draw bounds
 2 max(s_i, 1) + 1, the counts s_{i,c} (AssignmentTable.counts) and the
-non-empty cells per round.  The tau gate evaluates tau by the scalar
-code, once per t_glob; the audits evaluate it for all records in one
-array pass, whose floor and ceil are the scalar ones (see
+non-empty cells per round.  The audits evaluate tau for all records in
+one array pass, whose floor and ceil are the scalar ones (see
 schedules.eval_delay).
 
-Events exist only where a node has work.  A node ships round i in the
-handler of its last gradient there and enters its next round j with
-s_{j,c} > 0, or stops with every round completed: an empty cell gets no
-event, draw or message, and a round without work is broadcast as soon as
-every earlier round is, at tick 0 too.  A broadcast draws one delay per
-live node into that node's inbox, where arrival ticks and k rise
-together: an entry is dropped when a newer broadcast arrives no later.  A
-step first adopts the newest broadcast arrived by its tick.  The gate
-passes a model of broadcast k iff k >= wake_k: i - d (lag), or the least
-k with P[k] >= t_glob + 1 - floor(tau(t_glob)) (tau).  A node steps at
-the next tick if its model passes, else at the arrival of the first
-broadcast that does.
+One event per cell: node c runs the s_{i,c} steps of its cell (i, c) one
+per tick, in one event at the tick of the last step, when every
+broadcast the cell can adopt is in the node's inbox.  A step first adopts
+the newest broadcast arrived by its tick.  The node ships round i at the
+cell's last tick and enters its next round j with s_{j,c} > 0, or stops:
+an empty cell gets no event, draw or message, and a round without work
+is broadcast as soon as every earlier round is, at tick 0 too.  A
+broadcast draws one delay per live node into that node's inbox, where
+arrival ticks and k rise together: an entry is dropped when a newer
+broadcast arrives no later.
 
-Time advances in integer ticks.  An event lands at least one tick after
-the one that schedules it, so a tick's events are all known when it
-starts.  A tick's bucket of (draw, handler, payload) entries, draw being
-a uniform draw from the interleave stream taken at push time, is sorted
-by draw with a stable sort (push order breaks ties); empty ticks are
-skipped.  `rng.Replay` gives the interleave draws and message delays,
-exactly the Generator's scalar random() and integers(0, hi).  Round
-updates and the server model are checked for inf and NaN as
+The gate passes a model of broadcast k iff k >= wake_k: i - d (lag), or
+the least k with P[k] >= t_glob + 1 - floor(tau(t_glob)) (tau).  A cell
+starts at the next tick if the node's model passes, else at the arrival
+of the first broadcast that does.  Inside a cell the lag gate cannot
+refuse: wake_k is fixed within a round and k only grows.  The tau gate
+is checked at each step, after its adoption, by comparing t_delay with
+floor(tau) at the round's least t_glob, a floor for the whole round, and
+the scalar tau only where that fails; a refused step ends the event, and
+the cell goes on as if it started there.
+
+Time advances in integer ticks; every event is pushed for a later tick.
+A tick's bucket of (draw, handler, payload) entries, draw being a uniform
+draw from the interleave stream taken at push time (one per cell event,
+round update or wake-up), is sorted by draw with a stable sort (push
+order breaks ties); empty ticks are skipped.  The run stops at the K-th
+gradient in handler order.  `rng.Replay` gives the interleave draws and
+message delays, exactly the Generator's scalar random() and integers(0,
+hi).  Round updates and the server model are checked for inf and NaN as
 isfinite(x @ zeros), which is NaN exactly when some entry is not finite.
 
-A traced run fills RunTrace's flat columns: a RECORD row per gradient and
-a stamp per round update (i, c), the number of broadcasts emitted before
-it was applied (-1: never); (i, c) is in broadcast b iff 0 <= stamp < b.
+A traced run fills RunTrace's flat columns: a RECORD row per gradient in
+handler order and a stamp per round update (i, c), the number of
+broadcasts emitted before it was applied (-1: never); (i, c) is in
+broadcast b iff 0 <= stamp < b.
 """
 from __future__ import annotations
 
@@ -69,7 +77,7 @@ from . import rng
 from .data import AssignmentTable, Partition
 from .problems import Problem, grad
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
-                        PER_ITERATION, eval_delay,
+                        GAMMA_ONE, PER_ITERATION, eval_delay,
                         per_iteration_step, round_step)
 
 GATE_LAG = "lag"  # wait while i > k + d
@@ -132,7 +140,7 @@ RECORD = np.dtype([("c", np.int64), ("i", np.int64), ("h", np.int64),
 @dataclass
 class RunTrace:
     """The flat columns of a traced run.  records: one RECORD row per
-    gradient in execution order: node c, round i, local step h, step eta,
+    gradient in handler order: node c, round i, local step h, step eta,
     the gate's t_glob and t_delay, the last broadcast the local model
     contains and the first local round whose own updates survive in it.
     Broadcast b holds every update of rounds < b (broadcast 0 is the
@@ -198,12 +206,12 @@ _DRAW_CHUNK = 1024
 
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "acc_round",
-                 "wake_k", "X", "y", "next_index", "inbox")
+                 "wake_k", "t0", "X", "y", "next_index", "inbox")
 
     def __init__(self, c: int, w0: np.ndarray, local,
                  gen: np.random.Generator):
         self.c = c
-        self.i = self.h = self.s_ic = self.k = self.acc_round = 0
+        self.i = self.h = self.s_ic = self.k = self.acc_round = self.t0 = 0
         self.w = w0.copy()
         self.U = np.zeros_like(self.w)
         self.wake_k = math.inf  # gated: the first k that opens the gate
@@ -259,7 +267,19 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     # per round: the updates the server waits for, and those it has applied
     need = np.count_nonzero(counts, axis=1).tolist() + [-1]
     arrived = [0] * (rounds + 1)
-    tau_at = functools.cache(lambda x: eval_delay(delay_fn, float(max(x, 0))))
+    if tau_gate:
+        # wake_tau(t): the least k the tau gate passes at t_glob t.  tau
+        # rises (4 z / ln z only from z = e on), so tau at round i's least
+        # t_glob, where its largest cell starts (or at z = e, if less),
+        # floors all of round i: t_delay <= tau_lo[i] passes.
+        x = np.maximum(table.start[1:] - counts.max(axis=1) - 1, 0.0)
+        lo = eval_delay(delay_fn, x)
+        if delay_fn.gamma != GAMMA_ONE:
+            lo = np.minimum(lo, eval_delay(
+                delay_fn, np.maximum(x, math.e - delay_fn.M0)))
+        tau_lo = np.floor(lo).astype(int).tolist()
+        wake_tau = functools.cache(lambda t: bisect_left(
+            P, t + 1 - math.floor(eval_delay(delay_fn, float(max(t, 0))))))
     if per_iter:
         _node, _rnd, _occ, first, order = table.index()  # rho(c, i, h)
 
@@ -281,7 +301,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     zeros = np.zeros(dim)  # x @ zeros is NaN iff x has an inf or a NaN
     isfinite = math.isfinite
     buckets: dict = {}    # tick -> [(draw, handler, payload)] in push order
-    now = 0               # the current tick; nxt is the bucket of now + 1
+    now = 0               # the current tick
 
     def push(time: int, handler, payload) -> None:
         buckets.setdefault(time, []).append((draw(), handler, payload))
@@ -301,27 +321,27 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 while inbox and inbox[-1][0] >= at:
                     inbox.pop()  # overtaken: never the newest arrived
                 inbox.append((at, k_srv, snapshot))
-                if k_srv >= nd.wake_k:
-                    nd.wake_k = math.inf
-                    push(at, node_step, nd)
+                if k_srv >= nd.wake_k:  # nd's gate opens at tick at
+                    nd.wake_k, nd.t0 = math.inf, at
+                    push(at + nd.s_ic - nd.h - 1, node_run, nd)
 
-    def schedule(nd: _Node) -> None:
-        # nd's next step, by the gate rule of the module docstring
+    def schedule(nd: _Node, t0: int) -> None:
+        # nd's step h runs at tick t0 if its model passes the gate, else at
+        # the arrival of the first broadcast that does; its event is at the
+        # tick of its cell's last step
         if tau_gate:
-            t1 = P[nd.i + 1] - (nd.s_ic - nd.h)  # t_glob + 1
-            tau = tau_at(t1 - 1)
-            wake_k = nd.k if tau >= t1 - P[nd.k] else \
-                bisect_left(P, t1 - math.floor(tau))
+            t_glob = P[nd.i + 1] - (nd.s_ic - nd.h) - 1
+            wake_k = nd.k if t_glob - P[nd.k] < tau_lo[nd.i] else \
+                wake_tau(t_glob)
         else:
             wake_k = nd.i - d
-        if nd.k >= wake_k:
-            nxt.append((draw(), node_step, nd))
-            return
-        at = next((at for at, kb, _m in nd.inbox if kb >= wake_k), None)
-        if at is None:
-            nd.wake_k = wake_k  # the first broadcast it passes wakes nd
-        else:
-            push(at, node_step, nd)
+        if nd.k < wake_k:
+            t0 = next((at for at, kb, _m in nd.inbox if kb >= wake_k), None)
+            if t0 is None:
+                nd.wake_k = wake_k  # the first broadcast it passes wakes nd
+                return
+        nd.t0 = t0
+        push(t0 + nd.s_ic - nd.h - 1, node_run, nd)
 
     def server_apply(msg) -> None:
         i, c, payload = msg
@@ -356,49 +376,57 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         push(now + 1 + randint(delay_hi[i]), server_apply, (i, c, payload))
         return enter(nd, i + 1)
 
-    def node_step(nd: _Node) -> None:
+    def node_run(nd: _Node) -> None:
+        # nd's steps h.. at ticks t0, t0 + 1, .., now: its cell's last tick
         nonlocal grads
-        inbox = nd.inbox
-        if inbox and inbox[0][0] <= now:
-            # adopt the newest arrived broadcast: replace the local model,
-            # re-applying the current partial round
-            while len(inbox) > 1 and inbox[1][0] <= now:
-                inbox.popleft()
-            _at, nd.k, model = inbox.popleft()
-            if n > 1:  # U is zero at h = 0
-                nd.w = model - scale[nd.i] * nd.U if nd.h else model.copy()
-                nd.acc_round = nd.i
-            # with one node, keeping w is exact: every aggregated update is
-            # its own, and the iterates stay bit-identical to serial SGD
-        i, h = nd.i, nd.h
-        # one gradient computation
-        idx = nd.next_index()
-        g = grad(problem, nd.w, nd.X[idx], nd.y[idx])
-        if per_iter:
-            eta = per_iteration_step(
-                steps, int(order[first[i * n + nd.c - 1] + h]))
-        else:
-            eta = scale[i]
-        if records is not None:
-            # global index of this gradient and its distance to the prefix
-            # the local model is known to contain
-            t_glob = P[i + 1] - (nd.s_ic - h) - 1
-            records[grads] = (nd.c, i, h, eta, t_glob, t_glob + 1 - P[nd.k],
-                              nd.k, nd.acc_round)
-        step = eta * g
-        nd.U += step if per_iter else g
-        nd.w -= step
-        if record_iterates:
-            iterates.append(nd.w.copy())
-        nd.h = h + 1
-        grads += 1
-        if (h + 1 < nd.s_ic or ship_round(nd)) and grads < K:
-            schedule(nd)
+        c, i, h, s_ic, inbox = nd.c, nd.i, nd.h, nd.s_ic, nd.inbox
+        w, U, k, acc_round = nd.w, nd.U, nd.k, nd.acc_round
+        X, y, next_index = nd.X, nd.y, nd.next_index
+        t, eta, lo = nd.t0, scale[i], tau_lo[i] if tau_gate else 0
+        t_glob, p_k = P[i + 1] - (s_ic - h) - 1, P[k]  # the gate's index
+        while True:
+            if inbox and inbox[0][0] <= t:
+                # adopt the newest arrived broadcast: replace the local
+                # model, re-applying the current partial round
+                while len(inbox) > 1 and inbox[1][0] <= t:
+                    inbox.popleft()
+                _at, k, model = inbox.popleft()
+                p_k = P[k]
+                if n > 1:  # U is zero at h = 0
+                    w = model - scale[i] * U if h else model.copy()
+                    acc_round = i
+                # with one node, keeping w is exact: every aggregated update
+                # is its own, and the iterates stay bit-identical to serial SGD
+            if tau_gate and t_glob - p_k >= lo and k < wake_tau(t_glob):
+                break  # the tau gate refuses this step
+            # one gradient computation
+            idx = next_index()
+            g = grad(problem, w, X[idx], y[idx])
+            if per_iter:
+                eta = per_iteration_step(
+                    steps, int(order[first[i * n + c - 1] + h]))
+            if records is not None:
+                # t_delay, its distance to the prefix its model surely holds
+                records[grads] = (c, i, h, eta, t_glob, t_glob + 1 - p_k,
+                                  k, acc_round)
+            step = eta * g
+            U += step if per_iter else g
+            w -= step
+            if record_iterates:
+                iterates.append(w.copy())
+            h += 1
+            grads += 1
+            if h == s_ic or grads == K:
+                break
+            t += 1
+            t_glob += 1
+        nd.w, nd.k, nd.acc_round, nd.h = w, k, acc_round, h
+        if (h < s_ic or ship_round(nd)) and grads < K:
+            schedule(nd, now + 1)  # refused by the tau gate, or a new cell
 
-    nxt = buckets.setdefault(0, [])  # the first steps run at tick 0
     for nd in nodes:
         if enter(nd, 0):
-            schedule(nd)
+            schedule(nd, 0)  # the first steps run at tick 0
     broadcast()  # rounds no node has work in complete at once
 
     by_draw = itemgetter(0)
@@ -413,7 +441,6 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                     f"server k={k_srv}, nodes={stuck}")
             now = min(buckets)
             continue
-        nxt = buckets.setdefault(now + 1, [])
         if len(bucket) > 1:
             bucket.sort(key=by_draw)  # stable: push order breaks ties
         for _draw, handler, payload in bucket:
@@ -483,3 +510,9 @@ def audit_gate_invariant(trace: RunTrace, df: DelayFunction):
     tau = eval_delay(df, np.maximum(rec.t_glob, 0))
     bad = np.flatnonzero(rec.t_delay > tau)
     return (True, None) if len(bad) == 0 else (False, rec[bad[0]])
+
+
+def audit_lag(trace: RunTrace, d: int):
+    """Check i - bcast_id <= d, the lag gate's rule, on every record."""
+    bad = np.flatnonzero(trace.records.i - trace.records.bcast_id > d)
+    return (True, None) if len(bad) == 0 else (False, trace.records[bad[0]])

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as hs
-from oracles import make_step_fn
+from oracles import make_step_fn, replay_iterates
 
 from asyncsgd import data, engine, problems, rng, schedules
 from asyncsgd.data import AssignmentTable, build_assignment, partition, \
@@ -16,7 +16,7 @@ from asyncsgd.data import AssignmentTable, build_assignment, partition, \
 from asyncsgd.engine import (DeadlockError, EngineError, NonFiniteError,
                              RECORD, RunTrace, rho, rho_inverse, run,
                              serial_sgd, audit_consistency,
-                             audit_gate_invariant)
+                             audit_gate_invariant, audit_lag)
 from asyncsgd.problems import Problem
 from asyncsgd.schedules import (DelayFunction, SampleSchedule, StepSchedule,
                                 eval_delay, make_strongly_convex_schedules,
@@ -360,6 +360,96 @@ def test_incompatible_schedule_can_violate_tau_invariant():
     assert not ok
 
 
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_audit_lag_holds_tightly_and_finds_the_first_violation(d):
+    """Lag-gate runs keep i - bcast_id <= d and reach d; a record claiming
+    a model one round staler than the stalest fails the audit there."""
+    sam = SampleSchedule.constant(6)
+    st = StepSchedule.inverse_t(0.1, 0.01)
+    _ds, prob, part = quadratic_setup(5, d)
+    table = build_assignment(sam, part.p, 5, rounds=100, seed=d)
+    trace = run(prob, part, table, sam, st, None, K=500, seed=d, d=d,
+                record_trace=True).trace
+    assert audit_lag(trace, d) == (True, None)
+    gap = trace.records.i - trace.records.bcast_id
+    assert gap.max() == d
+    records = trace.records.copy()
+    j = int(np.argmax(gap))
+    records.bcast_id[j] -= 1
+    ok, bad = audit_lag(dataclasses.replace(trace, records=records), d)
+    assert not ok and tuple(bad) == tuple(records[j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=hs.integers(1, 12), gate=hs.sampled_from([engine.GATE_LAG,
+                                                    engine.GATE_TAU]),
+       mode=hs.sampled_from([schedules.PER_ROUND, schedules.PER_ITERATION]),
+       logistic=hs.booleans(), d=hs.integers(0, 2),
+       K=hs.integers(1200, 1800), seed=hs.integers(0, 2 ** 16))
+def test_model_replay_matches_iterates(n, gate, mode, logistic, d, K, seed):
+    """Every iterate is the one replayed from its record's claims (its
+    broadcast, its surviving own rounds, its partial round) to 1e-12
+    relative, so the trace describes the models the gradients used."""
+    tau, sam, _st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
+    df = tau if gate == engine.GATE_TAU else None
+    st = StepSchedule.inverse_t(0.1, 0.01, mode=mode)
+    if logistic:
+        ds, prob = synthetic_logistic(240, 3, seed=seed % 97), \
+            Problem.logistic_ridge(3, 0.1)
+    else:
+        ds, prob = synthetic_quadratic(240, 3, seed=seed % 97), \
+            Problem.quadratic_mean(3)
+    part = partition(ds, n, seed=seed)
+    table = build_assignment(sam, part.p, n,
+                             rounds=schedules.rounds_for_budget(sam, K) + 1,
+                             seed=seed)
+    res = run(prob, part, table, sam, st, df, K=K, seed=seed, gate=gate,
+              d=d, record_trace=True, record_iterates=True)
+    replay = replay_iterates(prob, part, res.trace, seed)
+    assert max(np.linalg.norm(a - b) / np.linalg.norm(b)
+               for a, b in zip(res.iterates, replay, strict=True)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("gate", [engine.GATE_LAG, engine.GATE_TAU])
+def test_cells_run_as_blocks(gate, seed):
+    """A cell (i, c) runs in one handler: its records form one block of
+    h = 0, 1, .. under the lag gate.  Under the tau gate h still rises by
+    one, and a block ends before the cell does only where the gate refuses
+    the next step: a model of the block's last broadcast fails it, and the
+    cell goes on from a newer broadcast."""
+    # tau(x) = 10 + sqrt(x) holds a node back in about one cell in ten
+    df = DelayFunction(g=2.0, M0=0.0, M1=10.0)
+    sam, st = SampleSchedule.constant(8), StepSchedule.inverse_t(0.1, 0.01)
+    _ds, prob, part = quadratic_setup(3, seed)
+    table = build_assignment(sam, part.p, 3, rounds=300, seed=seed)
+    rec = run(prob, part, table, sam, st, df, K=2000, seed=seed, gate=gate,
+              d=1, record_trace=True).trace.records
+    counts, P = table.counts(), table.start
+    blocks = {}  # (i, c) -> [(first h, last h, last record), ..]
+    for j, (c, i, h) in enumerate(zip(rec.c.tolist(), rec.i.tolist(),
+                                      rec.h.tolist())):
+        runs = blocks.setdefault((i, c), [])
+        if j and (rec.c[j - 1], rec.i[j - 1]) == (c, i):
+            runs[-1][1:] = [h, j]
+        else:
+            runs.append([h, h, j])
+    cut = 0
+    for (i, c), runs in blocks.items():
+        assert [h for first, last, _j in runs
+                for h in range(first, last + 1)] == \
+            list(range(runs[-1][1] + 1)), (i, c)
+        if gate == engine.GATE_LAG:
+            assert len(runs) == 1, (i, c)
+        for (_f, last, j), nxt in zip(runs, runs[1:]):
+            refused, b = int(rec.t_glob[j]) + 1, int(rec.bcast_id[j])
+            assert last + 1 < counts[i, c]
+            assert refused + 1 - P[b] > eval_delay(df, float(refused))
+            assert rec.bcast_id[nxt[2] - (nxt[1] - nxt[0])] > b
+            cut += 1
+    assert cut > 0 or gate == engine.GATE_LAG
+
+
 def assert_round_sums(res, grads):
     """Each checkpoint, the model of broadcast k, equals w0 = 0 minus the
     per-round scaled gradient block sums it is supposed to contain, and the
@@ -412,11 +502,12 @@ def test_trace_record_count_and_determinism():
             (b.c, b.i, b.h, b.eta, b.bcast_id)
 
 
-# Fingerprints of small runs, recorded when events became limited to cells
-# with work: empty (node, round) cells lost their events and messages, and
-# nodes adopt broadcasts from an inbox at their next step, so the interleave
-# stream is consumed differently.  Any change to event order, stream
-# consumption or floating-point arithmetic shows up here.
+# Fingerprints of small runs, recorded when a (round, node) cell became one
+# event: the interleave stream gives one tie-break draw per cell, not per
+# gradient, and the budget cut is the K-th gradient in handler order.  The
+# audits and the model replay passed on each run before it was recorded.
+# Any change to event order, stream consumption or floating-point
+# arithmetic shows up here.
 
 def sha256_of(w):
     return hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
@@ -440,10 +531,10 @@ def test_determinism_pinned_lag_gate_five_nodes():
     res = run(prob, part, table, sam, st, df, K=2000, seed=3,
               gate=engine.GATE_LAG, d=1, record_trace=False,
               checkpoint_interval=5)
-    assert sha256_of(res.w_final) == ("eecefc2ac0af96a769d1ab57410e690b"
-                                      "59ad949b70eb5474c3205964c6fb2c43")
-    assert (res.messages, res.k_final) == (575, 116)
-    assert res.rounds_completed == {1: 118, 2: 117, 3: 118, 4: 117, 5: 118}
+    assert sha256_of(res.w_final) == ("d1ab80cb352784f1186816e43e394b6d"
+                                      "fc4e0fab97b83bba37cb7185f728c979")
+    assert (res.messages, res.k_final) == (576, 117)
+    assert res.rounds_completed == {1: 118, 2: 119, 3: 117, 4: 119, 5: 117}
 
 
 def test_determinism_pinned_tau_gate_four_nodes_traced():
@@ -452,11 +543,11 @@ def test_determinism_pinned_tau_gate_four_nodes_traced():
     table = build_assignment(sam, part.p, 4, rounds=200, seed=4)
     res = run(prob, part, table, sam, st, df, K=1500, seed=4,
               gate=engine.GATE_TAU, d=1, record_trace=True)
-    assert sha256_of(res.w_final) == ("4f7be645095dc45f97a10045f8cf6457"
-                                      "c8112e868759fb3b2d822d588c5d4c4f")
-    assert (res.messages, res.k_final) == (355, 78)
-    assert trace_digest(res) == ("bbfd7b74daadcb49f4c236f8a42e8002"
-                                 "3f20e4fadfee4381f90c69d548694c89")
+    assert sha256_of(res.w_final) == ("b9ea38212a02b3c5ff7c666e1b30d6da"
+                                      "99b24f29843d9f350400e28432a99334")
+    assert (res.messages, res.k_final) == (356, 79)
+    assert trace_digest(res) == ("17c1bb4b95ef841d7e5919dd7a40ed60"
+                                 "743291dc0a4de35e35d1e3db7d54e856")
 
 
 def test_determinism_pinned_explicit_schedule_exact_rounds():
@@ -469,11 +560,11 @@ def test_determinism_pinned_explicit_schedule_exact_rounds():
     table = build_assignment(sam, part.p, 3, rounds=len(vals), seed=5)
     res = run(prob, part, table, sam, st, None, K=sum(vals[:7]), seed=5,
               record_trace=True)
-    assert sha256_of(res.w_final) == ("70bd8e744f27c70ac1aa53b635f47ec5"
-                                      "efd8be670374ce0a251b2382d71dd1c9")
+    assert sha256_of(res.w_final) == ("6c35ecbd7ba3f77e34c4f463896e497e"
+                                      "fba2b270db6df6e66d9c223ffda16bd3")
     assert (res.messages, res.k_final) == (19, 6)
-    assert trace_digest(res) == ("104b07dbc8be4f791e9fc780a256132d"
-                                 "dfd7f963f5b34c86b1a6aaae39ca0d00")
+    assert trace_digest(res) == ("7bbf712469afec747163fc5303b4eb4e"
+                                 "484c45571a890dc6aa0dc1c30f96e730")
 
 
 def test_determinism_pinned_logistic_power_law_per_iteration():
@@ -487,12 +578,12 @@ def test_determinism_pinned_logistic_power_law_per_iteration():
     table = build_assignment(sam, part.p, 3, rounds=40, seed=8)
     res = run(Problem.logistic_ridge(3, 0.1), part, table, sam, st, None,
               K=4000, seed=8, record_trace=True)
-    assert sha256_of(res.w_final) == ("65211f88c5c263df720c08ebfd53b62a"
-                                      "46ceafacf459d2c2455bff6ddd28e935")
-    assert (res.messages, res.k_final) == (46, 15)
-    assert res.rounds_completed == {1: 16, 2: 16, 3: 16}
-    assert trace_digest(res) == ("57644ce2aefa6ac73580e0dc355cf111"
-                                 "da8e6331748e36e538f08539a29a5287")
+    assert sha256_of(res.w_final) == ("8ae561c5233cf15a738094659a8448fd"
+                                      "d64e9776da826cd159201695e943a5e4")
+    assert (res.messages, res.k_final) == (47, 15)
+    assert res.rounds_completed == {1: 17, 2: 16, 3: 16}
+    assert trace_digest(res) == ("25c93b177b5fb025ec736700fb5dc627"
+                                 "c3ad295787d2b2d3ad267c5518550c5a")
 
 
 def test_determinism_pinned_tau_gate_twenty_nodes_full_record(
@@ -503,16 +594,16 @@ def test_determinism_pinned_tau_gate_twenty_nodes_full_record(
     res = run(prob, part, table, sam, st, df, K=3000, seed=13,
               gate=engine.GATE_TAU, d=1, record_trace=True,
               record_iterates=True)
-    assert sha256_of(res.w_final) == ("d6b053d822d2f11d52b29762ef36d905"
-                                      "113e4bb513938dcd8e3a70e5e99bca8e")
-    assert (res.messages, res.k_final) == (2088, 160)
-    assert trace_digest(res) == ("eb5dafc9536a70f068b8417c461b8712"
-                                 "f54c23f28365c3f4a89593e4b6fee220")
+    assert sha256_of(res.w_final) == ("873805437d58d2080340242c3cd0a5d2"
+                                      "f7182220d8ebde1cae0053d4d1ba3be6")
+    assert (res.messages, res.k_final) == (2088, 161)
+    assert trace_digest(res) == ("0dae8e5f4544a2bbf5a1dc6e9a7fe116"
+                                 "7f4690cd0cc922099dd1d177a49f4962")
     assert sha256_of(np.array(recorded_grads)) == (
-        "bcd4af1d65f24c67c05724031696738873659437f1a3b106b004cdd5b00cfb43")
+        "4938678102746d4e85980a7c32a0df7e4aac0a813f72e647431e3eeed88d0200")
     assert len(res.iterates) == 3000
     assert sha256_of(np.array(res.iterates)) == (
-        "c8bdb07514f01de0be884ce892a2d9200664105d355cf36ea888c80b82f3efa4")
+        "e2e3680f5ef9cb61818d847252bed9f2bf08366ea2e931c3ee3413e9e50cee67")
 
 
 def test_node_source_frequencies_match_p():

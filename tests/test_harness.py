@@ -456,15 +456,33 @@ def test_cli_audit_command(tmp_path, capsys):
     assert "audit passed" in capsys.readouterr().out
 
 
-def test_cli_audit_without_delay_function_audits_nothing(tmp_path, capsys):
+def test_cli_audit_without_delay_function_runs_the_lag_audit(tmp_path,
+                                                            capsys):
     path = write_config(tmp_path, quad_config())
     assert cli.main(["audit", "--config", path]) == cli.EXIT_OK
     out = capsys.readouterr()
-    assert "nothing audited" in out.err
-    assert "audit passed" not in out.out
+    assert "audit passed" in out.out and out.err == ""
     assert cli.main(["run", "--config", path, "--audit",
                      "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
-    assert "nothing audited" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_audit_lag_violation_exit_3(tmp_path, capsys, monkeypatch):
+    """A trace whose last gradient claims a model d + 1 rounds behind its
+    round fails the lag audit."""
+    execute = harness.execute
+
+    def stale_last_record(*args, **kwargs):
+        prep, result, metrics, opt = execute(*args, **kwargs)
+        rec = result.trace.records
+        rec.bcast_id[-1] = rec.i[-1] - prep.config.d - 1
+        return prep, result, metrics, opt
+
+    monkeypatch.setattr(harness, "execute", stale_last_record)
+    path = write_config(tmp_path, quad_config())
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_AUDIT
+    out = capsys.readouterr()
+    assert "lag rule violated" in out.err and "audit passed" not in out.out
 
 
 def test_cli_audit_tau_gate(tmp_path, capsys):
