@@ -206,12 +206,12 @@ _DRAW_CHUNK = 1024
 
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "acc_round",
-                 "wake_k", "t0", "X", "y", "next_index", "inbox")
+                 "wake_k", "X", "y", "next_index", "inbox")
 
     def __init__(self, c: int, w0: np.ndarray, local,
                  gen: np.random.Generator):
         self.c = c
-        self.i = self.h = self.s_ic = self.k = self.acc_round = self.t0 = 0
+        self.i = self.h = self.s_ic = self.k = self.acc_round = 0
         self.w = w0.copy()
         self.U = np.zeros_like(self.w)
         self.wake_k = math.inf  # gated: the first k that opens the gate
@@ -322,7 +322,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                     inbox.pop()  # overtaken: never the newest arrived
                 inbox.append((at, k_srv, snapshot))
                 if k_srv >= nd.wake_k:  # nd's gate opens at tick at
-                    nd.wake_k, nd.t0 = math.inf, at
+                    nd.wake_k = math.inf
                     push(at + nd.s_ic - nd.h - 1, node_run, nd)
 
     def schedule(nd: _Node, t0: int) -> None:
@@ -340,7 +340,6 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             if t0 is None:
                 nd.wake_k = wake_k  # the first broadcast it passes wakes nd
                 return
-        nd.t0 = t0
         push(t0 + nd.s_ic - nd.h - 1, node_run, nd)
 
     def server_apply(msg) -> None:
@@ -377,12 +376,13 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         return enter(nd, i + 1)
 
     def node_run(nd: _Node) -> None:
-        # nd's steps h.. at ticks t0, t0 + 1, .., now: its cell's last tick
+        # nd's steps h.. at ticks t, t + 1, .., now: its cell's last tick
         nonlocal grads
         c, i, h, s_ic, inbox = nd.c, nd.i, nd.h, nd.s_ic, nd.inbox
         w, U, k, acc_round = nd.w, nd.U, nd.k, nd.acc_round
         X, y, next_index = nd.X, nd.y, nd.next_index
-        t, eta, lo = nd.t0, scale[i], tau_lo[i] if tau_gate else 0
+        t = now + 1 - (s_ic - h)  # the tick of step h
+        eta, lo = scale[i], tau_lo[i] if tau_gate else 0
         t_glob, p_k = P[i + 1] - (s_ic - h) - 1, P[k]  # the gate's index
         while True:
             if inbox and inbox[0][0] <= t:

@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 _CEIL_EPS = 1e-12
-# An array value within this relative distance of an integer is recomputed
-# by the scalar code, so floor and ceil match it (see _near_int).
+# An array value within this relative distance of an integer, or within
+# 1e-6 below 1000, is recomputed by the scalar code (see _near_int).
 _NEAR_INT = 1e-9
 _INT64_MAX = 2 ** 63 - 1
 _FIRST_BLOCK, _MAX_BLOCK = 64, 2 ** 16  # rounds per pass of _walk
@@ -53,10 +53,11 @@ def _ceil(x: float) -> int:
 
 
 def _near_int(y: np.ndarray) -> np.ndarray:
-    """True where y lies within a relative 1e-9 of an integer, and where it
-    is NaN or inf: there numpy's log and pow, which may differ from libm in
-    the last bit, could give another floor or ceil than the scalar code."""
-    return ~(np.abs(y - np.rint(y)) > _NEAR_INT * np.maximum(np.abs(y), 1.0))
+    """True where y lies within 1e-6 of an integer (a relative 1e-9 from
+    1000 on), and where it is NaN or inf: there numpy's log and pow, which
+    may differ from libm in the last bit, could give another floor or ceil
+    than the scalar code, and such values are the scalar ones bit for bit."""
+    return ~(np.abs(y - np.rint(y)) > _NEAR_INT * np.maximum(np.abs(y), 1e3))
 
 
 # ---------------------------------------------------------------------------
