@@ -44,15 +44,15 @@ floor(tau) at the round's least t_glob, a floor for the whole round, and
 the scalar tau only where that fails; a refused step ends the event, and
 the cell goes on as if it started there.
 
-Time advances in integer ticks; every event is pushed for a later tick.
-A tick's bucket of (draw, handler, payload) entries, draw being a uniform
-draw from the interleave stream taken at push time (one per cell event,
-round update or wake-up), is sorted by draw with a stable sort (push
-order breaks ties); empty ticks are skipped.  The run stops at the K-th
-gradient in handler order.  `rng.Replay` gives the interleave draws and
-message delays, exactly the Generator's scalar random() and integers(0,
-hi).  Round updates and the server model are checked for inf and NaN as
-isfinite(x @ zeros), which is NaN exactly when some entry is not finite.
+Time advances in integer ticks; every event is pushed for a later
+tick.  A tick's bucket of (draw, handler, payload) entries, draw being a
+raw 64-bit word of the interleave stream taken at push time (one per
+cell event, round update or wake-up), is sorted by draw with a stable
+sort (push order breaks ties); empty ticks are skipped.  The run stops at
+the K-th gradient in handler order.  A message delay in [0, hi) takes one
+word too: word * hi >> 64 (see rng.words).  Round updates and the server
+model are checked for inf and NaN as isfinite(x @ zeros), which is NaN
+exactly when some entry is not finite.
 
 A traced run fills RunTrace's flat columns: a RECORD row per gradient in
 handler order and a stamp per round update (i, c), the number of
@@ -283,8 +283,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     if per_iter:
         _node, _rnd, _occ, first, order = table.index()  # rho(c, i, h)
 
-    inter = rng.Replay(rng.stream(seed, rng.INTERLEAVE))
-    draw, randint = inter.random, inter.integers
+    word = rng.words(seed, rng.INTERLEAVE)  # one 64-bit word per draw
     nodes = [_Node(c, base_w, partition.local(c),
                    rng.stream(seed, rng.NODE_SAMPLING, c))
              for c in range(1, n + 1)]
@@ -304,7 +303,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     now = 0               # the current tick
 
     def push(time: int, handler, payload) -> None:
-        buckets.setdefault(time, []).append((draw(), handler, payload))
+        buckets.setdefault(time, []).append((word(), handler, payload))
 
     def broadcast() -> None:
         # emit a broadcast for every newly completed round
@@ -316,7 +315,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 checkpoints.append((k_srv, P[k_srv], snapshot))
             hi = delay_hi[k_srv]
             for nd in [nd for nd in nodes if nd.i < rounds]:
-                at = now + 1 + randint(hi)
+                at = now + 1 + (word() * hi >> 64)
                 inbox = nd.inbox
                 while inbox and inbox[-1][0] >= at:
                     inbox.pop()  # overtaken: never the newest arrived
@@ -372,7 +371,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                                  f"round update in round {i}")
         nd.U = np.zeros(dim)
         pending[(i, c)] = payload
-        push(now + 1 + randint(delay_hi[i]), server_apply, (i, c, payload))
+        push(now + 1 + (word() * delay_hi[i] >> 64), server_apply,
+             (i, c, payload))
         return enter(nd, i + 1)
 
     def node_run(nd: _Node) -> None:

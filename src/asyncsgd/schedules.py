@@ -84,6 +84,9 @@ class DelayFunction:
             raise ScheduleError("M0 and M1 must be non-negative")
         if self.gamma not in (GAMMA_ONE, GAMMA_FOUR_LOG):
             raise ScheduleError(f"unknown gamma kind {self.gamma!r}")
+        if self.gamma == GAMMA_FOUR_LOG and self.M0 <= 1:
+            # 4 ln(x + M0) at x = 0 must be positive
+            raise ScheduleError(f"four_log needs M0 > 1, got {self.M0}")
 
 
 def eval_delay(df: DelayFunction, x):
@@ -104,12 +107,8 @@ def eval_delay(df: DelayFunction, x):
     if lo < 0:
         raise ScheduleError(f"delay function evaluated at negative x={lo}")
     z = x + df.M0
-    if df.gamma == GAMMA_ONE:
-        gam = 1.0  # z / 1.0 is z exactly
-    elif lo + df.M0 <= 1.0:
-        raise ScheduleError(f"4*ln(z) undefined or <= 0 for z={lo + df.M0}")
-    else:
-        gam = 4.0 * log(z)
+    # z / 1.0 is z exactly; 4 ln z > 0, since M0 > 1 for four_log
+    gam = 1.0 if df.gamma == GAMMA_ONE else 4.0 * log(z)
     tau = df.M1 + (z / gam) ** (1.0 / df.g)
     if array:
         for j in np.flatnonzero(_near_int(tau)).tolist():

@@ -502,10 +502,10 @@ def test_trace_record_count_and_determinism():
             (b.c, b.i, b.h, b.eta, b.bcast_id)
 
 
-# Fingerprints of small runs, recorded when a (round, node) cell became one
-# event: the interleave stream gives one tie-break draw per cell, not per
-# gradient, and the budget cut is the K-th gradient in handler order.  The
-# audits and the model replay passed on each run before it was recorded.
+# Fingerprints of small runs, recorded when the interleave stream came to
+# be read as raw 64-bit words: a cell event's tie-break is one word and a
+# message delay in [0, hi) is word * hi >> 64.  The audits and the model
+# replay passed on each run before it was recorded.
 # Any change to event order, stream consumption or floating-point
 # arithmetic shows up here.
 
@@ -531,10 +531,10 @@ def test_determinism_pinned_lag_gate_five_nodes():
     res = run(prob, part, table, sam, st, df, K=2000, seed=3,
               gate=engine.GATE_LAG, d=1, record_trace=False,
               checkpoint_interval=5)
-    assert sha256_of(res.w_final) == ("d1ab80cb352784f1186816e43e394b6d"
-                                      "fc4e0fab97b83bba37cb7185f728c979")
+    assert sha256_of(res.w_final) == ("c72208d95148fd8f3b8f012429a02c0a"
+                                      "13802ceca6871974d3717b731b4c3569")
     assert (res.messages, res.k_final) == (576, 117)
-    assert res.rounds_completed == {1: 118, 2: 119, 3: 117, 4: 119, 5: 117}
+    assert res.rounds_completed == {1: 119, 2: 118, 3: 117, 4: 119, 5: 117}
 
 
 def test_determinism_pinned_tau_gate_four_nodes_traced():
@@ -543,11 +543,11 @@ def test_determinism_pinned_tau_gate_four_nodes_traced():
     table = build_assignment(sam, part.p, 4, rounds=200, seed=4)
     res = run(prob, part, table, sam, st, df, K=1500, seed=4,
               gate=engine.GATE_TAU, d=1, record_trace=True)
-    assert sha256_of(res.w_final) == ("b9ea38212a02b3c5ff7c666e1b30d6da"
-                                      "99b24f29843d9f350400e28432a99334")
-    assert (res.messages, res.k_final) == (356, 79)
-    assert trace_digest(res) == ("17c1bb4b95ef841d7e5919dd7a40ed60"
-                                 "743291dc0a4de35e35d1e3db7d54e856")
+    assert sha256_of(res.w_final) == ("e2ee996b3197539a38afe42eb35be028"
+                                      "300d74d1960ea2aada89958e1504ba3c")
+    assert (res.messages, res.k_final) == (356, 78)
+    assert trace_digest(res) == ("44e7ef16e66449a1ba6abde44e7f42fe"
+                                 "b8183a7d62715ab9e9952ca19bc79076")
 
 
 def test_determinism_pinned_explicit_schedule_exact_rounds():
@@ -560,11 +560,11 @@ def test_determinism_pinned_explicit_schedule_exact_rounds():
     table = build_assignment(sam, part.p, 3, rounds=len(vals), seed=5)
     res = run(prob, part, table, sam, st, None, K=sum(vals[:7]), seed=5,
               record_trace=True)
-    assert sha256_of(res.w_final) == ("6c35ecbd7ba3f77e34c4f463896e497e"
-                                      "fba2b270db6df6e66d9c223ffda16bd3")
+    assert sha256_of(res.w_final) == ("cb520d227333fb8456faa69cd8bd4dab"
+                                      "18713d6bf5c8d91cdb6af30854ceb546")
     assert (res.messages, res.k_final) == (19, 6)
-    assert trace_digest(res) == ("7bbf712469afec747163fc5303b4eb4e"
-                                 "484c45571a890dc6aa0dc1c30f96e730")
+    assert trace_digest(res) == ("39389d5357e1e0c9f312e3582456555b"
+                                 "416db59512ad7707febca349cf366f22")
 
 
 def test_determinism_pinned_logistic_power_law_per_iteration():
@@ -578,12 +578,12 @@ def test_determinism_pinned_logistic_power_law_per_iteration():
     table = build_assignment(sam, part.p, 3, rounds=40, seed=8)
     res = run(Problem.logistic_ridge(3, 0.1), part, table, sam, st, None,
               K=4000, seed=8, record_trace=True)
-    assert sha256_of(res.w_final) == ("8ae561c5233cf15a738094659a8448fd"
-                                      "d64e9776da826cd159201695e943a5e4")
+    assert sha256_of(res.w_final) == ("23ababd496f780679d749d163174db89"
+                                      "664a856b89fe4dac4517c97e9e47c461")
     assert (res.messages, res.k_final) == (47, 15)
-    assert res.rounds_completed == {1: 17, 2: 16, 3: 16}
-    assert trace_digest(res) == ("25c93b177b5fb025ec736700fb5dc627"
-                                 "c3ad295787d2b2d3ad267c5518550c5a")
+    assert res.rounds_completed == {1: 16, 2: 16, 3: 17}
+    assert trace_digest(res) == ("81182ed456ec89dd680ac2a81ea07886"
+                                 "4009da051a925605727571f45fb2434f")
 
 
 def test_determinism_pinned_tau_gate_twenty_nodes_full_record(
@@ -594,16 +594,16 @@ def test_determinism_pinned_tau_gate_twenty_nodes_full_record(
     res = run(prob, part, table, sam, st, df, K=3000, seed=13,
               gate=engine.GATE_TAU, d=1, record_trace=True,
               record_iterates=True)
-    assert sha256_of(res.w_final) == ("873805437d58d2080340242c3cd0a5d2"
-                                      "f7182220d8ebde1cae0053d4d1ba3be6")
+    assert sha256_of(res.w_final) == ("f7dd2fed07a7b569d1dd48e4b2bc5896"
+                                      "fc3c66cb837e6303b8052d909fe6fcc0")
     assert (res.messages, res.k_final) == (2088, 161)
-    assert trace_digest(res) == ("0dae8e5f4544a2bbf5a1dc6e9a7fe116"
-                                 "7f4690cd0cc922099dd1d177a49f4962")
+    assert trace_digest(res) == ("82fb2796756970c01b2f99633dca86c3"
+                                 "5a0a1b6f0eba64f85f6f7afd839f411c")
     assert sha256_of(np.array(recorded_grads)) == (
-        "4938678102746d4e85980a7c32a0df7e4aac0a813f72e647431e3eeed88d0200")
+        "e0f080b4841aff778f986ec26d00e7ccd5ff8dfc0587837fb490fad7a1f461e8")
     assert len(res.iterates) == 3000
     assert sha256_of(np.array(res.iterates)) == (
-        "e2e3680f5ef9cb61818d847252bed9f2bf08366ea2e931c3ee3413e9e50cee67")
+        "55bdce918629d682d79b8aacc271b9a95e9dc521f48f557e5e11c041e196c183")
 
 
 def test_node_source_frequencies_match_p():

@@ -365,6 +365,18 @@ def test_cli_run_rejects_strongly_convex_round_out_of_domain(
     assert fragment in capsys.readouterr().err
 
 
+def test_cli_run_rejects_four_log_delay_undefined_at_zero(tmp_path, capsys):
+    """4 ln(x + M0) at x = 0 is negative for M0 = 0.5: the config is
+    refused before the run starts, and the message names the delay spec."""
+    cfg = quad_config(
+        dataset={"synthetic": "quadratic", "M": 1000, "dim": 3, "seed": 0},
+        delay={"g": 2.0, "M0": 0.5, "M1": 60.0, "gamma": "four_log"},
+        gate="lag", d=1, n=3, K=3000)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    assert "delay: four_log needs M0 > 1, got 0.5" in capsys.readouterr().err
+
+
 def schedule_rows(tmp_path, capsys, rows, **overrides):
     """The data rows `schedule --config` prints for quad_config(**overrides)."""
     path = write_config(tmp_path, quad_config(**overrides))

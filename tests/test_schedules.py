@@ -51,10 +51,14 @@ def test_eval_delay_domain_errors():
     df = DelayFunction(g=2.0, M0=1.0, M1=0.0)
     with pytest.raises(ScheduleError):
         eval_delay(df, -1.0)
-    df_log = DelayFunction(g=2.0, M0=0.5, M1=0.0,
+    # 4 ln(x + M0) at x = 0 is zero or negative: the constructor refuses
+    for M0 in (0.0, 0.5, 1.0):
+        with pytest.raises(ScheduleError, match="four_log needs M0 > 1"):
+            DelayFunction(g=2.0, M0=M0, M1=0.0,
+                          gamma=schedules.GAMMA_FOUR_LOG)
+    df_log = DelayFunction(g=2.0, M0=1.0 + 1e-9, M1=0.0,
                            gamma=schedules.GAMMA_FOUR_LOG)
-    with pytest.raises(ScheduleError):
-        eval_delay(df_log, 0.0)  # z = 0.5 <= 1
+    assert math.isfinite(eval_delay(df_log, 0.0))
 
 
 def test_delay_constructor_rejects_bad_params():
@@ -349,20 +353,30 @@ def test_eval_delay_array_is_pinned(df, digest):
 def test_eval_delay_array_domain_errors():
     with pytest.raises(ScheduleError):
         eval_delay(DelayFunction(g=2.0, M0=1.0, M1=0.0), np.array([3.0, -1.0]))
-    df_log = DelayFunction(g=2.0, M0=0.5, M1=0.0,
+    with pytest.raises(ScheduleError, match="four_log needs M0 > 1"):
+        DelayFunction(g=2.0, M0=0.5, M1=0.0, gamma=schedules.GAMMA_FOUR_LOG)
+    df_log = DelayFunction(g=2.0, M0=1.0 + 1e-9, M1=0.0,
                            gamma=schedules.GAMMA_FOUR_LOG)
-    with pytest.raises(ScheduleError):
-        eval_delay(df_log, np.array([0.0, 5.0]))
+    xs = np.array([0.0, 5.0])
+    assert np.array_equal(np.ceil(eval_delay(df_log, xs)),
+                          [math.ceil(eval_delay(df_log, x)) for x in xs])
     assert eval_delay(df_log, np.array([])).shape == (0,)
 
 
-def test_compat_never_evaluates_tau_below_round_d():
-    # tau(sum_{j<=i} s_j) is undefined at round 0, where the sum is 1 and
-    # 4 ln 1 = 0, but rounds below d are not checked
+def test_compat_never_evaluates_tau_below_round_d(monkeypatch):
+    # rounds below d are not checked, so the least x tau is evaluated at is
+    # sum_{j<=d} s_j = 17
     sched = SampleSchedule.power_law(a=1.5, b=0.3, c=0.5)
-    df = DelayFunction(g=2.0, M0=0.0, M1=50.0, gamma=schedules.GAMMA_FOUR_LOG)
-    assert sample_size(sched, 0) == 1
+    df = DelayFunction(g=2.0, M0=1.5, M1=50.0, gamma=schedules.GAMMA_FOUR_LOG)
+    least = []
+
+    def recording(df, x):
+        least.append(np.min(x))
+        return eval_delay(df, x)
+
+    monkeypatch.setattr(schedules, "eval_delay", recording)
     assert verify_delay_compatibility(sched, df, 5, i_max=400) == (False, 31)
+    assert min(least) == sched.prefix_sum(6) == 17
 
 
 @pytest.mark.parametrize("g", [2.0, 3.0])
