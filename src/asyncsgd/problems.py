@@ -17,6 +17,7 @@ full concatenated vector.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +74,13 @@ class OptimumInfo:
 
 
 def _sigmoid(z: float) -> float:
-    # np.exp, not math.exp, whose last bit differs on some hosts; the rest
-    # is Python float arithmetic, the same IEEE operations as on np.float64
+    # math.exp (libm), not np.exp, whose last bit depends on the SIMD loop
+    # numpy dispatches: its AVX512F exp differs from libm's on about 5% of
+    # arguments.  exp never sees a positive argument, so it cannot overflow;
+    # the rest is Python float arithmetic, the IEEE operations of np.float64
     if z >= 0:
-        return 1.0 / (1.0 + float(np.exp(-z)))
-    e = float(np.exp(z))
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
     return e / (1.0 + e)
 
 

@@ -578,8 +578,8 @@ def test_determinism_pinned_logistic_power_law_per_iteration():
     table = build_assignment(sam, part.p, 3, rounds=40, seed=8)
     res = run(Problem.logistic_ridge(3, 0.1), part, table, sam, st, None,
               K=4000, seed=8, record_trace=True)
-    assert sha256_of(res.w_final) == ("23ababd496f780679d749d163174db89"
-                                      "664a856b89fe4dac4517c97e9e47c461")
+    assert sha256_of(res.w_final) == ("50a69d1c744ae8f4460be49f39df24e3"
+                                      "36c2a81b3ba463d25ea7544e276aed06")
     assert (res.messages, res.k_final) == (47, 15)
     assert res.rounds_completed == {1: 16, 2: 16, 3: 17}
     assert trace_digest(res) == ("81182ed456ec89dd680ac2a81ea07886"

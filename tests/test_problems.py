@@ -341,10 +341,10 @@ def test_find_optimum_stops_where_rounding_wins(newton_log, ds, max_steps):
 # ---------------------------------------------------------------------------
 
 def sigmoid_oracle(z: float):
-    """The reference sigmoid: the arithmetic on numpy scalars."""
+    """The reference sigmoid: libm's exp, the arithmetic on numpy scalars."""
     if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
+        return 1.0 / (1.0 + np.float64(math.exp(-z)))
+    e = np.float64(math.exp(z))
     return e / (1.0 + e)
 
 
@@ -411,7 +411,7 @@ def test_grad_and_loss_match_oracle_bitwise(case):
                                   problems.LOGISTIC_RIDGE])
 @pytest.mark.parametrize("step", [1, 2])
 def test_grad_matches_oracle_where_exp_underflows(kind, step):
-    # margins swept through +-800 by the bias: np.exp underflows to 0
+    # margins swept through +-800 by the bias: exp underflows to 0
     # below -745, so the sigmoid saturates at exactly 0 or 1
     d_feat = 123
     p = Problem.logistic_plain(d_feat) if kind == problems.LOGISTIC_PLAIN \
