@@ -15,6 +15,13 @@ leaves it as scale[i] * U, when it ships U, re-applies it on a broadcast
 or flushes it at the end.  scale[i] is eta_bar_i per round and 1.0, an
 exact product, per iteration.
 
+A node's model w and update U are single buffers for the whole run.  The
+node binds its gradient kernel (problems.kernel) over w and the run's one
+gradient buffer g once; a step writes g, adds g (or eta_t g) into U and
+subtracts eta g from w, all in place.  An adopted broadcast is copied
+into w, as model - scale[i] * U; the broadcast snapshots, which the
+inboxes and checkpoints share, are only read.
+
 The engine reads what depends only on the round from tables built at
 entry, up to the table's last round T: the prefix sums P[i] = sum_{j<i}
 s_j (the table's row starts), the scales, the delay-draw bounds
@@ -75,7 +82,7 @@ import numpy as np
 
 from . import rng
 from .data import AssignmentTable, Partition
-from .problems import Problem, grad
+from .problems import Problem, check_features, kernel
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
                         GAMMA_ONE, PER_ITERATION, eval_delay,
                         per_iteration_step, round_step)
@@ -182,12 +189,16 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    w = np.zeros(problem.dim) if w0 is None else w0.astype(float).copy()
+    check_features(problem, dataset.X.shape[1])
+    w = np.zeros(problem.dim) if w0 is None else w0.astype(float)
+    g = np.empty(problem.dim)
+    grad_at = kernel(problem, w, g)
     history = []
     M = len(dataset)
     for t in range(K):
-        x, y = dataset.sample(int(gen.integers(0, M)))
-        w = w - step_fn(t) * grad(problem, w, x, y)
+        grad_at(*dataset.sample(int(gen.integers(0, M))))
+        np.multiply(g, step_fn(t), g)
+        np.subtract(w, g, w)
         if record_iterates:
             history.append(w.copy())
     if not np.all(np.isfinite(w)):
@@ -206,16 +217,18 @@ _DRAW_CHUNK = 1024
 
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "acc_round",
-                 "wake_k", "X", "y", "next_index", "inbox")
+                 "wake_k", "grad_at", "X", "y", "next_index", "inbox")
 
-    def __init__(self, c: int, w0: np.ndarray, local,
-                 gen: np.random.Generator):
+    def __init__(self, c: int, problem: Problem, w0: np.ndarray,
+                 g: np.ndarray, local, gen: np.random.Generator):
         self.c = c
         self.i = self.h = self.s_ic = self.k = self.acc_round = 0
-        self.w = w0.copy()
+        check_features(problem, local.X.shape[1])
+        self.w = w0.copy()  # the local model and update: one buffer each
         self.U = np.zeros_like(self.w)
+        self.grad_at = kernel(problem, self.w, g)  # writes grad at w into g
         self.wake_k = math.inf  # gated: the first k that opens the gate
-        self.X = local.X
+        self.X = list(local.X)
         self.y = local.y.astype(float).tolist()
         M = len(self.y)
         chunks = iter(lambda: gen.integers(0, M, size=_DRAW_CHUNK).tolist(),
@@ -284,7 +297,9 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         _node, _rnd, _occ, first, order = table.index()  # rho(c, i, h)
 
     word = rng.words(seed, rng.INTERLEAVE)  # one 64-bit word per draw
-    nodes = [_Node(c, base_w, partition.local(c),
+    g = np.empty(dim)    # every node's gradient, then its step
+    tmp = np.empty(dim)  # scale[i] * U at an adoption
+    nodes = [_Node(c, problem, base_w, g, partition.local(c),
                    rng.stream(seed, rng.NODE_SAMPLING, c))
              for c in range(1, n + 1)]
 
@@ -299,6 +314,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     iterates: list = []
     zeros = np.zeros(dim)  # x @ zeros is NaN iff x has an inf or a NaN
     isfinite = math.isfinite
+    add, multiply, subtract, copyto = np.add, np.multiply, np.subtract, \
+        np.copyto
     buckets: dict = {}    # tick -> [(draw, handler, payload)] in push order
     now = 0               # the current tick
 
@@ -364,12 +381,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     def ship_round(nd: _Node) -> bool:
         # round finished: ship U and enter the next round with work
         i, c = nd.i, nd.c
-        payload = nd.U
-        payload *= scale[i]
+        payload = nd.U * scale[i]
         if not isfinite(payload.dot(zeros)):
             raise NonFiniteError(f"node {c} produced a non-finite "
                                  f"round update in round {i}")
-        nd.U = np.zeros(dim)
+        nd.U.fill(0.0)
         pending[(i, c)] = payload
         push(now + 1 + (word() * delay_hi[i] >> 64), server_apply,
              (i, c, payload))
@@ -380,7 +396,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         nonlocal grads
         c, i, h, s_ic, inbox = nd.c, nd.i, nd.h, nd.s_ic, nd.inbox
         w, U, k, acc_round = nd.w, nd.U, nd.k, nd.acc_round
-        X, y, next_index = nd.X, nd.y, nd.next_index
+        grad_at, X, y, next_index = nd.grad_at, nd.X, nd.y, nd.next_index
         t = now + 1 - (s_ic - h)  # the tick of step h
         eta, lo = scale[i], tau_lo[i] if tau_gate else 0
         t_glob, p_k = P[i + 1] - (s_ic - h) - 1, P[k]  # the gate's index
@@ -393,7 +409,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 _at, k, model = inbox.popleft()
                 p_k = P[k]
                 if n > 1:  # U is zero at h = 0
-                    w = model - scale[i] * U if h else model.copy()
+                    if h:
+                        multiply(U, scale[i], tmp)
+                        subtract(model, tmp, w)
+                    else:
+                        copyto(w, model)
                     acc_round = i
                 # with one node, keeping w is exact: every aggregated update
                 # is its own, and the iterates stay bit-identical to serial SGD
@@ -401,17 +421,20 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 break  # the tau gate refuses this step
             # one gradient computation
             idx = next_index()
-            g = grad(problem, w, X[idx], y[idx])
-            if per_iter:
+            grad_at(X[idx], y[idx])
+            if per_iter:  # U sums the steps eta_t g
                 eta = per_iteration_step(
                     steps, int(order[first[i * n + c - 1] + h]))
+                multiply(g, eta, g)
+                add(U, g, U)
+            else:  # U sums the gradients
+                add(U, g, U)
+                multiply(g, eta, g)
+            subtract(w, g, w)  # g holds the step now
             if records is not None:
                 # t_delay, its distance to the prefix its model surely holds
                 records[grads] = (c, i, h, eta, t_glob, t_glob + 1 - p_k,
                                   k, acc_round)
-            step = eta * g
-            U += step if per_iter else g
-            w -= step
             if record_iterates:
                 iterates.append(w.copy())
             h += 1
@@ -420,7 +443,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 break
             t += 1
             t_glob += 1
-        nd.w, nd.k, nd.acc_round, nd.h = w, k, acc_round, h
+        nd.k, nd.acc_round, nd.h = k, acc_round, h
         if (h < s_ic or ship_round(nd)) and grads < K:
             schedule(nd, now + 1)  # refused by the tau gate, or a new cell
 

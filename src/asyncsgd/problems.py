@@ -84,23 +84,50 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
+def check_features(p: Problem, width: int) -> None:
+    """Raise ValueError unless samples of `width` features fit p's model."""
+    if p.kind == QUADRATIC_MEAN:
+        if width != p.dim:
+            raise ValueError(f"feature dim {width} != model dim {p.dim}")
+    elif width + 1 != p.dim:
+        raise ValueError(f"feature dim {width} + 1 != model dim {p.dim}")
+
+
+def kernel(p: Problem, w: np.ndarray, g: np.ndarray):
+    """The per-sample gradient bound to a model buffer w and an output g.
+
+    Returns step(x, y), which writes grad f(w; xi) at w's current contents
+    into g; `grad` is this kernel on a fresh g.  w and g are bound once:
+    change their contents in place between calls, never the arrays.  The
+    width of x is not checked (see check_features).
+    """
+    if p.kind == QUADRATIC_MEAN:
+        subtract = np.subtract
+
+        def quadratic(x, _y):
+            subtract(w, x, g)
+        return quadratic
+    w_bar, g_bar, multiply, add = w[:-1], g[:-1], np.multiply, np.add
+    ridge, lam = p.kind == LOGISTIC_RIDGE, p.lam
+    ridge_term = np.empty(p.dim)
+
+    def logistic(x, y):
+        # ndarray.dot reaches the same BLAS ddot as the matmul ufunc, in
+        # fewer dispatches; the residual scales x straight into g
+        r = _sigmoid(float(w_bar.dot(x)) + float(w[-1])) - y
+        multiply(x, r, g_bar)
+        g[-1] = r
+        if ridge:
+            multiply(w, lam, ridge_term)
+            add(g, ridge_term, g)
+    return logistic
+
+
 def grad(p: Problem, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     """Per-sample gradient of f(w; xi)."""
-    if p.kind == QUADRATIC_MEAN:
-        if x.shape[0] != p.dim:
-            raise ValueError(f"feature dim {x.shape[0]} != model dim {p.dim}")
-        return w - x
-    if x.shape[0] + 1 != p.dim:
-        raise ValueError(f"feature dim {x.shape[0]} + 1 != model dim {p.dim}")
-    # ndarray.dot reaches the same BLAS ddot as the matmul ufunc, in fewer
-    # dispatches; the residual scales x straight into g
-    z = float(w[:-1].dot(x)) + float(w[-1])
-    r = _sigmoid(z) - y
+    check_features(p, x.shape[0])
     g = np.empty(p.dim)
-    np.multiply(x, r, out=g[:-1])
-    g[-1] = r
-    if p.kind == LOGISTIC_RIDGE:
-        g += p.lam * w
+    kernel(p, w, g)(x, y)
     return g
 
 
@@ -213,12 +240,18 @@ def _newton(p: Problem, dataset) -> np.ndarray:
     Newton direction is accepted (_MAX_NEWTON steps are a safety cap); a
     direction that does not descend fails its line search.  Where a step
     changes F by no more than rounding, Armijo cannot tell steps apart, so
-    the step is accepted only if it lowers the gradient norm.
+    the step is accepted only if it lowers the gradient norm.  Two such
+    steps in a row that move w by the same bits start a walk, which would
+    repeat that last-bit move one Newton step at a time while ||grad F||
+    falls: the second step goes instead to the multiple of the move that
+    the secant of grad F along it puts nearest to zero, where that lowers
+    the gradient norm.
     """
     w = np.zeros(p.dim)
     F = objective(p, w, dataset)
     g = full_gradient(p, w, dataset)
     g_norm = float(np.linalg.norm(g))
+    last = None  # the last step, if it changed F by no more than rounding
     for _ in range(_MAX_NEWTON):
         if g_norm <= OPTIMUM_TOL:
             break
@@ -230,7 +263,8 @@ def _newton(p: Problem, dataset) -> np.ndarray:
             F_new = objective(p, w_new, dataset)
             g_new = full_gradient(p, w_new, dataset)
             g_new_norm = float(np.linalg.norm(g_new))
-            if abs(F_new - F) <= _ROUNDING * abs(F):
+            flat = abs(F_new - F) <= _ROUNDING * abs(F)
+            if flat:
                 if g_new_norm < g_norm:
                     break
             elif F_new <= F + _ARMIJO * alpha * slope:
@@ -238,6 +272,16 @@ def _newton(p: Problem, dataset) -> np.ndarray:
             alpha *= 0.5
         else:
             break
+        step = w_new - w
+        if flat and last is not None and np.array_equal(step, last):
+            dg = g_new - g
+            w_far = w + round(-float(g @ dg) / float(dg @ dg)) * step
+            g_far = full_gradient(p, w_far, dataset)
+            g_far_norm = float(np.linalg.norm(g_far))
+            if g_far_norm < g_new_norm:
+                w_new, g_new, g_new_norm = w_far, g_far, g_far_norm
+                F_new = objective(p, w_far, dataset)
+        last = step if flat else None
         w, F, g, g_norm = w_new, F_new, g_new, g_new_norm
     return w
 

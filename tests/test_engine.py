@@ -44,15 +44,19 @@ class FakeGen:
 
 @pytest.fixture
 def recorded_grads(monkeypatch):
-    """Every gradient the engine computes, in order, through its grad seam."""
+    """Every gradient the engine computes, in order, through the kernel
+    each node binds."""
     out = []
 
-    def recording(*args):
-        g = problems.grad(*args)
-        out.append(g.copy())
-        return g
+    def recording(p, w, g):
+        grad_at = problems.kernel(p, w, g)
 
-    monkeypatch.setattr(engine, "grad", recording)
+        def step(x, y):
+            grad_at(x, y)
+            out.append(g.copy())
+        return step
+
+    monkeypatch.setattr(engine, "kernel", recording)
     return out
 
 
@@ -739,6 +743,22 @@ def test_run_rejects_bad_entry_arguments(K, gate, match):
     with pytest.raises(EngineError, match=match):
         run(prob, part, table, sam, StepSchedule.constant(0.1), None, K=K,
             seed=7, gate=gate)
+
+
+@pytest.mark.parametrize("prob,match", [
+    (Problem.quadratic_mean(4), r"feature dim 3 != model dim 4"),
+    (Problem.logistic_ridge(2, 0.1), r"feature dim 3 \+ 1 != model dim 3")])
+def test_feature_dimension_mismatch_raises(prob, match):
+    """Each node checks its data's width once, when it binds its kernel,
+    and so does serial_sgd."""
+    sam = SampleSchedule.constant(4)
+    ds, _prob, part = quadratic_setup(2, 7)
+    table = build_assignment(sam, part.p, 2, rounds=10, seed=7)
+    with pytest.raises(ValueError, match=match):
+        run(prob, part, table, sam, StepSchedule.constant(0.1), None, K=10,
+            seed=7)
+    with pytest.raises(ValueError, match=match):
+        serial_sgd(prob, ds, lambda t: 0.1, 10, FakeGen([0] * 10))
 
 
 def test_table_exhaustion_raises():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncsgd import cli, problems, rng
-from asyncsgd.data import DataSet
+from asyncsgd.data import DataSet, synthetic_logistic
 from asyncsgd.problems import (Problem, grad, loss, objective, full_gradient,
                                variance_constant, smoothness_constants,
                                find_optimum)
@@ -336,8 +336,22 @@ def test_find_optimum_stops_where_rounding_wins(newton_log, ds, max_steps):
         assert info.grad_norm == pytest.approx(2.7784e-5, rel=1e-4)
 
 
+def test_find_optimum_stretches_a_last_bit_walk(newton_log):
+    """Features near 1e4 and lambda = 0.01: once F stops changing, the
+    Newton steps move w by the same last bits, each lowering ||grad F|| a
+    little (65 steps, taken one by one).  The second such move is
+    stretched along the secant, so the solve stops within 20 steps."""
+    ds = synthetic_logistic(200, 3, seed=3)
+    ds = DataSet(X=ds.X + 1e4, y=ds.y)
+    info = find_optimum(Problem.logistic_ridge(3, lam=0.01), ds)
+    tries = line_search_tries(newton_log)
+    assert len(tries) <= 20
+    assert tries[-1] == problems._MAX_HALVINGS
+    assert not info.exact and info.grad_norm < 1e-9
+
+
 # ---------------------------------------------------------------------------
-# the logistic kernel against its reference formula, bit for bit
+# the gradient kernels against their reference formulas, bit for bit
 # ---------------------------------------------------------------------------
 
 def sigmoid_oracle(z: float):
@@ -350,8 +364,10 @@ def sigmoid_oracle(z: float):
 
 def grad_oracle(p: Problem, w: np.ndarray, x: np.ndarray,
                 y: float) -> np.ndarray:
-    """The reference logistic gradient: a matmul margin, the residual
-    times x as a temporary, copied into g."""
+    """The reference gradient: w - x, or for logistic problems a matmul
+    margin, the residual times x as a temporary, copied into g."""
+    if p.kind == problems.QUADRATIC_MEAN:
+        return w - x
     z = float(w[:-1] @ x + w[-1])
     sig = sigmoid_oracle(z)
     g = np.empty(p.dim)
@@ -363,6 +379,8 @@ def grad_oracle(p: Problem, w: np.ndarray, x: np.ndarray,
 
 
 def loss_oracle(p: Problem, w: np.ndarray, x: np.ndarray, y: float) -> float:
+    if p.kind == problems.QUADRATIC_MEAN:
+        return 0.5 * float((w - x) @ (w - x))
     z = float(w[:-1] @ x + w[-1])
     sig = min(max(sigmoid_oracle(z), problems._SIGMA_CLAMP),
               1.0 - problems._SIGMA_CLAMP)
@@ -387,24 +405,33 @@ entries = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 @st.composite
-def logistic_cases(draw):
+def gradient_cases(draw):
     dim = draw(st.integers(2, 130))  # a9a's 123 features give dim 124
     lam = draw(st.floats(0.0, 1.0, exclude_min=True))
-    p = draw(st.sampled_from([Problem.logistic_plain(dim - 1),
+    p = draw(st.sampled_from([Problem.quadratic_mean(dim),
+                              Problem.logistic_plain(dim - 1),
                               Problem.logistic_ridge(dim - 1, lam=lam)]))
+    width = dim if p.kind == problems.QUADRATIC_MEAN else dim - 1
     w = np.array(draw(st.lists(entries, min_size=dim, max_size=dim)))
-    x = np.array(draw(st.lists(entries, min_size=dim - 1,
-                               max_size=dim - 1)))
+    x = np.array(draw(st.lists(entries, min_size=width, max_size=width)))
     y = float(draw(st.integers(0, 1)))
     return p, w, strided(x, draw(st.sampled_from([1, 2, 3]))), y
 
 
 @settings(max_examples=300, deadline=None)
-@given(logistic_cases())
+@given(gradient_cases())
 def test_grad_and_loss_match_oracle_bitwise(case):
+    """grad, and the kernel bound once to buffers whose contents change in
+    place between calls, as the engine's nodes use it."""
     p, w, x, y = case
     assert bits(grad(p, w, x, y)) == bits(grad_oracle(p, w, x, y))
     assert bits(loss(p, w, x, y)) == bits(loss_oracle(p, w, x, y))
+    w_buf, g = np.zeros(p.dim), np.full(p.dim, np.nan)
+    grad_at = problems.kernel(p, w_buf, g)
+    for v in (w[::-1], w):
+        w_buf[:] = v
+        grad_at(x, y)
+        assert bits(g) == bits(grad_oracle(p, v, x, y))
 
 
 @pytest.mark.parametrize("kind", [problems.LOGISTIC_PLAIN,
@@ -417,10 +444,15 @@ def test_grad_matches_oracle_where_exp_underflows(kind, step):
     p = Problem.logistic_plain(d_feat) if kind == problems.LOGISTIC_PLAIN \
         else Problem.logistic_ridge(d_feat, lam=0.5)
     gen = rng.stream(41, "grad-oracle")
+    w_buf, g = np.empty(d_feat + 1), np.empty(d_feat + 1)
+    grad_at = problems.kernel(p, w_buf, g)  # one binding for the sweep
     for z in np.linspace(-800.0, 800.0, 161):
         w = gen.uniform(-1.0, 1.0, size=d_feat + 1)
         x = strided(gen.uniform(-1.0, 1.0, size=d_feat), step)
         w[-1] = z - float(w[:-1] @ x)
+        w_buf[:] = w
         for y in (0.0, 1.0):
             assert bits(grad(p, w, x, y)) == bits(grad_oracle(p, w, x, y))
             assert bits(loss(p, w, x, y)) == bits(loss_oracle(p, w, x, y))
+            grad_at(x, y)
+            assert bits(g) == bits(grad_oracle(p, w, x, y))
