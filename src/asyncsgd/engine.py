@@ -26,9 +26,9 @@ The engine reads what depends only on the round from tables built at
 entry, up to the table's last round T: the prefix sums P[i] = sum_{j<i}
 s_j (the table's row starts), the scales, the delay-draw bounds
 2 max(s_i, 1) + 1, the counts s_{i,c} (AssignmentTable.counts) and the
-non-empty cells per round.  The audits evaluate tau for all records in
-one array pass, whose floor and ceil are the scalar ones (see
-schedules.eval_delay).
+non-empty cells per round.  The tau gate's wake table and the audits
+evaluate tau in one array pass each, whose floor and ceil are the scalar
+ones (see schedules.eval_delay).
 
 One event per cell: node c runs the s_{i,c} steps of its cell (i, c) one
 per tick, in one event at the tick of the last step, when every
@@ -42,14 +42,13 @@ arrival ticks and k rise together: an entry is dropped when a newer
 broadcast arrives no later.
 
 The gate passes a model of broadcast k iff k >= wake_k: i - d (lag), or
-the least k with P[k] >= t_glob + 1 - floor(tau(t_glob)) (tau).  A cell
-starts at the next tick if the node's model passes, else at the arrival
-of the first broadcast that does.  Inside a cell the lag gate cannot
-refuse: wake_k is fixed within a round and k only grows.  The tau gate
-is checked at each step, after its adoption, by comparing t_delay with
-floor(tau) at the round's least t_glob, a floor for the whole round, and
-the scalar tau only where that fails; a refused step ends the event, and
-the cell goes on as if it started there.
+wake[t_glob + 1], the least k with P[k] >= t_glob + 1 - floor(tau(t_glob))
+(tau), from a table over every t_glob in [-1, P[T]) built at entry.  A
+cell starts at the next tick if the node's model passes, else at the
+arrival of the first broadcast that does.  Inside a cell the lag gate
+cannot refuse: wake_k is fixed within a round and k only grows.  The tau
+gate is checked at each step, after its adoption; a refused step ends the
+event, and the cell goes on as if it started there.
 
 Time advances in integer ticks; every event is pushed for a later
 tick.  A tick's bucket of (draw, handler, payload) entries, draw being a
@@ -68,11 +67,9 @@ broadcast b iff 0 <= stamp < b.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time as time_mod
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -84,8 +81,8 @@ from . import rng
 from .data import AssignmentTable, Partition
 from .problems import Problem, check_features, kernel
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
-                        GAMMA_ONE, PER_ITERATION, eval_delay,
-                        per_iteration_step, round_step)
+                        PER_ITERATION, eval_delay, per_iteration_step,
+                        round_step)
 
 GATE_LAG = "lag"  # wait while i > k + d
 GATE_TAU = "tau"  # wait while tau(t_glob) < t_delay
@@ -164,7 +161,6 @@ class RunTrace:
 @dataclass
 class RunResult:
     w_final: np.ndarray
-    v_hat: np.ndarray
     k_final: int
     grads: int
     messages: int
@@ -281,18 +277,13 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     need = np.count_nonzero(counts, axis=1).tolist() + [-1]
     arrived = [0] * (rounds + 1)
     if tau_gate:
-        # wake_tau(t): the least k the tau gate passes at t_glob t.  tau
-        # rises (4 z / ln z only from z = e on), so tau at round i's least
-        # t_glob, where its largest cell starts (or at z = e, if less),
-        # floors all of round i: t_delay <= tau_lo[i] passes.
-        x = np.maximum(table.start[1:] - counts.max(axis=1) - 1, 0.0)
-        lo = eval_delay(delay_fn, x)
-        if delay_fn.gamma != GAMMA_ONE:
-            lo = np.minimum(lo, eval_delay(
-                delay_fn, np.maximum(x, math.e - delay_fn.M0)))
-        tau_lo = np.floor(lo).astype(int).tolist()
-        wake_tau = functools.cache(lambda t: bisect_left(
-            P, t + 1 - math.floor(eval_delay(delay_fn, float(max(t, 0))))))
+        # wake[t + 1], for t_glob t in [-1, P[T]): the least k with
+        # P[k] >= t + 1 - floor(tau(t)), the least the tau gate passes; one
+        # int64 buffer, whose memoryview items read as Python ints
+        x = np.arange(-1, P[-1])
+        x += 1 - np.floor(eval_delay(delay_fn, np.maximum(x, 0))).astype(int)
+        wake = memoryview(table.start.searchsorted(x))
+        del x
     if per_iter:
         _node, _rnd, _occ, first, order = table.index()  # rho(c, i, h)
 
@@ -345,12 +336,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         # nd's step h runs at tick t0 if its model passes the gate, else at
         # the arrival of the first broadcast that does; its event is at the
         # tick of its cell's last step
-        if tau_gate:
-            t_glob = P[nd.i + 1] - (nd.s_ic - nd.h) - 1
-            wake_k = nd.k if t_glob - P[nd.k] < tau_lo[nd.i] else \
-                wake_tau(t_glob)
-        else:
-            wake_k = nd.i - d
+        wake_k = wake[P[nd.i + 1] - (nd.s_ic - nd.h)] if tau_gate else \
+            nd.i - d
         if nd.k < wake_k:
             t0 = next((at for at, kb, _m in nd.inbox if kb >= wake_k), None)
             if t0 is None:
@@ -398,7 +385,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         w, U, k, acc_round = nd.w, nd.U, nd.k, nd.acc_round
         grad_at, X, y, next_index = nd.grad_at, nd.X, nd.y, nd.next_index
         t = now + 1 - (s_ic - h)  # the tick of step h
-        eta, lo = scale[i], tau_lo[i] if tau_gate else 0
+        eta = scale[i]
         t_glob, p_k = P[i + 1] - (s_ic - h) - 1, P[k]  # the gate's index
         while True:
             if inbox and inbox[0][0] <= t:
@@ -417,7 +404,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                     acc_round = i
                 # with one node, keeping w is exact: every aggregated update
                 # is its own, and the iterates stay bit-identical to serial SGD
-            if tau_gate and t_glob - p_k >= lo and k < wake_tau(t_glob):
+            if tau_gate and k < wake[t_glob + 1]:
                 break  # the tau gate refuses this step
             # one gradient computation
             idx = next_index()
@@ -489,7 +476,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         table, records.view(np.recarray), stamp)
 
     return RunResult(
-        w_final=w_final, v_hat=v_hat, k_final=k_srv, grads=grads,
+        w_final=w_final, k_final=k_srv, grads=grads,
         messages=sum(arrived) + len(pending),
         rounds_completed={nd.c: nd.i for nd in nodes},
         checkpoints=checkpoints, trace=trace, iterates=iterates,
