@@ -15,12 +15,14 @@ leaves it as scale[i] * U, when it ships U, re-applies it on a broadcast
 or flushes it at the end.  scale[i] is eta_bar_i per round and 1.0, an
 exact product, per iteration.
 
-A node's model w and update U are single buffers for the whole run.  The
-node binds its gradient kernel (problems.kernel) over w and the run's one
-gradient buffer g once; a step writes g, adds g (or eta_t g) into U and
-subtracts eta g from w, all in place.  An adopted broadcast is copied
-into w, as model - scale[i] * U; the broadcast snapshots, which the
-inboxes and checkpoints share, are only read.
+A node's model w is one buffer for the whole run.  The node binds its
+gradient kernel (problems.kernel) over w and the run's one gradient
+buffer g once; a step writes g, adds g (or eta_t g) into U and subtracts
+eta g from w, all in place.  An adopted broadcast is copied into w, as
+model - scale[i] * U; the broadcast snapshots, which the inboxes and
+checkpoints share, are only read.  A node ships U itself, scaled in
+place, and goes on in a zeroed buffer from the run's pool; the server
+zeroes and returns each applied one at the next broadcast.
 
 The engine reads what depends only on the round from tables built at
 entry, up to the table's last round T: the prefix sums P[i] = sum_{j<i}
@@ -54,23 +56,23 @@ Time advances in integer ticks; every event is pushed for a later
 tick.  A tick's bucket of (draw, handler, payload) entries, draw being a
 raw 64-bit word of the interleave stream taken at push time (one per
 cell event, round update or wake-up), is sorted by draw with a stable
-sort (push order breaks ties); empty ticks are skipped.  The run stops at
-the K-th gradient in handler order.  A message delay in [0, hi) takes one
-word too: word * hi >> 64 (see rng.words).  Round updates and the server
-model are checked for inf and NaN as isfinite(x @ zeros), which is NaN
-exactly when some entry is not finite.
+sort (push order breaks ties); empty ticks are skipped.  A message delay
+in [0, hi) takes one word too: word * hi >> 64 (see rng.words).  The run
+stops at the K-th gradient in handler order; the final model flushes in
+the round updates left in the buckets, its own bucket's unrun rest too.
 
-A traced run fills RunTrace's flat columns: a RECORD row per gradient in
-handler order and a stamp per round update (i, c), the number of
-broadcasts emitted before it was applied (-1: never); (i, c) is in
-broadcast b iff 0 <= stamp < b.
+A round update is checked for inf and NaN when shipped, as isfinite(x @
+zeros), NaN exactly when some entry is not finite; so v_hat, once not
+finite, stays so, and it is checked once per broadcast and at the end.
+A failed check replays the applies since the last broadcast to name the
+first.  A traced run fills RunTrace's columns (see there).
 """
 from __future__ import annotations
 
 import itertools
 import math
 import time as time_mod
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional
@@ -220,7 +222,7 @@ class _Node:
         self.c = c
         self.i = self.h = self.s_ic = self.k = self.acc_round = 0
         check_features(problem, local.X.shape[1])
-        self.w = w0.copy()  # the local model and update: one buffer each
+        self.w = w0.copy()  # the local model, one buffer for the run
         self.U = np.zeros_like(self.w)
         self.grad_at = kernel(problem, self.w, g)  # writes grad at w into g
         self.wake_k = math.inf  # gated: the first k that opens the gate
@@ -290,15 +292,18 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     word = rng.words(seed, rng.INTERLEAVE)  # one 64-bit word per draw
     g = np.empty(dim)    # every node's gradient, then its step
     tmp = np.empty(dim)  # scale[i] * U at an adoption
+    # scale[i] as a stride-0 dim-vector: array-array calls are the cheapest
+    scales = np.broadcast_to(np.array(scale, float)[:, None], (rounds, dim))
     nodes = [_Node(c, problem, base_w, g, partition.local(c),
                    rng.stream(seed, rng.NODE_SAMPLING, c))
              for c in range(1, n + 1)]
 
     v_hat = base_w.copy()
-    k_srv = 0                 # round count k of the last broadcast
-    pending: dict = {}        # (i, c) -> scaled payload, sent but not applied
+    k_srv, snapshot = 0, base_w  # round count k and model of last broadcast
+    applied, pool = [], []    # (i, c, payload) since then; zeroed buffers
     records = np.zeros(K, dtype=RECORD) if record_trace else None
-    stamp = np.full((rounds, n + 1), -1) if record_trace else None
+    # stamp[i, c] at i * (n + 1) + c, flat, with Python ints as items
+    stamp = record_trace and memoryview(np.full(rounds * (n + 1), -1))
     checkpoints = []
 
     grads = 0
@@ -307,15 +312,27 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     isfinite = math.isfinite
     add, multiply, subtract, copyto = np.add, np.multiply, np.subtract, \
         np.copyto
-    buckets: dict = {}    # tick -> [(draw, handler, payload)] in push order
+    buckets = defaultdict(list)  # tick -> [(draw, handler, payload)]
     now = 0               # the current tick
 
     def push(time: int, handler, payload) -> None:
-        buckets.setdefault(time, []).append((word(), handler, payload))
+        buckets[time].append((word(), handler, payload))
 
     def broadcast() -> None:
-        # emit a broadcast for every newly completed round
-        nonlocal k_srv
+        # one check of v_hat covers the applies since the last broadcast: a
+        # replay from its snapshot names the first that left the range; then
+        # emit a broadcast for every newly completed round, if any
+        nonlocal k_srv, snapshot
+        if not isfinite(v_hat.dot(zeros)):
+            w = snapshot
+            for i, c, payload in applied:
+                if not isfinite((w := w - payload).dot(zeros)):
+                    raise NonFiniteError(f"server model non-finite after "
+                                         f"round {i} from node {c}")
+        for _i, _c, payload in applied:
+            payload.fill(0.0)
+            pool.append(payload)
+        applied.clear()
         while arrived[k_srv] == need[k_srv]:
             k_srv += 1
             snapshot = v_hat.copy()
@@ -347,13 +364,10 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
 
     def server_apply(msg) -> None:
         i, c, payload = msg
-        np.subtract(v_hat, payload, out=v_hat)
-        del pending[(i, c)]
-        if not isfinite(v_hat.dot(zeros)):
-            raise NonFiniteError(f"server model non-finite after round "
-                                 f"{i} from node {c}")
-        if stamp is not None:
-            stamp[i, c] = k_srv
+        subtract(v_hat, payload, v_hat)
+        applied.append(msg)
+        if stamp:
+            stamp[i * (n + 1) + c] = k_srv
         arrived[i] += 1
         if arrived[k_srv] == need[k_srv]:
             broadcast()
@@ -365,19 +379,6 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         nd.i, nd.h, nd.s_ic = i, 0, s_rows[i][nd.c]
         return i < rounds
 
-    def ship_round(nd: _Node) -> bool:
-        # round finished: ship U and enter the next round with work
-        i, c = nd.i, nd.c
-        payload = nd.U * scale[i]
-        if not isfinite(payload.dot(zeros)):
-            raise NonFiniteError(f"node {c} produced a non-finite "
-                                 f"round update in round {i}")
-        nd.U.fill(0.0)
-        pending[(i, c)] = payload
-        push(now + 1 + (word() * delay_hi[i] >> 64), server_apply,
-             (i, c, payload))
-        return enter(nd, i + 1)
-
     def node_run(nd: _Node) -> None:
         # nd's steps h.. at ticks t, t + 1, .., now: its cell's last tick
         nonlocal grads
@@ -385,7 +386,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         w, U, k, acc_round = nd.w, nd.U, nd.k, nd.acc_round
         grad_at, X, y, next_index = nd.grad_at, nd.X, nd.y, nd.next_index
         t = now + 1 - (s_ic - h)  # the tick of step h
-        eta = scale[i]
+        eta, eta_v = scale[i], scales[i]
         t_glob, p_k = P[i + 1] - (s_ic - h) - 1, P[k]  # the gate's index
         while True:
             if inbox and inbox[0][0] <= t:
@@ -397,7 +398,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 p_k = P[k]
                 if n > 1:  # U is zero at h = 0
                     if h:
-                        multiply(U, scale[i], tmp)
+                        multiply(U, eta_v, tmp)
                         subtract(model, tmp, w)
                     else:
                         copyto(w, model)
@@ -416,7 +417,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 add(U, g, U)
             else:  # U sums the gradients
                 add(U, g, U)
-                multiply(g, eta, g)
+                multiply(g, eta_v, g)
             subtract(w, g, w)  # g holds the step now
             if records is not None:
                 # t_delay, its distance to the prefix its model surely holds
@@ -431,7 +432,15 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             t += 1
             t_glob += 1
         nd.k, nd.acc_round, nd.h = k, acc_round, h
-        if (h < s_ic or ship_round(nd)) and grads < K:
+        if h == s_ic:  # ship U, scaled in place; go on in a zeroed buffer
+            multiply(U, eta_v, U)
+            if not isfinite(U.dot(zeros)):
+                raise NonFiniteError(f"node {c} produced a non-finite "
+                                     f"round update in round {i}")
+            push(now + 1 + (word() * delay_hi[i] >> 64), server_apply,
+                 (i, c, U))
+            nd.U = pool.pop() if pool else np.zeros(dim)
+        if (h < s_ic or enter(nd, i + 1)) and grads < K:
             schedule(nd, now + 1)  # refused by the tau gate, or a new cell
 
     for nd in nodes:
@@ -444,6 +453,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         bucket = buckets.pop(now, None)
         if not bucket:
             if not buckets:
+                broadcast()  # checks v_hat only
                 stuck = {nd.c: {"round": nd.i, "k": nd.k, "waiting":
                                 nd.wake_k < math.inf} for nd in nodes}
                 raise DeadlockError(
@@ -453,31 +463,36 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             continue
         if len(bucket) > 1:
             bucket.sort(key=by_draw)  # stable: push order breaks ties
-        for _draw, handler, payload in bucket:
+        for _draw, handler, payload in (events := iter(bucket)):
             handler(payload)
             if grads == K:
                 break
         now += 1
 
+    broadcast()  # checks v_hat only: no round is newly complete
+    # in flight: the server's entries in the buckets and the unrun events
+    inflight = sorted(m for b in (*buckets.values(), events)  # by (i, c)
+                      for _w, f, m in b if f is server_apply)
+    buckets = node_run = None  # break the handlers' cycles: free at return
     # serialize: flush in-flight round updates and unsent partials; with a
     # single node its local model already is the exact serial iterate
     if n == 1:
         w_final = nodes[0].w.copy()
     else:
         w_final = v_hat.copy()
-        for key in sorted(pending):
-            w_final -= pending[key]
+        for _i, _c, payload in inflight:
+            w_final -= payload
         for nd in nodes:
             if nd.h > 0:
                 w_final -= scale[nd.i] * nd.U
     if not np.isfinite(w_final).all():
         raise NonFiniteError("final model non-finite")
     trace = None if records is None else RunTrace(
-        table, records.view(np.recarray), stamp)
+        table, records.view(np.recarray), np.reshape(stamp, (rounds, -1)))
 
     return RunResult(
         w_final=w_final, k_final=k_srv, grads=grads,
-        messages=sum(arrived) + len(pending),
+        messages=sum(arrived) + len(inflight),
         rounds_completed={nd.c: nd.i for nd in nodes},
         checkpoints=checkpoints, trace=trace, iterates=iterates,
         wall_time=time_mod.perf_counter() - t_start)

@@ -1,14 +1,15 @@
 """Engine semantics: rho, serial oracle, gates, audits, determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as hs
-from oracles import make_step_fn, replay_iterates
+from hypothesis import example, given, reject, settings, strategies as hs
+from oracles import make_step_fn, replay_iterates, synchronous_final
 
 from asyncsgd import data, engine, problems, rng, schedules
 from asyncsgd.data import AssignmentTable, build_assignment, partition, \
@@ -390,10 +391,16 @@ def test_audit_lag_holds_tightly_and_finds_the_first_violation(d):
        mode=hs.sampled_from([schedules.PER_ROUND, schedules.PER_ITERATION]),
        logistic=hs.booleans(), d=hs.integers(0, 2),
        K=hs.integers(1200, 1800), seed=hs.integers(0, 2 ** 16))
+# K stops inside a tick's bucket whose unrun rest holds a round update
+@example(n=5, gate=engine.GATE_TAU, mode=schedules.PER_ROUND, logistic=False,
+         d=0, K=1533, seed=3035)
 def test_model_replay_matches_iterates(n, gate, mode, logistic, d, K, seed):
     """Every iterate is the one replayed from its record's claims (its
     broadcast, its surviving own rounds, its partial round) to 1e-12
-    relative, so the trace describes the models the gradients used."""
+    relative, so the trace describes the models the gradients used.  The
+    final model is w0 = 0 minus every replayed step, applied, in flight or
+    unsent, to 1e-12 of the steps' summed norms: the final flush misses
+    no update, also where K stops inside a tick's bucket."""
     tau, sam, _st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
     df = tau if gate == engine.GATE_TAU else None
     st = StepSchedule.inverse_t(0.1, 0.01, mode=mode)
@@ -409,9 +416,35 @@ def test_model_replay_matches_iterates(n, gate, mode, logistic, d, K, seed):
                              seed=seed)
     res = run(prob, part, table, sam, st, df, K=K, seed=seed, gate=gate,
               d=d, record_trace=True, record_iterates=True)
-    replay = replay_iterates(prob, part, res.trace, seed)
+    replay, steps = replay_iterates(prob, part, res.trace, seed)
     assert max(np.linalg.norm(a - b) / np.linalg.norm(b)
                for a, b in zip(res.iterates, replay, strict=True)) <= 1e-12
+    assert np.linalg.norm(res.w_final + sum(steps)) <= \
+        1e-12 * sum(np.linalg.norm(step) for step in steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=hs.integers(1, 20),
+       mode=hs.sampled_from([schedules.PER_ROUND, schedules.PER_ITERATION]),
+       logistic=hs.booleans(), K=hs.integers(600, 1500),
+       seed=hs.integers(0, 2 ** 16))
+def test_synchronous_runs_match_the_round_by_round_oracle(n, mode, logistic,
+                                                          K, seed):
+    """At d = 0 the lag gate is synchronous local SGD: the final model is
+    the round-by-round oracle's, built from the trace's step counts alone,
+    to 1e-12 relative."""
+    _tau, sam, _st = make_strongly_convex_schedules(1.0, 1.0, 1, 7747)
+    st = StepSchedule.inverse_t(0.1, 0.01, mode=mode)
+    make, prob = (synthetic_logistic, Problem.logistic_ridge(3, 0.1)) \
+        if logistic else (synthetic_quadratic, Problem.quadratic_mean(3))
+    part = partition(make(240, 3, seed=seed % 97), n, seed=seed)
+    table = build_assignment(sam, part.p, n,
+                             rounds=schedules.rounds_for_budget(sam, K) + 1,
+                             seed=seed)
+    res = run(prob, part, table, sam, st, None, K=K, seed=seed, d=0)
+    expect = synchronous_final(prob, part, sam, st, res.trace, seed)
+    assert np.linalg.norm(res.w_final - expect) <= \
+        1e-12 * np.linalg.norm(expect)
 
 
 @pytest.mark.parametrize("df, gate, seed", [
@@ -710,11 +743,11 @@ def test_divergence_in_the_last_partial_round_raises_non_finite():
             record_trace=False)
 
 
-def huge_setup(n):
-    """Quadratic data at 1e308 everywhere: one unit step reaches it."""
-    ds = data.DataSet(X=np.full((8, 3), 1e308), y=np.zeros(8))
+def huge_setup(n, s=4, x=1e308):
+    """Quadratic data at x (1e308) everywhere: one unit step reaches it."""
+    ds = data.DataSet(X=np.full((8, 3), x), y=np.zeros(8))
     part = partition(ds, n, seed=0)
-    sam = SampleSchedule.constant(4)
+    sam = SampleSchedule.constant(s)
     table = build_assignment(sam, part.p, n, rounds=20, seed=0)
     return Problem.quadratic_mean(3), part, table, sam
 
@@ -727,13 +760,47 @@ def test_huge_finite_updates_pass_the_check():
     assert np.all(res.checkpoints[-1][2] == 1e308)  # the last broadcast
 
 
+def test_integer_step_past_int64_scales_as_a_float():
+    """A config may give eta as a Python int too large for int64; the
+    engine scales by it as the float it rounds to (here on zero data, so
+    every step is 0), not as an object array that no ufunc can write."""
+    prob, part, table, sam = huge_setup(2, x=0.0)
+    res = run(prob, part, table, sam, StepSchedule.constant(2 ** 64), None,
+              K=40, seed=0)
+    assert not res.w_final.any()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_server_overflow_raises():
-    # each node ships -1e308 per coordinate; their sum overflows at the server
+    """Each node's round-0 update is -1e308 per coordinate, and its later
+    ones are 0 (its model stays at 1e308): the second round-0 update to
+    arrive, node 1's, overflows v_hat, and the check names it."""
     prob, part, table, sam = huge_setup(2)
-    with pytest.raises(NonFiniteError, match="server model"):
+    with pytest.raises(NonFiniteError, match="^server model non-finite "
+                       "after round 0 from node 1$"):
         run(prob, part, table, sam, StepSchedule.constant(1.0), None, K=40,
             seed=0, record_trace=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("K", [36, 37, 40])
+def test_server_overflow_before_any_broadcast_raises(K):
+    """Three nodes, d = 5: node 2's round-0 update overflows v_hat as
+    above.  At K = 36 and 37 the run stops before any broadcast, so the
+    check at the end names it, not the final model's check; at K = 40 the
+    check at a broadcast does.  The event schedule does not read the data,
+    so a traced run on data at 1 shows when broadcasts start, and that at
+    least two round-0 updates are applied."""
+    st = StepSchedule.constant(1.0)
+    prob, part, table, sam = huge_setup(3, s=8, x=1.0)
+    res = run(prob, part, table, sam, st, None, K=K, seed=0, d=5)
+    assert (res.k_final == 0) == (K < 38)
+    assert (res.trace.stamp[0] >= 0).sum() >= 2
+    prob, part, table, sam = huge_setup(3, s=8)
+    with pytest.raises(NonFiniteError, match="^server model non-finite "
+                       "after round 0 from node 2$"):
+        run(prob, part, table, sam, st, None, K=K, seed=0, d=5,
+            record_trace=False)
 
 
 @pytest.mark.parametrize("K,gate,match", [
@@ -862,6 +929,24 @@ def test_per_iteration_step_uses_exact_global_index():
     # node 1 holds more than s_i/n slots, so the old approximation differs
     assert any(rec.eta != schedules.per_iteration_step(
         st, sam.prefix_sum(rec.i) + 3 * rec.h) for rec in res.trace.records)
+
+
+def test_run_leaves_no_cyclic_garbage():
+    """The handlers' closures and the event buckets are unlinked at
+    return, so a finished run's tables are freed by reference counting,
+    not kept until a cyclic collection."""
+    sam, st = SampleSchedule.constant(8), StepSchedule.inverse_t(0.1, 0.01)
+    _ds, prob, part = quadratic_setup(4, 0)
+    table = build_assignment(sam, part.p, 4, rounds=300, seed=0)
+    df = DelayFunction(g=2.0, M0=0.0, M1=10.0)
+    gc.collect()
+    gc.disable()
+    try:
+        for gate in (engine.GATE_LAG, engine.GATE_TAU):
+            run(prob, part, table, sam, st, df, K=2000, seed=0, gate=gate)
+            assert gc.collect() == 0, gate
+    finally:
+        gc.enable()
 
 
 def test_event_backend_reports_wall_time():
