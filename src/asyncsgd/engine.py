@@ -27,10 +27,8 @@ zeroes and returns each applied one at the next broadcast.
 The engine reads what depends only on the round from tables built at
 entry, up to the table's last round T: the prefix sums P[i] = sum_{j<i}
 s_j (the table's row starts), the scales, the delay-draw bounds
-2 max(s_i, 1) + 1, the counts s_{i,c} (AssignmentTable.counts) and the
-non-empty cells per round.  The tau gate's wake table and the audits
-evaluate tau in one array pass each, whose floor and ceil are the scalar
-ones (see schedules.eval_delay).
+2 max(s_i, 1) + 1, the counts s_{i,c} (AssignmentTable.counts), the
+non-empty cells per round and the gate's expiry ticks (see gate_expiry).
 
 One event per cell: node c runs the s_{i,c} steps of its cell (i, c) one
 per tick, in one event at the tick of the last step, when every
@@ -43,14 +41,10 @@ broadcast draws one delay per live node into that node's inbox, where
 arrival ticks and k rise together: an entry is dropped when a newer
 broadcast arrives no later.
 
-The gate passes a model of broadcast k iff k >= wake_k: i - d (lag), or
-wake[t_glob + 1], the least k with P[k] >= t_glob + 1 - floor(tau(t_glob))
-(tau), from a table over every t_glob in [-1, P[T]) built at entry.  A
-cell starts at the next tick if the node's model passes, else at the
-arrival of the first broadcast that does.  Inside a cell the lag gate
-cannot refuse: wake_k is fixed within a round and k only grows.  The tau
-gate is checked at each step, after its adoption; a refused step ends the
-event, and the cell goes on as if it started there.
+One rule serves both gates: a step at t_glob may use the model of
+broadcast k iff t_glob <= expiry[k].  A cell starts at the next tick if
+the model passes, else when the first broadcast that does arrives; each
+step checks the gate after its adoption, and a refusal ends the event.
 
 Time advances in integer ticks; every event is pushed for a later
 tick.  A tick's bucket of (draw, handler, payload) entries, draw being a
@@ -72,6 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 import time as time_mod
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -235,6 +230,27 @@ class _Node:
         self.inbox: deque = deque()  # (arrival tick, k, model), both rising
 
 
+def gate_expiry(P: list, gate: str, d: int, delay_fn) -> list:
+    """expiry[k], never decreasing in k <= T: the last t_glob at which a step
+    may use the model of broadcast k.  Lag: a step fills slot t_glob + 1 of
+    its round i, in [P[i], P[i + 1]), so i <= k + d iff t_glob + 1 <
+    P[k + d + 1].  Tau: the last t in [-1, P[T]) with g(t) = t + 1 -
+    floor(tau(max(t, 0))) <= P[k], else -2.  g never decreases, as tau
+    rises by at most 1 per tick (gamma one: tau is concave and tau(1) -
+    tau(0) <= 1; four_log: z / (4 ln z) has slope <= 1/16 and is >= e/4),
+    so one bisection on t serves every k, through eval_delay's array form,
+    whose floors are the scalar ones.  Where rounding lifts floor(tau) by 2
+    (M0 = 0, M1 = 1 - 2**-53), the bisection refuses the late pass."""
+    if gate == GATE_LAG:  # P[min(k + d + 1, T)] - 2
+        return [p - 2 for p in P[d + 1:]] + [P[-1] - 2] * min(d + 1, len(P))
+    bound, e = np.asarray(P), np.full(len(P), -2)  # g(e) <= P[k], or e = -2
+    for j in reversed(range((P[-1] + 1).bit_length())):
+        t = np.minimum(e + (1 << j), P[-1] - 1)
+        tau = np.floor(eval_delay(delay_fn, np.maximum(t, 0))).astype(int)
+        e = np.where(t + 1 - tau <= bound, t, e)
+    return e.tolist()
+
+
 def run(problem: Problem, partition: Partition, table: AssignmentTable,
         samples: SampleSchedule, steps: StepSchedule,
         delay_fn: Optional[DelayFunction], K: int, seed: int,
@@ -262,7 +278,6 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     dim = problem.dim
     base_w = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=float)
     per_iter = steps.mode == PER_ITERATION
-    tau_gate = gate == GATE_TAU
 
     # Per-round tables, to the table's last round: no node steps past it.
     rounds = table.rounds
@@ -278,14 +293,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     # per round: the updates the server waits for, and those it has applied
     need = np.count_nonzero(counts, axis=1).tolist() + [-1]
     arrived = [0] * (rounds + 1)
-    if tau_gate:
-        # wake[t + 1], for t_glob t in [-1, P[T]): the least k with
-        # P[k] >= t + 1 - floor(tau(t)), the least the tau gate passes; one
-        # int64 buffer, whose memoryview items read as Python ints
-        x = np.arange(-1, P[-1])
-        x += 1 - np.floor(eval_delay(delay_fn, np.maximum(x, 0))).astype(int)
-        wake = memoryview(table.start.searchsorted(x))
-        del x
+    expiry = gate_expiry(P, gate, d, delay_fn)
     if per_iter:
         _node, _rnd, _occ, first, order = table.index()  # rho(c, i, h)
 
@@ -349,13 +357,10 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                     nd.wake_k = math.inf
                     push(at + nd.s_ic - nd.h - 1, node_run, nd)
 
-    def schedule(nd: _Node, t0: int) -> None:
-        # nd's step h runs at tick t0 if its model passes the gate, else at
-        # the arrival of the first broadcast that does; its event is at the
-        # tick of its cell's last step
-        wake_k = wake[P[nd.i + 1] - (nd.s_ic - nd.h)] if tau_gate else \
-            nd.i - d
-        if nd.k < wake_k:
+    def schedule(nd: _Node, t0: int, t_glob: int) -> None:
+        # run step h (t_glob) at t0, or when a broadcast that passes it arrives
+        if expiry[nd.k] < t_glob:
+            wake_k = bisect_left(expiry, t_glob, nd.k + 1)
             t0 = next((at for at, kb, _m in nd.inbox if kb >= wake_k), None)
             if t0 is None:
                 nd.wake_k = wake_k  # the first broadcast it passes wakes nd
@@ -372,12 +377,13 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         if arrived[k_srv] == need[k_srv]:
             broadcast()
 
-    def enter(nd: _Node, i: int) -> bool:
-        # move nd to its first round >= i with work; with none, it stops
+    def enter(nd: _Node, i: int, t0: int) -> None:
+        # nd's first round >= i with work, its first step from tick t0; or stop
         while not s_rows[i][nd.c]:
             i += 1
         nd.i, nd.h, nd.s_ic = i, 0, s_rows[i][nd.c]
-        return i < rounds
+        if i < rounds and grads < K:
+            schedule(nd, t0, P[i + 1] - nd.s_ic - 1)
 
     def node_run(nd: _Node) -> None:
         # nd's steps h.. at ticks t, t + 1, .., now: its cell's last tick
@@ -387,7 +393,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         grad_at, X, y, next_index = nd.grad_at, nd.X, nd.y, nd.next_index
         t = now + 1 - (s_ic - h)  # the tick of step h
         eta, eta_v = scale[i], scales[i]
-        t_glob, p_k = P[i + 1] - (s_ic - h) - 1, P[k]  # the gate's index
+        t_glob, p_k, e_k = P[i + 1] - (s_ic - h) - 1, P[k], expiry[k]
         while True:
             if inbox and inbox[0][0] <= t:
                 # adopt the newest arrived broadcast: replace the local
@@ -395,7 +401,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 while len(inbox) > 1 and inbox[1][0] <= t:
                     inbox.popleft()
                 _at, k, model = inbox.popleft()
-                p_k = P[k]
+                p_k, e_k = P[k], expiry[k]
                 if n > 1:  # U is zero at h = 0
                     if h:
                         multiply(U, eta_v, tmp)
@@ -405,8 +411,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                     acc_round = i
                 # with one node, keeping w is exact: every aggregated update
                 # is its own, and the iterates stay bit-identical to serial SGD
-            if tau_gate and k < wake[t_glob + 1]:
-                break  # the tau gate refuses this step
+            if t_glob > e_k:
+                break  # the gate refuses this step
             # one gradient computation
             idx = next_index()
             grad_at(X[idx], y[idx])
@@ -440,12 +446,12 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             push(now + 1 + (word() * delay_hi[i] >> 64), server_apply,
                  (i, c, U))
             nd.U = pool.pop() if pool else np.zeros(dim)
-        if (h < s_ic or enter(nd, i + 1)) and grads < K:
-            schedule(nd, now + 1)  # refused by the tau gate, or a new cell
+            enter(nd, i + 1, now + 1)
+        elif grads < K:
+            schedule(nd, now + 1, t_glob)  # refused by the gate
 
     for nd in nodes:
-        if enter(nd, 0):
-            schedule(nd, 0)  # the first steps run at tick 0
+        enter(nd, 0, 0)  # the first steps run at tick 0
     broadcast()  # rounds no node has work in complete at once
 
     by_draw = itemgetter(0)

@@ -6,7 +6,8 @@ it runs the iterates a one-node distributed run must reproduce bit for bit.
 `rounds_for_budget` must agree with, value and error.  `replay_iterates`
 rebuilds every gradient's model from a trace's claims alone.
 `synchronous_final` rebuilds the final model of a d = 0 lag-gate run round
-by round, from the trace's step counts alone.
+by round, from the trace's step counts alone.  `wake_table` is the tau gate
+as a table over every tick, the reference for `engine.gate_expiry`.
 """
 import collections
 import functools
@@ -17,7 +18,7 @@ from asyncsgd import rng
 from asyncsgd.engine import rho
 from asyncsgd.problems import grad
 from asyncsgd.schedules import (PER_ITERATION, SampleSchedule,
-                                ScheduleError, StepSchedule,
+                                ScheduleError, StepSchedule, eval_delay,
                                 per_iteration_step, round_step,
                                 rounds_for_budget, sample_size)
 
@@ -115,3 +116,12 @@ def synchronous_final(problem, partition, samples, steps, trace, seed):
                 w -= step
                 model -= step
     return model
+
+
+def wake_table(P, df):
+    """wake[t + 1] for every t_glob t in [-1, P[T]): the least broadcast k
+    whose model the tau gate passes at t, the least k with P[k] >= t + 1 -
+    floor(tau(max(t, 0))), from one eval_delay pass over every tick."""
+    x = np.arange(-1, P[-1])
+    x += 1 - np.floor(eval_delay(df, np.maximum(x, 0))).astype(int)
+    return np.searchsorted(P, x)

@@ -5,12 +5,17 @@ import gc
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as hs
-from oracles import make_step_fn, replay_iterates, synchronous_final
+from oracles import (make_step_fn, replay_iterates, synchronous_final,
+                     wake_table)
 
+import asyncsgd
 from asyncsgd import data, engine, problems, rng, schedules
 from asyncsgd.data import AssignmentTable, build_assignment, partition, \
     synthetic_quadratic, synthetic_logistic
@@ -490,6 +495,93 @@ def test_cells_run_as_blocks(df, gate, seed):
             assert rec.bcast_id[nxt[2] - (nxt[1] - nxt[0])] > b
             cut += 1
     assert cut > 0 or gate == engine.GATE_LAG
+
+
+# tau = M1 + x**(1/g) at M1 = 1 - 2**-53, M0 = 0: floor(tau) is 0 at x = 0
+# and 2 at x = 1, where M1 + 1 rounds up to 2.0 (exactly, tau(1) < 2)
+FLOAT_DIP = DelayFunction(g=2.0, M0=0.0, M1=1.0 - 2.0 ** -53)
+
+
+def floor_tau_jumps(df):
+    """floor(tau) rises by 2 from x = 0 to 1, as at FLOAT_DIP."""
+    low, high = (math.floor(eval_delay(df, x)) for x in (0.0, 1.0))
+    return high - low > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(df=hs.one_of(
+           hs.builds(DelayFunction, g=hs.floats(1.0001, 4.0),
+                     M0=hs.floats(0.0, 50.0), M1=hs.floats(0.0, 80.0)),
+           hs.builds(DelayFunction, g=hs.floats(1.0001, 4.0),
+                     M0=hs.floats(1.0, 1.1, exclude_min=True)
+                     | hs.floats(1.0, 50.0, exclude_min=True),
+                     M1=hs.floats(0.0, 80.0), gamma=hs.just("four_log"))),
+       sizes=hs.lists(hs.just(0) | hs.integers(0, 60), min_size=1,
+                      max_size=40),
+       d=hs.integers(0, 4) | hs.integers(0, 10 ** 30))
+@example(df=DelayFunction(g=1.0001, M0=0.0, M1=0.0), sizes=[1, 2, 0, 6, 40],
+         d=0)
+@example(df=DelayFunction(g=2.0, M0=1.0 + 2.0 ** -52, M1=0.0,
+                          gamma="four_log"), sizes=[0, 5, 7, 0], d=1)
+@example(df=DelayFunction(g=2.0, M0=1.5, M1=10.0, gamma="four_log"),
+         sizes=[0, 0, 30, 3, 50, 9], d=2)
+@example(df=FLOAT_DIP, sizes=[0, 3, 5], d=1)
+def test_gate_expiry_gives_every_per_tick_decision(df, sizes, d):
+    """The one gate rule, t_glob <= expiry[k], takes every decision of the
+    tau gate's per-tick table (oracles.wake_table) and of the lag rule
+    i <= k + d, at every t_glob and broadcast k, empty rounds included.
+    Only where floor(tau) rises by 2 in a tick, as at FLOAT_DIP, can the
+    table pass a tick after one it refuses; the rule then refuses both."""
+    P = np.cumsum([0] + sizes).tolist()
+    t, k = np.arange(-1, P[-1])[:, None], np.arange(len(P))  # t_glob, k
+    table = k >= wake_table(P, df)[:, None]
+    expiry = engine.gate_expiry(P, engine.GATE_TAU, d, df)
+    assert expiry == sorted(expiry)
+    prefix = np.logical_and.accumulate(table, axis=0)  # the leading passes
+    assert ((t <= np.array(expiry)) == prefix).all()
+    assert (prefix == table).all() or floor_tau_jumps(df)
+    expiry = engine.gate_expiry(P, engine.GATE_LAG, d, None)
+    assert expiry == sorted(expiry)
+    t = t[:-1]  # slot t_glob + 1 of round i, in [P[i], P[i + 1])
+    i = np.searchsorted(P, t + 1, side="right") - 1
+    assert ((t <= np.array(expiry)) == (i - k <= min(d, len(P)))).all()
+
+
+def test_gate_expiry_refuses_the_float_dip():
+    """At FLOAT_DIP the table passes broadcast 0 (P[0] = 0) at t_glob 1
+    but not at 0, since tau(1) rounds up to 2; the rule refuses both, as
+    exact arithmetic does (t_delay 2 > tau(1))."""
+    P = [0, 3, 8]
+    assert wake_table(P, FLOAT_DIP)[:4].tolist() == [0, 1, 0, 1]
+    assert engine.gate_expiry(P, engine.GATE_TAU, 1, FLOAT_DIP)[0] == -1
+
+
+RSS_PROBE = """
+import resource, sys
+from asyncsgd import harness
+cfg = harness.RunConfig(
+    problem={"kind": "quadratic_mean"},
+    dataset={"synthetic": "quadratic", "M": 1000, "dim": 10, "seed": 0},
+    samples={"kind": "strongly_convex", "m": 7747}, K=300000, n=5,
+    gate=sys.argv[1], d=1, checkpoint_interval=0, seed=0)
+harness.run_prepared(harness.prepare(cfg))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak / 2 ** 20 if sys.platform == "darwin" else peak / 2 ** 10)
+"""
+
+
+def test_tau_gate_peak_memory_matches_the_lag_gate():
+    """Neither gate keeps a table per tick: an untraced K = 3e5 run on
+    sc-quad's shape peaks within 5 MB under the tau gate of the lag gate's
+    peak, each measured in a fresh interpreter (the per-tick wake table
+    that expiry replaced read +18 MB)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(asyncsgd.__file__)))
+    peak = {gate: float(subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, gate], env=env, check=True,
+        capture_output=True, text=True).stdout)
+        for gate in (engine.GATE_LAG, engine.GATE_TAU)}
+    assert peak[engine.GATE_TAU] - peak[engine.GATE_LAG] <= 5.0, peak
 
 
 def assert_round_sums(res, grads):
