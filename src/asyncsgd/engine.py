@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import time as time_mod
 from bisect import bisect_left
 from collections import defaultdict, deque
@@ -136,6 +137,8 @@ RECORD = np.dtype([("c", np.int64), ("i", np.int64), ("h", np.int64),
                    ("eta", np.float64), ("t_glob", np.int64),
                    ("t_delay", np.int64), ("bcast_id", np.int64),
                    ("acc_round", np.int64)])
+# one RECORD row, packed at byte offset j << 6 of the records' bytes
+_pack_record = struct.Struct("=3qd4q").pack_into
 
 
 @dataclass
@@ -294,12 +297,15 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     need = np.count_nonzero(counts, axis=1).tolist() + [-1]
     arrived = [0] * (rounds + 1)
     expiry = gate_expiry(P, gate, d, delay_fn)
-    if per_iter:
-        _node, _rnd, _occ, first, order = table.index()  # rho(c, i, h)
+    if per_iter:  # rho(c, i, h), with Python ints as items
+        first, order = map(memoryview, table.index()[3:])
 
     word = rng.words(seed, rng.INTERLEAVE)  # one 64-bit word per draw
     g = np.empty(dim)    # every node's gradient, then its step
     tmp = np.empty(dim)  # scale[i] * U at an adoption
+    # eta_t per iteration, written to one cell and read as a dim-vector
+    cell = np.empty(1)
+    eta_cell, eta_t_v = memoryview(cell), np.broadcast_to(cell, (dim,))
     # scale[i] as a stride-0 dim-vector: array-array calls are the cheapest
     scales = np.broadcast_to(np.array(scale, float)[:, None], (rounds, dim))
     nodes = [_Node(c, problem, base_w, g, partition.local(c),
@@ -310,6 +316,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     k_srv, snapshot = 0, base_w  # round count k and model of last broadcast
     applied, pool = [], []    # (i, c, payload) since then; zeroed buffers
     records = np.zeros(K, dtype=RECORD) if record_trace else None
+    rows = record_trace and memoryview(records).cast("B")
     # stamp[i, c] at i * (n + 1) + c, flat, with Python ints as items
     stamp = record_trace and memoryview(np.full(rounds * (n + 1), -1))
     checkpoints = []
@@ -417,9 +424,9 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             idx = next_index()
             grad_at(X[idx], y[idx])
             if per_iter:  # U sums the steps eta_t g
-                eta = per_iteration_step(
-                    steps, int(order[first[i * n + c - 1] + h]))
-                multiply(g, eta, g)
+                eta_cell[0] = eta = per_iteration_step(
+                    steps, order[first[i * n + c - 1] + h])
+                multiply(g, eta_t_v, g)
                 add(U, g, U)
             else:  # U sums the gradients
                 add(U, g, U)
@@ -427,8 +434,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             subtract(w, g, w)  # g holds the step now
             if records is not None:
                 # t_delay, its distance to the prefix its model surely holds
-                records[grads] = (c, i, h, eta, t_glob, t_glob + 1 - p_k,
-                                  k, acc_round)
+                _pack_record(rows, grads << 6, c, i, h, eta, t_glob,
+                             t_glob + 1 - p_k, k, acc_round)
             if record_iterates:
                 iterates.append(w.copy())
             h += 1

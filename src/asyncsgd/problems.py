@@ -98,8 +98,10 @@ def kernel(p: Problem, w: np.ndarray, g: np.ndarray):
 
     Returns step(x, y), which writes grad f(w; xi) at w's current contents
     into g; `grad` is this kernel on a fresh g.  w and g are bound once:
-    change their contents in place between calls, never the arrays.  The
-    width of x is not checked (see check_features).
+    change their contents in place between calls, never the arrays.  Both
+    must be contiguous float64 vectors: the logistic kernel reads and
+    writes their last entries through memoryviews.  The width of x is not
+    checked (see check_features).
     """
     if p.kind == QUADRATIC_MEAN:
         subtract = np.subtract
@@ -108,17 +110,22 @@ def kernel(p: Problem, w: np.ndarray, g: np.ndarray):
             subtract(w, x, g)
         return quadratic
     w_bar, g_bar, multiply, add = w[:-1], g[:-1], np.multiply, np.add
-    ridge, lam = p.kind == LOGISTIC_RIDGE, p.lam
-    ridge_term = np.empty(p.dim)
+    w_mv, g_mv, last = memoryview(w), memoryview(g), p.dim - 1
+    ridge, ridge_term = p.kind == LOGISTIC_RIDGE, np.empty(p.dim)
+    # r and lambda as stride-0 vectors, r written through its one cell:
+    # array-array ufunc calls convert no Python scalar
+    cell = np.empty(1)
+    r_cell, r_v = memoryview(cell), np.broadcast_to(cell, (last,))
+    lam_v = np.broadcast_to(np.array(p.lam, dtype=float), (p.dim,))
 
     def logistic(x, y):
         # ndarray.dot reaches the same BLAS ddot as the matmul ufunc, in
         # fewer dispatches; the residual scales x straight into g
-        r = _sigmoid(float(w_bar.dot(x)) + float(w[-1])) - y
-        multiply(x, r, g_bar)
-        g[-1] = r
+        r_cell[0] = r = _sigmoid(float(w_bar.dot(x)) + w_mv[last]) - y
+        multiply(x, r_v, g_bar)
+        g_mv[last] = r
         if ridge:
-            multiply(w, lam, ridge_term)
+            multiply(w, lam_v, ridge_term)
             add(g, ridge_term, g)
     return logistic
 
@@ -127,7 +134,7 @@ def grad(p: Problem, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     """Per-sample gradient of f(w; xi)."""
     check_features(p, x.shape[0])
     g = np.empty(p.dim)
-    kernel(p, w, g)(x, y)
+    kernel(p, np.ascontiguousarray(w, dtype=float), g)(x, y)
     return g
 
 

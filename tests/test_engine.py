@@ -862,6 +862,37 @@ def test_integer_step_past_int64_scales_as_a_float():
     assert not res.w_final.any()
 
 
+def test_per_iteration_integer_step_past_int64_scales_as_a_float():
+    """As above, through the per-iteration step's one-cell buffer; the
+    trace records the step as that float too."""
+    prob, part, table, sam = huge_setup(2, x=0.0)
+    st = StepSchedule(kind=schedules.STEP_CONSTANT, eta=2 ** 64,
+                      mode=schedules.PER_ITERATION)
+    res = run(prob, part, table, sam, st, None, K=40, seed=0)
+    assert not res.w_final.any()
+    assert (res.trace.records.eta == float(2 ** 64)).all()
+
+
+int64s = hs.integers(-2 ** 63, 2 ** 63 - 1)
+record_etas = hs.one_of(
+    hs.floats(), hs.sampled_from([math.nan, -0.0, math.inf, -math.inf,
+                                  5e-324, -2.2250738585072e-308]),
+    hs.integers(-2 ** 64, 2 ** 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.tuples(int64s, int64s, int64s, record_etas, int64s, int64s,
+                 int64s, int64s), hs.integers(0, 2))
+def test_packed_record_matches_a_numpy_row(row, j):
+    """engine.run packs each trace record into the records' bytes; the
+    bytes equal those of numpy's own row write, NaN payloads, signed
+    zeros, subnormals and integer steps past int64 included."""
+    want, got = np.zeros(3, dtype=RECORD), np.zeros(3, dtype=RECORD)
+    want[j] = row
+    engine._pack_record(memoryview(got).cast("B"), j << 6, *row)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_server_overflow_raises():
     """Each node's round-0 update is -1e308 per coordinate, and its later

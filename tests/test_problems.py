@@ -425,6 +425,8 @@ def test_grad_and_loss_match_oracle_bitwise(case):
     place between calls, as the engine's nodes use it."""
     p, w, x, y = case
     assert bits(grad(p, w, x, y)) == bits(grad_oracle(p, w, x, y))
+    # grad binds the kernel, which needs a contiguous w, over a copy
+    assert bits(grad(p, np.repeat(w, 2)[::2], x, y)) == bits(grad(p, w, x, y))
     assert bits(loss(p, w, x, y)) == bits(loss_oracle(p, w, x, y))
     w_buf, g = np.zeros(p.dim), np.full(p.dim, np.nan)
     grad_at = problems.kernel(p, w_buf, g)
