@@ -15,14 +15,17 @@ leaves it as scale[i] * U, when it ships U, re-applies it on a broadcast
 or flushes it at the end.  scale[i] is eta_bar_i per round and 1.0, an
 exact product, per iteration.
 
-A node's model w is one buffer for the whole run.  The node binds its
-gradient kernel (problems.kernel) over w and the run's one gradient
-buffer g once; a step writes g, adds g (or eta_t g) into U and subtracts
-eta g from w, all in place.  An adopted broadcast is copied into w, as
-model - scale[i] * U; the broadcast snapshots, which the inboxes and
-checkpoints share, are only read.  A node ships U itself, scaled in
-place, and goes on in a zeroed buffer from the run's pool; the server
-zeroes and returns each applied one at the next broadcast.
+A node's round update U and model w are the two rows of one buffer UW
+for the run; the run's gradient g is row 0 of one buffer G.  The node
+binds its kernel (problems.kernel) over w and g once.  A step per round
+writes g, -eta_bar_i g into G's row 1, and adds G into UW: w + (-(eta
+g)) is w - eta g, as negation commutes with rounding (bar which NaN a
+NaN + NaN returns, after which U is not finite and the run raises).  A
+step per iteration adds eta_t g into U and subtracts it from w.  An
+adopted broadcast is copied into w, as model - scale[i] * U; the
+snapshots, which inboxes and checkpoints share, are only read.  A node
+ships scale[i] * U in a pool buffer and zeroes U; the server frees each
+applied one at the next broadcast.
 
 The engine reads what depends only on the round from tables built at
 entry, up to the table's last round T: the prefix sums P[i] = sum_{j<i}
@@ -55,11 +58,12 @@ in [0, hi) takes one word too: word * hi >> 64 (see rng.words).  The run
 stops at the K-th gradient in handler order; the final model flushes in
 the round updates left in the buckets, its own bucket's unrun rest too.
 
-A round update is checked for inf and NaN when shipped, as isfinite(x @
-zeros), NaN exactly when some entry is not finite; so v_hat, once not
-finite, stays so, and it is checked once per broadcast and at the end.
-A failed check replays the applies since the last broadcast to name the
-first.  A traced run fills RunTrace's columns (see there).
+v_hat is checked for inf and NaN once per broadcast and at the end, as
+isfinite(v_hat @ zeros), NaN exactly when some entry is not finite; once
+not finite, it stays so.  A failed check replays the applies since the
+last broadcast, checking each update before applying it, to name the
+first bad one; the end checks the updates in flight too.  A traced run
+fills RunTrace's columns (see there).
 """
 from __future__ import annotations
 
@@ -212,7 +216,7 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
 _DRAW_CHUNK = 1024
 
 class _Node:
-    __slots__ = ("c", "i", "h", "s_ic", "w", "U", "k", "acc_round",
+    __slots__ = ("c", "i", "h", "s_ic", "UW", "U", "w", "k", "acc_round",
                  "wake_k", "grad_at", "X", "y", "next_index", "inbox")
 
     def __init__(self, c: int, problem: Problem, w0: np.ndarray,
@@ -220,8 +224,8 @@ class _Node:
         self.c = c
         self.i = self.h = self.s_ic = self.k = self.acc_round = 0
         check_features(problem, local.X.shape[1])
-        self.w = w0.copy()  # the local model, one buffer for the run
-        self.U = np.zeros_like(self.w)
+        self.UW = np.array([np.zeros_like(w0), w0])  # one buffer for the run
+        self.U, self.w = self.UW  # the round update and the local model
         self.grad_at = kernel(problem, self.w, g)  # writes grad at w into g
         self.wake_k = math.inf  # gated: the first k that opens the gate
         self.X = list(local.X)
@@ -301,11 +305,12 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         first, order = map(memoryview, table.index()[3:])
 
     word = rng.words(seed, rng.INTERLEAVE)  # one 64-bit word per draw
-    g = np.empty(dim)    # every node's gradient, then its step
+    G = np.empty((2, dim))  # every node's gradient g, then its step
+    g, step = G
     tmp = np.empty(dim)  # scale[i] * U at an adoption
-    # eta_t per iteration, written to one cell and read as a dim-vector
+    # eta_t per iteration or -eta_bar_i per round, read as a dim-vector
     cell = np.empty(1)
-    eta_cell, eta_t_v = memoryview(cell), np.broadcast_to(cell, (dim,))
+    eta_cell, cell_v = memoryview(cell), np.broadcast_to(cell, (dim,))
     # scale[i] as a stride-0 dim-vector: array-array calls are the cheapest
     scales = np.broadcast_to(np.array(scale, float)[:, None], (rounds, dim))
     nodes = [_Node(c, problem, base_w, g, partition.local(c),
@@ -314,7 +319,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
 
     v_hat = base_w.copy()
     k_srv, snapshot = 0, base_w  # round count k and model of last broadcast
-    applied, pool = [], []    # (i, c, payload) since then; zeroed buffers
+    applied, pool = [], []    # (i, c, payload) since then; free buffers
     records = np.zeros(K, dtype=RECORD) if record_trace else None
     rows = record_trace and memoryview(records).cast("B")
     # stamp[i, c] at i * (n + 1) + c, flat, with Python ints as items
@@ -333,6 +338,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     def push(time: int, handler, payload) -> None:
         buckets[time].append((word(), handler, payload))
 
+    def check_update(i: int, c: int, payload) -> None:
+        if not isfinite(payload.dot(zeros)):
+            raise NonFiniteError(f"node {c} produced a non-finite "
+                                 f"round update in round {i}")
+
     def broadcast() -> None:
         # one check of v_hat covers the applies since the last broadcast: a
         # replay from its snapshot names the first that left the range; then
@@ -341,12 +351,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         if not isfinite(v_hat.dot(zeros)):
             w = snapshot
             for i, c, payload in applied:
+                check_update(i, c, payload)
                 if not isfinite((w := w - payload).dot(zeros)):
                     raise NonFiniteError(f"server model non-finite after "
                                          f"round {i} from node {c}")
-        for _i, _c, payload in applied:
-            payload.fill(0.0)
-            pool.append(payload)
+        pool.extend(payload for _i, _c, payload in applied)
         applied.clear()
         while arrived[k_srv] == need[k_srv]:
             k_srv += 1
@@ -396,10 +405,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         # nd's steps h.. at ticks t, t + 1, .., now: its cell's last tick
         nonlocal grads
         c, i, h, s_ic, inbox = nd.c, nd.i, nd.h, nd.s_ic, nd.inbox
-        w, U, k, acc_round = nd.w, nd.U, nd.k, nd.acc_round
+        UW, U, w, k, acc_round = nd.UW, nd.U, nd.w, nd.k, nd.acc_round
         grad_at, X, y, next_index = nd.grad_at, nd.X, nd.y, nd.next_index
         t = now + 1 - (s_ic - h)  # the tick of step h
         eta, eta_v = scale[i], scales[i]
+        eta_cell[0] = -eta  # per iteration, each step overwrites it
         t_glob, p_k, e_k = P[i + 1] - (s_ic - h) - 1, P[k], expiry[k]
         while True:
             if inbox and inbox[0][0] <= t:
@@ -426,12 +436,12 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             if per_iter:  # U sums the steps eta_t g
                 eta_cell[0] = eta = per_iteration_step(
                     steps, order[first[i * n + c - 1] + h])
-                multiply(g, eta_t_v, g)
+                multiply(g, cell_v, g)
                 add(U, g, U)
-            else:  # U sums the gradients
-                add(U, g, U)
-                multiply(g, eta_v, g)
-            subtract(w, g, w)  # g holds the step now
+                subtract(w, g, w)
+            else:  # U sums the gradients: (U, w) += (g, -eta_bar_i g)
+                multiply(g, cell_v, step)
+                add(UW, G, UW)
             if records is not None:
                 # t_delay, its distance to the prefix its model surely holds
                 _pack_record(rows, grads << 6, c, i, h, eta, t_glob,
@@ -445,14 +455,12 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             t += 1
             t_glob += 1
         nd.k, nd.acc_round, nd.h = k, acc_round, h
-        if h == s_ic:  # ship U, scaled in place; go on in a zeroed buffer
-            multiply(U, eta_v, U)
-            if not isfinite(U.dot(zeros)):
-                raise NonFiniteError(f"node {c} produced a non-finite "
-                                     f"round update in round {i}")
+        if h == s_ic:  # ship scale[i] * U in a free buffer; U starts over
+            payload = pool.pop() if pool else np.empty(dim)
+            multiply(U, eta_v, payload)
+            U.fill(0.0)
             push(now + 1 + (word() * delay_hi[i] >> 64), server_apply,
-                 (i, c, U))
-            nd.U = pool.pop() if pool else np.zeros(dim)
+                 (i, c, payload))
             enter(nd, i + 1, now + 1)
         elif grads < K:
             schedule(nd, now + 1, t_glob)  # refused by the gate
@@ -487,6 +495,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     inflight = sorted(m for b in (*buckets.values(), events)  # by (i, c)
                       for _w, f, m in b if f is server_apply)
     buckets = node_run = None  # break the handlers' cycles: free at return
+    for i, c, payload in inflight:  # named here: a one-node w_final has none
+        check_update(i, c, payload)
     # serialize: flush in-flight round updates and unsent partials; with a
     # single node its local model already is the exact serial iterate
     if n == 1:

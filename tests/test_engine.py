@@ -873,6 +873,62 @@ def test_per_iteration_integer_step_past_int64_scales_as_a_float():
     assert (res.trace.records.eta == float(2 ** 64)).all()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_round_update_in_flight_at_the_end_raises(n):
+    """On data at 1e308 with a step of 2**-1000, w stays finite while a
+    round update, the sum of gradients near -1e308, overflows.  K = 4
+    stops at round 0's last step, with no update applied (the event
+    schedule does not read the data, so a traced run on data at 1 shows
+    it), so the end's check of the updates in flight names one: with one
+    node too, whose final model is its own finite w."""
+    st = StepSchedule.constant(2.0 ** -1000)
+    prob, part, table, sam = huge_setup(n, x=1.0)
+    res = run(prob, part, table, sam, st, None, K=4, seed=0)
+    assert (res.trace.stamp == -1).all() and res.messages >= 1
+    prob, part, table, sam = huge_setup(n)
+    with pytest.raises(NonFiniteError, match="round update"):
+        run(prob, part, table, sam, st, None, K=4, seed=0,
+            record_trace=False)
+
+
+step_values = hs.one_of(hs.floats(), hs.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308,
+     math.inf, -math.inf, math.nan]))
+step_etas = hs.one_of(hs.floats(0.0, 2.0 ** 64), hs.sampled_from(
+    [0.0, 5e-324, 2.0 ** 64]), hs.integers(0, 2 ** 64).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.integers(1, 19).flatmap(lambda dim: hs.lists(
+    hs.tuples(step_values, step_values, step_values),
+    min_size=dim, max_size=dim)), step_etas)
+def test_two_row_step_matches_the_one_row_steps(cols, eta):
+    """engine.run's step per round writes -eta g into row 1 of the run's
+    (2, dim) buffer under g and adds it into the rows (U, w) of the node's
+    buffer; the bytes equal those of U += g, then w -= eta g on separate
+    buffers, NaN payloads, infinities, signed zeros and subnormals
+    included, under whichever SIMD loops numpy dispatches.  Only where
+    both addends are NaN is the result just NaN: numpy's add returns
+    either one (its scalar tail loop the second), where subtract returns
+    the first.  No run returns after such a step: its U is not finite
+    from there on, so the run raises NonFiniteError."""
+    U, w, g = np.array(cols).T.copy()
+    dim = len(g)
+    want_U, want_w, step = U.copy(), w.copy(), g.copy()
+    UW, G = np.array([U, w]), np.array([g, g])
+    with np.errstate(all="ignore"):
+        np.add(want_U, step, want_U)
+        np.multiply(step, np.broadcast_to(np.array(eta), (dim,)), step)
+        np.subtract(want_w, step, want_w)
+        np.multiply(G[0], np.broadcast_to(np.array([-eta]), (dim,)), G[1])
+        np.add(UW, G, UW)
+    want = np.array([want_U, want_w])
+    nan_pair = np.isnan([U, w]) & np.isnan([g, step])
+    assert np.isnan(UW[nan_pair]).all() and np.isnan(want[nan_pair]).all()
+    assert UW[~nan_pair].tobytes() == want[~nan_pair].tobytes()
+
+
 int64s = hs.integers(-2 ** 63, 2 ** 63 - 1)
 record_etas = hs.one_of(
     hs.floats(), hs.sampled_from([math.nan, -0.0, math.inf, -math.inf,

@@ -350,6 +350,23 @@ def test_cli_runtime_error_exit_2(tmp_path):
     assert cli.main(["run", "--config", path]) == cli.EXIT_RUNTIME
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_diverging_run_names_the_first_bad_apply(tmp_path, capsys):
+    """eta = 3 diverges on quadratic data.  The first non-finite event in
+    the server's apply order is node 1's round-495 update overflowing
+    v_hat, and the error names it; node 1's non-finite round-496 update,
+    shipped before that apply, comes later in apply order."""
+    cfg = quad_config(dataset={"synthetic": "quadratic", "M": 200, "dim": 3,
+                               "seed": 0},
+                      samples={"kind": "constant", "s": 4},
+                      steps={"kind": "constant", "eta": 3.0},
+                      K=3000, n=2, seed=0)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", path]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "runtime error: server model non-finite after round 495 from node 1")
+
+
 @pytest.mark.parametrize("field,value,fragment", [
     ("M0", 1.0, "steps: M0 must be > 1, got 1.0"),
     ("M0", 0.0, "steps: M0 must be > 1, got 0.0"),
