@@ -45,9 +45,10 @@ arrival ticks and k rise together: an entry is dropped when a newer
 broadcast arrives no later.
 
 One rule serves both gates: a step at t_glob may use the model of
-broadcast k iff t_glob <= expiry[k].  A cell starts at the next tick if
-the model passes, else when the first broadcast that does arrives; each
-step checks the gate after its adoption, and a refusal ends the event.
+broadcast k iff t_glob <= expiry[k].  Each step checks it after its
+adoption, and a refusal ends the event.  A cell starts at the next tick
+if the model passes; else its node keeps the step's t_glob, and the first
+broadcast k with t_glob <= expiry[k] to arrive wakes it.
 
 Time advances in integer ticks; every event is pushed for a later
 tick.  A tick's bucket of (draw, handler, payload) entries, draw being a
@@ -71,7 +72,6 @@ import itertools
 import math
 import struct
 import time as time_mod
-from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -217,7 +217,7 @@ _DRAW_CHUNK = 1024
 
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "UW", "U", "w", "k", "acc_round",
-                 "wake_k", "grad_at", "X", "y", "next_index", "inbox")
+                 "wait", "grad_at", "X", "y", "next_index", "inbox")
 
     def __init__(self, c: int, problem: Problem, w0: np.ndarray,
                  g: np.ndarray, local, gen: np.random.Generator):
@@ -227,7 +227,7 @@ class _Node:
         self.UW = np.array([np.zeros_like(w0), w0])  # one buffer for the run
         self.U, self.w = self.UW  # the round update and the local model
         self.grad_at = kernel(problem, self.w, g)  # writes grad at w into g
-        self.wake_k = math.inf  # gated: the first k that opens the gate
+        self.wait = math.inf  # gated: the t_glob of the step it waits for
         self.X = list(local.X)
         self.y = local.y.astype(float).tolist()
         M = len(self.y)
@@ -238,12 +238,13 @@ class _Node:
 
 
 def gate_expiry(P: list, gate: str, d: int, delay_fn) -> list:
-    """expiry[k], never decreasing in k <= T: the last t_glob at which a step
-    may use the model of broadcast k.  Lag: a step fills slot t_glob + 1 of
-    its round i, in [P[i], P[i + 1]), so i <= k + d iff t_glob + 1 <
-    P[k + d + 1].  Tau: the last t in [-1, P[T]) with g(t) = t + 1 -
-    floor(tau(max(t, 0))) <= P[k], else -2.  g never decreases, as tau
-    rises by at most 1 per tick (gamma one: tau is concave and tau(1) -
+    """expiry[k], the last t_glob at which a step may use the model of
+    broadcast k, never decreases in k <= T, so each gate site of run
+    compares a t_glob with expiry, with no search.  Lag: a step fills slot
+    t_glob + 1 of its round i, in [P[i], P[i + 1]), so i <= k + d iff
+    t_glob + 1 < P[k + d + 1].  Tau: the last t in [-1, P[T]) with g(t) =
+    t + 1 - floor(tau(max(t, 0))) <= P[k], else -2.  g never decreases, as
+    tau rises by at most 1 per tick (gamma one: tau is concave and tau(1) -
     tau(0) <= 1; four_log: z / (4 ln z) has slope <= 1/16 and is >= e/4),
     so one bisection on t serves every k, through eval_delay's array form,
     whose floors are the scalar ones.  Where rounding lifts floor(tau) by 2
@@ -284,6 +285,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     n = partition.n
     dim = problem.dim
     base_w = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=float)
+    if not np.isfinite(base_w).all():
+        raise NonFiniteError("initial model w0 is not finite")
     per_iter = steps.mode == PER_ITERATION
 
     # Per-round tables, to the table's last round: no node steps past it.
@@ -306,8 +309,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
 
     word = rng.words(seed, rng.INTERLEAVE)  # one 64-bit word per draw
     G = np.empty((2, dim))  # every node's gradient g, then its step
-    g, step = G
-    tmp = np.empty(dim)  # scale[i] * U at an adoption
+    g, step = G  # step is scale[i] * U at an adoption too
     # eta_t per iteration or -eta_bar_i per round, read as a dim-vector
     cell = np.empty(1)
     eta_cell, cell_v = memoryview(cell), np.broadcast_to(cell, (dim,))
@@ -362,24 +364,23 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             snapshot = v_hat.copy()
             if checkpoint_interval and k_srv % checkpoint_interval == 0:
                 checkpoints.append((k_srv, P[k_srv], snapshot))
-            hi = delay_hi[k_srv]
+            hi, e = delay_hi[k_srv], expiry[k_srv]
             for nd in [nd for nd in nodes if nd.i < rounds]:
                 at = now + 1 + (word() * hi >> 64)
                 inbox = nd.inbox
                 while inbox and inbox[-1][0] >= at:
                     inbox.pop()  # overtaken: never the newest arrived
                 inbox.append((at, k_srv, snapshot))
-                if k_srv >= nd.wake_k:  # nd's gate opens at tick at
-                    nd.wake_k = math.inf
+                if e >= nd.wait:  # nd's gate opens at tick at
+                    nd.wait = math.inf
                     push(at + nd.s_ic - nd.h - 1, node_run, nd)
 
     def schedule(nd: _Node, t0: int, t_glob: int) -> None:
         # run step h (t_glob) at t0, or when a broadcast that passes it arrives
         if expiry[nd.k] < t_glob:
-            wake_k = bisect_left(expiry, t_glob, nd.k + 1)
-            t0 = next((at for at, kb, _m in nd.inbox if kb >= wake_k), None)
+            t0 = next((a for a, k, _ in nd.inbox if expiry[k] >= t_glob), None)
             if t0 is None:
-                nd.wake_k = wake_k  # the first broadcast it passes wakes nd
+                nd.wait = t_glob  # the first broadcast that passes wakes nd
                 return
         push(t0 + nd.s_ic - nd.h - 1, node_run, nd)
 
@@ -387,7 +388,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         i, c, payload = msg
         subtract(v_hat, payload, v_hat)
         applied.append(msg)
-        if stamp:
+        if record_trace:
             stamp[i * (n + 1) + c] = k_srv
         arrived[i] += 1
         if arrived[k_srv] == need[k_srv]:
@@ -410,7 +411,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         t = now + 1 - (s_ic - h)  # the tick of step h
         eta, eta_v = scale[i], scales[i]
         eta_cell[0] = -eta  # per iteration, each step overwrites it
-        t_glob, p_k, e_k = P[i + 1] - (s_ic - h) - 1, P[k], expiry[k]
+        t_glob, e_k = P[i + 1] - (s_ic - h) - 1, expiry[k]
         while True:
             if inbox and inbox[0][0] <= t:
                 # adopt the newest arrived broadcast: replace the local
@@ -418,11 +419,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 while len(inbox) > 1 and inbox[1][0] <= t:
                     inbox.popleft()
                 _at, k, model = inbox.popleft()
-                p_k, e_k = P[k], expiry[k]
+                e_k = expiry[k]
                 if n > 1:  # U is zero at h = 0
                     if h:
-                        multiply(U, eta_v, tmp)
-                        subtract(model, tmp, w)
+                        multiply(U, eta_v, step)
+                        subtract(model, step, w)
                     else:
                         copyto(w, model)
                     acc_round = i
@@ -442,10 +443,10 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             else:  # U sums the gradients: (U, w) += (g, -eta_bar_i g)
                 multiply(g, cell_v, step)
                 add(UW, G, UW)
-            if records is not None:
+            if record_trace:
                 # t_delay, its distance to the prefix its model surely holds
                 _pack_record(rows, grads << 6, c, i, h, eta, t_glob,
-                             t_glob + 1 - p_k, k, acc_round)
+                             t_glob + 1 - P[k], k, acc_round)
             if record_iterates:
                 iterates.append(w.copy())
             h += 1
@@ -475,8 +476,10 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         if not bucket:
             if not buckets:
                 broadcast()  # checks v_hat only
-                stuck = {nd.c: {"round": nd.i, "k": nd.k, "waiting":
-                                nd.wake_k < math.inf} for nd in nodes}
+                stuck = {nd.c: {"round": nd.i, "k": nd.k,
+                                "waiting": nd.wait < math.inf, "t_glob":
+                                nd.wait if nd.wait < math.inf else None}
+                         for nd in nodes}
                 raise DeadlockError(
                     f"no runnable events with {grads}/{K} gradients done; "
                     f"server k={k_srv}, nodes={stuck}")
@@ -510,8 +513,8 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
                 w_final -= scale[nd.i] * nd.U
     if not np.isfinite(w_final).all():
         raise NonFiniteError("final model non-finite")
-    trace = None if records is None else RunTrace(
-        table, records.view(np.recarray), np.reshape(stamp, (rounds, -1)))
+    trace = RunTrace(table, records.view(np.recarray), np.reshape(
+        stamp, (rounds, -1))) if record_trace else None
 
     return RunResult(
         w_final=w_final, k_final=k_srv, grads=grads,

@@ -788,11 +788,14 @@ def test_deadlock_detected_with_impossible_tau():
     with pytest.raises(DeadlockError) as err:
         run(prob, part, table, sam, st, df, K=500, seed=2,
             gate=engine.GATE_TAU)
-    # tau(0) = 0 blocks every node's first gradient, so nothing is ever sent
+    # tau(0) = 0 blocks every node's first gradient, so nothing is ever
+    # sent; each node waits to run its round-0 cell's first step, at t_glob
+    # P[1] - s_{0,c} - 1 (s_{0,1} = 54, s_{0,2} = 46)
     assert str(err.value) == (
         "no runnable events with 0/500 gradients done; server k=0, "
-        "nodes={1: {'round': 0, 'k': 0, 'waiting': True}, "
-        "2: {'round': 0, 'k': 0, 'waiting': True}}")
+        "nodes={1: {'round': 0, 'k': 0, 'waiting': True, 't_glob': 45}, "
+        "2: {'round': 0, 'k': 0, 'waiting': True, 't_glob': 53}}")
+    assert table.counts()[0, 1:].tolist() == [54, 46]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -809,15 +812,33 @@ def test_divergence_raises_non_finite():
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_round_update_raises(bad):
-    """One non-finite entry in a shipped round update is caught."""
+    """One non-finite entry in w0, which every gradient w - x and round
+    update would inherit, is caught at entry, before any step."""
     sam = SampleSchedule.constant(4)
     _ds, prob, part = quadratic_setup(2, 6)
     table = build_assignment(sam, part.p, 2, rounds=10, seed=6)
     w0 = np.zeros(3)
-    w0[1] = bad  # the gradient w - x inherits it, and so does U
-    with pytest.raises(NonFiniteError, match="round update"):
+    w0[1] = bad
+    with pytest.raises(NonFiniteError,
+                       match="^initial model w0 is not finite$"):
         run(prob, part, table, sam, StepSchedule.constant(0.1), None, K=30,
             seed=6, w0=w0, record_trace=False)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_w0_raises_before_any_step(n, recorded_grads):
+    """A w0 that is not finite is named as such, not as the first apply
+    that the failure-path replay from a snapshot at w0 would blame."""
+    ds = synthetic_logistic(40, 3, seed=0)
+    part = partition(ds, n, seed=0)
+    sam = SampleSchedule.constant(4)
+    table = build_assignment(sam, part.p, n, rounds=20, seed=0)
+    with pytest.raises(NonFiniteError,
+                       match="^initial model w0 is not finite$"):
+        run(Problem.logistic_plain(3), part, table, sam,
+            StepSchedule.constant(0.1), None, K=40, seed=0,
+            w0=np.array([np.inf, 0.0, 0.0, 0.0]), record_trace=False)
+    assert recorded_grads == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -871,6 +892,25 @@ def test_per_iteration_integer_step_past_int64_scales_as_a_float():
     res = run(prob, part, table, sam, st, None, K=40, seed=0)
     assert not res.w_final.any()
     assert (res.trace.records.eta == float(2 ** 64)).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e308, -1e308])
+def test_non_finite_round_update_mid_run_raises(x):
+    """On data at +-1e308 with a step of 2**-1000, w stays finite while a
+    round update, a sum of gradients near -x, overflows.  Node 1's round-1
+    update is applied before broadcast 1 (a traced run on data at 1 shows
+    the schedule), so broadcast 1's check of v_hat fails mid-run, and its
+    replay's check of each update names that one before applying it."""
+    st = StepSchedule.constant(2.0 ** -1000)
+    prob, part, table, sam = huge_setup(2, x=1.0)
+    res = run(prob, part, table, sam, st, None, K=40, seed=0)
+    assert res.trace.stamp[1, 1] == 0 and res.k_final > 1
+    prob, part, table, sam = huge_setup(2, x=x)
+    with pytest.raises(NonFiniteError, match="^node 1 produced a "
+                       "non-finite round update in round 1$"):
+        run(prob, part, table, sam, st, None, K=40, seed=0,
+            record_trace=False)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
