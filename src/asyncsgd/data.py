@@ -8,9 +8,10 @@ named Philox streams in :mod:`asyncsgd.rng`.
 """
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -210,30 +211,44 @@ def partition(ds: DataSet, n: int, mode: str = UNBIASED,
 
 @dataclass
 class AssignmentTable:
-    """The node ids a(i, t) in {1..n}, rows end to end: node[t] is the node
-    of global slot t, row i is node[start[i]:start[i + 1]] and has s_i
-    entries, so start[i] = sum_{j<i} s_j."""
+    """The node ids a(i, t) in {1..n}, rows end to end: global slot t is in
+    row i iff start[i] <= t < start[i + 1], so row i has s_i entries and
+    start[i] = sum_{j<i} s_j.
 
-    node: np.ndarray
+    The table holds no slot: slots(lo, hi) returns the node ids of global
+    slots lo..hi - 1, drawn anew at each call (build_assignment's source
+    redraws any range bit for bit).  counts() draws them a block at a
+    time; node and index() draw every slot on their first use, by traces,
+    audits and rho, and keep it.  Untraced runs never read those two."""
+
     start: np.ndarray
     n: int
+    slots: Callable[[int, int], np.ndarray] = field(repr=False)
     _index: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def rounds(self) -> int:
         return len(self.start) - 1
 
+    @functools.cached_property
+    def node(self) -> np.ndarray:
+        """node[t], the node of global slot t, for every slot."""
+        return self.slots(0, int(self.start[-1]))
+
     def counts(self) -> np.ndarray:
         """counts[i, c] = s_{i,c} (column 0 is zero): rnd * (n + 1) + node
-        counted by one bincount per block of slots."""
-        n1 = self.n + 1
+        counted by one bincount per block of slots, as they are drawn."""
+        n1, start, end = self.n + 1, self.start, int(self.start[-1])
         counts = np.zeros(self.rounds * n1, dtype=np.int64)
-        for lo in range(0, len(self.node), _BLOCK):
-            t = np.arange(lo, min(lo + _BLOCK, len(self.node)))
-            rnd = np.searchsorted(self.start, t, side="right") - 1
-            part = np.bincount((rnd - rnd[0]) * n1 + self.node[t])
-            at = rnd[0] * n1
-            counts[at:at + len(part)] += part
+        for lo in range(0, end, _BLOCK):
+            hi = min(lo + _BLOCK, end)
+            # rows r0..r1 - 1 overlap the block; rnd counts from r0
+            r0 = int(start.searchsorted(lo, side="right")) - 1
+            r1 = int(start.searchsorted(hi))
+            rnd = np.repeat(np.arange(r1 - r0) * n1,
+                            np.diff(start[r0:r1 + 1].clip(lo, hi)))
+            part = np.bincount(rnd + self.slots(lo, hi))
+            counts[r0 * n1:r0 * n1 + len(part)] += part
         return counts.reshape(self.rounds, n1)
 
     def index(self):
@@ -255,31 +270,38 @@ class AssignmentTable:
         return self._index
 
 
+def _draw(key: int, cdf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Node ids of global slots lo..hi - 1: slot t is cdf.searchsorted(u_t,
+    side="right") + 1, u_t the random() value of the stream's word t."""
+    gen = rng.stream_at(key, lo)
+    node = np.empty(hi - lo, dtype=np.int64)
+    for a in range(0, len(node), _BLOCK):
+        u = gen.random(min(_BLOCK, len(node) - a))
+        node[a:a + len(u)] = cdf.searchsorted(u, side="right") + 1
+    return node
+
+
 def build_assignment(sched: SampleSchedule, p: Sequence[float], n: int,
                      rounds: int, seed: int) -> AssignmentTable:
-    """Draw the a(i, t) table: s_i categorical draws over p per round.
+    """The a(i, t) table: s_i categorical draws over p per round, drawn
+    where they are read.
 
-    All rows come from one pass: Generator.choice(nodes, size=s_i, p=p) is
-    cdf.searchsorted(random(s_i), side="right") with cdf = cumsum(p)
-    scaled to end at 1, and each random() value takes one 64-bit word, so
-    sum_i s_i values drawn in blocks consume the stream as one choice per
-    row does, and give the same rows.
+    Generator.choice(nodes, size=s_i, p=p) is cdf.searchsorted(random(s_i),
+    side="right") with cdf = cumsum(p) scaled to end at 1, and each
+    random() value takes one 64-bit word, so the slots of all rows drawn
+    end to end from the ASSIGNMENT stream are the rows that one choice per
+    row gives; and slot t is drawn from word t on.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
     pv = np.asarray(p, dtype=float)
     if len(pv) != n or np.any(pv < 0) or abs(pv.sum() - 1.0) > 1e-9:
         raise ValueError("p must be a length-n probability vector")
-    gen = rng.stream(seed, rng.ASSIGNMENT)
-    bounds = sched.prefix_sums(rounds)
+    bounds = np.asarray(sched.prefix_sums(rounds), dtype=np.int64)
     cdf = pv.cumsum()
     cdf /= cdf[-1]
-    node = np.empty(bounds[-1], dtype=np.int64)
-    for lo in range(0, len(node), _BLOCK):
-        u = gen.random(min(_BLOCK, len(node) - lo))
-        node[lo:lo + len(u)] = cdf.searchsorted(u, side="right")
-    node += 1
-    return AssignmentTable(node, np.asarray(bounds, dtype=np.int64), n)
+    return AssignmentTable(bounds, n, functools.partial(
+        _draw, rng.stream_key(seed, rng.ASSIGNMENT), cdf))
 
 
 # ---------------------------------------------------------------------------

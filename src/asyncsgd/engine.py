@@ -30,8 +30,14 @@ applied one at the next broadcast.
 The engine reads what depends only on the round from tables built at
 entry, up to the table's last round T: the prefix sums P[i] = sum_{j<i}
 s_j (the table's row starts), the scales, the delay-draw bounds
-2 max(s_i, 1) + 1, the counts s_{i,c} (AssignmentTable.counts), the
-non-empty cells per round and the gate's expiry ticks (see gate_expiry).
+2 max(s_i, 1) + 1, the counts s_{i,c}, the non-empty cells per round and
+the gate's expiry ticks (see gate_expiry).  The counts come from one pass
+over the table's slots, drawn a block at a time (AssignmentTable.counts).
+Per iteration, step h of cell (i, c) takes eta at rho(c, i, h): node
+c's slots in a window of rows whose first slots share a block of _WINDOW
+slots, ascending, are its steps in order.  A window is drawn and sorted
+as the fastest node enters it and dropped once the slowest has left it.
+So an untraced run holds no per-slot array.
 
 One event per cell: node c runs the s_{i,c} steps of its cell (i, c) one
 per tick, in one event at the tick of the last step, when every
@@ -215,14 +221,19 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
 # final state depends on the chunk size.
 _DRAW_CHUNK = 1024
 
+# Slots per block of the windows of rows that per-iteration runs sort
+_WINDOW = 8192
+
+
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "UW", "U", "w", "k", "acc_round",
-                 "wait", "grad_at", "X", "y", "next_index", "inbox")
+                 "wait", "grad_at", "X", "y", "next_index", "inbox", "r1",
+                 "seq", "pos", "slots")
 
     def __init__(self, c: int, problem: Problem, w0: np.ndarray,
                  g: np.ndarray, local, gen: np.random.Generator):
         self.c = c
-        self.i = self.h = self.s_ic = self.k = self.acc_round = 0
+        self.i = self.h = self.s_ic = self.k = self.acc_round = self.r1 = 0
         check_features(problem, local.X.shape[1])
         self.UW = np.array([np.zeros_like(w0), w0])  # one buffer for the run
         self.U, self.w = self.UW  # the round update and the local model
@@ -304,8 +315,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     need = np.count_nonzero(counts, axis=1).tolist() + [-1]
     arrived = [0] * (rounds + 1)
     expiry = gate_expiry(P, gate, d, delay_fn)
-    if per_iter:  # rho(c, i, h), with Python ints as items
-        first, order = map(memoryview, table.index()[3:])
+    windows = {}  # per iteration: window -> (end row, slots per node)
 
     word = rng.words(seed, rng.INTERLEAVE)  # one 64-bit word per draw
     G = np.empty((2, dim))  # every node's gradient g, then its step
@@ -394,12 +404,35 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         if arrived[k_srv] == need[k_srv]:
             broadcast()
 
+    def window(nd: _Node, i: int) -> None:
+        # nd.seq: nd's global slots, ascending, in the window of rows that
+        # holds row i, which ends at row nd.r1
+        b = P[i] // _WINDOW
+        if b not in windows:
+            slowest = P[min(x.i for x in nodes)] // _WINDOW
+            for old in [w for w in windows if w < slowest]:
+                del windows[old]
+            r0, r1 = table.start[:-1].searchsorted(
+                [b * _WINDOW, (b + 1) * _WINDOW]).tolist()
+            node = table.slots(P[r0], P[r1])
+            order = np.argsort(node, kind="stable")
+            first = node[order].searchsorted(np.arange(1, n + 2)).tolist()
+            order = memoryview(order + P[r0])
+            windows[b] = r1, [order[a:z] for a, z in zip(first, first[1:])]
+        nd.r1, seqs = windows[b]
+        nd.seq, nd.pos = seqs[nd.c - 1], 0
+
     def enter(nd: _Node, i: int, t0: int) -> None:
         # nd's first round >= i with work, its first step from tick t0; or stop
         while not s_rows[i][nd.c]:
             i += 1
         nd.i, nd.h, nd.s_ic = i, 0, s_rows[i][nd.c]
         if i < rounds and grads < K:
+            if per_iter:  # rho(c, i, h) for each h, as Python ints
+                if i >= nd.r1:
+                    window(nd, i)
+                nd.slots = nd.seq[nd.pos:nd.pos + nd.s_ic]
+                nd.pos += nd.s_ic
             schedule(nd, t0, P[i + 1] - nd.s_ic - 1)
 
     def node_run(nd: _Node) -> None:
@@ -435,8 +468,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             idx = next_index()
             grad_at(X[idx], y[idx])
             if per_iter:  # U sums the steps eta_t g
-                eta_cell[0] = eta = per_iteration_step(
-                    steps, order[first[i * n + c - 1] + h])
+                eta_cell[0] = eta = per_iteration_step(steps, nd.slots[h])
                 multiply(g, cell_v, g)
                 add(U, g, U)
                 subtract(w, g, w)

@@ -281,6 +281,11 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     # the table ends at the budget's last round T: a node that ships its
     # row T stops, so no round past T is ever reached
     T = schedules.rounds_for_budget(samples, cfg.K)
+    # a run draws every slot of rounds 0..T to count the cells; those past
+    # K, all in round T, are capped at what a table in memory once held
+    if samples.prefix_sum(T + 1) - cfg.K > 2 ** 30:
+        raise ConfigError(f"round T={T} holds more than 2**30 slots past "
+                          f"K={cfg.K}, which every run would draw")
 
     if cfg.gate == engine.GATE_TAU and delay_fn is None:
         raise ConfigError("gate 'tau' needs a 'delay' spec")

@@ -41,7 +41,16 @@ def stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
     The same (seed, purpose, index) triple always yields the same stream,
     on any platform.
     """
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, purpose, index)))
+    return stream_at(stream_key(seed, purpose, index), 0)
+
+
+def stream_at(key: int, word: int) -> np.random.Generator:
+    """The generator of Philox key `key` after its first `word` 64-bit
+    words: word // 4 counts of four words skipped, word % 4 words read."""
+    bitgen = np.random.Philox(key=key)
+    bitgen.advance(word // 4)
+    bitgen.random_raw(word % 4)
+    return np.random.Generator(bitgen)
 
 
 def words(seed: int, purpose: str, index: int = 0):

@@ -8,6 +8,9 @@ rebuilds every gradient's model from a trace's claims alone.
 `synchronous_final` rebuilds the final model of a d = 0 lag-gate run round
 by round, from the trace's step counts alone.  `wake_table` is the tau gate
 as a table over every tick, the reference for `engine.gate_expiry`.
+`eager_slots` draws an assignment table's every slot in one pass, one
+`Generator.choice` per row, the reference for the table's lazy draws;
+`table_from_rows` scripts a table's rows.
 """
 import collections
 import functools
@@ -15,6 +18,7 @@ import functools
 import numpy as np
 
 from asyncsgd import rng
+from asyncsgd.data import AssignmentTable
 from asyncsgd.engine import rho
 from asyncsgd.problems import grad
 from asyncsgd.schedules import (PER_ITERATION, SampleSchedule,
@@ -35,6 +39,23 @@ def make_step_fn(steps: StepSchedule, samples: SampleSchedule):
         return functools.partial(per_iteration_step, steps)
     return lambda t: round_step(steps, samples,
                                 rounds_for_budget(samples, t + 1))
+
+
+def table_from_rows(rows, n) -> AssignmentTable:
+    """A table whose slots are the given rows of node ids, end to end."""
+    node = np.array([c for r in rows for c in r], dtype=np.int64)
+    return AssignmentTable(np.cumsum([0] + [len(r) for r in rows]), n,
+                           lambda lo, hi: node[lo:hi])
+
+
+def eager_slots(samples: SampleSchedule, p, rounds: int, seed: int):
+    """The node ids of rows 0..rounds - 1 of build_assignment's table, end
+    to end: one Generator.choice over p per row, from one ASSIGNMENT
+    stream."""
+    gen = rng.stream(seed, rng.ASSIGNMENT)
+    nodes = np.arange(1, len(p) + 1)
+    return np.concatenate([gen.choice(nodes, sample_size(samples, i), p=p)
+                           for i in range(rounds)])
 
 
 def scalar_rounds_for_budget(samples: SampleSchedule, K: int) -> int:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import eager_slots, table_from_rows
+
 from asyncsgd import data, rng
-from asyncsgd.data import (AssignmentTable, DataFormatError, DataSet,
-                           build_assignment, parse_libsvm, partition,
-                           synthetic_logistic, synthetic_quadratic)
+from asyncsgd.data import (DataFormatError, DataSet, build_assignment,
+                           parse_libsvm, partition, synthetic_logistic,
+                           synthetic_quadratic)
 from asyncsgd.schedules import SampleSchedule, sample_size
 
 
@@ -286,8 +288,8 @@ def test_assignment_reproducible():
 
 def test_assignment_counts_in_blocks(monkeypatch):
     rows = [[2, 1, 2], [], [3], [], [], [1, 1, 3, 3, 2, 2, 2], [2]]
-    table = AssignmentTable(np.array(sum(rows, [])),
-                            np.array([0, 3, 3, 4, 4, 4, 11, 12]), n=3)
+    table = table_from_rows(rows, n=3)
+    assert table.start.tolist() == [0, 3, 3, 4, 4, 4, 11, 12]
     assert [r.tolist() for r in table_rows(table)] == rows
     expected = [np.bincount(r, minlength=4).tolist() for r in rows]
     for block in (1, 2, 5, 8192):
@@ -295,20 +297,58 @@ def test_assignment_counts_in_blocks(monkeypatch):
         assert table.counts().tolist() == expected
 
 
+# constant, power-law (round 0 empty) and the strongly convex samples
+TABLE_SCHEDULES = st.one_of(
+    st.builds(SampleSchedule.constant, st.integers(1, 9)),
+    st.builds(SampleSchedule.power_law, st.floats(0.3, 3.0), st.just(0.0),
+              st.floats(0.0, 1.5)),
+    st.builds(SampleSchedule.matched_log, st.sampled_from([7747, 50]),
+              st.integers(0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=TABLE_SCHEDULES, rounds=st.integers(1, 40),
+       weights=st.lists(st.integers(0, 5), min_size=1, max_size=20).filter(
+           any), seed=st.integers(0, 2 ** 32), block=st.integers(1, 9),
+       data_=st.data())
+def test_lazy_slots_match_the_eager_table(sched, rounds, weights, seed,
+                                          block, data_):
+    """Any slot range, drawn in any order and across any block seam, holds
+    the slots of the table drawn eagerly in one pass, and counts() holds
+    each row's bincount."""
+    n, p = len(weights), np.array(weights) / sum(weights)
+    eager = eager_slots(sched, p, rounds, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_BLOCK", block)
+        table = build_assignment(sched, p, n, rounds=rounds, seed=seed)
+        end = len(eager)
+        assert table.start[-1] == end
+        starts = data_.draw(st.lists(st.integers(0, end), max_size=8))
+        for lo in starts + list(range(min(end, 5))):  # every word % 4
+            hi = data_.draw(st.integers(lo, min(end, lo + 3 * block + 5)))
+            assert table.slots(lo, hi).tolist() == eager[lo:hi].tolist()
+        rows = np.split(eager, table.start[1:-1])
+        assert table.counts().tolist() == [
+            np.bincount(r, minlength=n + 1).tolist() for r in rows]
+        assert table.node.tolist() == eager.tolist()
+
+
 def built_table_pins(monkeypatch, sched, n, rounds, seed, **kwargs):
-    """(digest of the rows, ASSIGNMENT generator state after the build)."""
+    """(digest of the rows, ASSIGNMENT generator state after the draw that
+    materialises them)."""
     gens = []
 
     def spy(*args):
         gens.append(real(*args))
         return gens[-1]
-    real = rng.stream
-    monkeypatch.setattr(rng, "stream", spy)
+    real = rng.stream_at
+    monkeypatch.setattr(rng, "stream_at", spy)
     p = np.arange(1.0, n + 1) / (n * (n + 1) / 2)  # unequal weights
     table = build_assignment(sched, p, n, rounds=rounds, seed=seed, **kwargs)
+    rows = table_rows(table)
     monkeypatch.undo()
     h = hashlib.sha256()
-    for row in table_rows(table):
+    for row in rows:
         h.update(np.asarray(row, dtype="<i8").tobytes() + b"|")
     (gen,) = gens
     state = gen.bit_generator.state

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as hs
 from oracles import (make_step_fn, replay_iterates, synchronous_final,
-                     wake_table)
+                     table_from_rows, wake_table)
 
 import asyncsgd
 from asyncsgd import data, engine, problems, rng, schedules
-from asyncsgd.data import AssignmentTable, build_assignment, partition, \
+from asyncsgd.data import build_assignment, partition, \
     synthetic_quadratic, synthetic_logistic
 from asyncsgd.engine import (DeadlockError, EngineError, NonFiniteError,
                              RECORD, RunTrace, rho, rho_inverse, run,
@@ -27,11 +27,6 @@ from asyncsgd.problems import Problem
 from asyncsgd.schedules import (DelayFunction, SampleSchedule, StepSchedule,
                                 eval_delay, make_strongly_convex_schedules,
                                 round_step)
-
-
-def table_from_rows(rows, n):
-    node = np.array([c for r in rows for c in r], dtype=np.int64)
-    return AssignmentTable(node, np.cumsum([0] + [len(r) for r in rows]), n)
 
 
 def table_rows(table):
@@ -559,15 +554,34 @@ def test_gate_expiry_refuses_the_float_dip():
 RSS_PROBE = """
 import resource, sys
 from asyncsgd import harness
+gate, K, mode = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+steps = {"kind": "inverse_t", "eta0": 0.1, "beta": 0.001, "mode": mode}
 cfg = harness.RunConfig(
     problem={"kind": "quadratic_mean"},
     dataset={"synthetic": "quadratic", "M": 1000, "dim": 10, "seed": 0},
-    samples={"kind": "strongly_convex", "m": 7747}, K=300000, n=5,
-    gate=sys.argv[1], d=1, checkpoint_interval=0, seed=0)
+    samples={"kind": "strongly_convex", "m": 7747}, K=K, n=5,
+    steps=None if mode == "per_round" else steps,
+    gate=gate, d=1, checkpoint_interval=0, seed=0)
 harness.run_prepared(harness.prepare(cfg))
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(peak / 2 ** 20 if sys.platform == "darwin" else peak / 2 ** 10)
 """
+
+
+def peak_rss_mb(runs):
+    """{(gate, K, mode): peak RSS in MB} of untraced runs on sc-quad's
+    shape, each in a fresh interpreter, all at once."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(asyncsgd.__file__)))
+    procs = {run: subprocess.Popen(
+        [sys.executable, "-c", RSS_PROBE, *map(str, run)], env=env,
+        stdout=subprocess.PIPE, text=True) for run in runs}
+    peak = {}
+    for run, proc in procs.items():
+        out, _ = proc.communicate(timeout=100)
+        assert proc.returncode == 0, run
+        peak[run] = float(out)
+    return peak
 
 
 def test_tau_gate_peak_memory_matches_the_lag_gate():
@@ -575,13 +589,26 @@ def test_tau_gate_peak_memory_matches_the_lag_gate():
     sc-quad's shape peaks within 5 MB under the tau gate of the lag gate's
     peak, each measured in a fresh interpreter (the per-tick wake table
     that expiry replaced read +18 MB)."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(asyncsgd.__file__)))
-    peak = {gate: float(subprocess.run(
-        [sys.executable, "-c", RSS_PROBE, gate], env=env, check=True,
-        capture_output=True, text=True).stdout)
-        for gate in (engine.GATE_LAG, engine.GATE_TAU)}
-    assert peak[engine.GATE_TAU] - peak[engine.GATE_LAG] <= 5.0, peak
+    peak = peak_rss_mb([(gate, 300000, schedules.PER_ROUND)
+                        for gate in (engine.GATE_LAG, engine.GATE_TAU)])
+    lag, tau = peak.values()
+    assert tau - lag <= 5.0, peak
+
+
+def test_untraced_peak_memory_grows_with_rounds_not_slots():
+    """An untraced run holds no per-gradient array: from K = 2e5 to 2e6 on
+    sc-quad's shape (8,405 to 40,440 rounds) the peak RSS grows by less
+    than 20 MB, under both gates per round and the lag gate per
+    iteration.  Measured: 11-14 MB; with a slot table held for the run,
+    26 MB per round and 108 MB per iteration."""
+    cases = [(engine.GATE_LAG, schedules.PER_ROUND),
+             (engine.GATE_TAU, schedules.PER_ROUND),
+             (engine.GATE_LAG, schedules.PER_ITERATION)]
+    peak = peak_rss_mb([(gate, K, mode) for gate, mode in cases
+                        for K in (200000, 2000000)])
+    growth = {(gate, mode): peak[gate, 2000000, mode]
+              - peak[gate, 200000, mode] for gate, mode in cases}
+    assert max(growth.values()) < 20.0, growth
 
 
 def assert_round_sums(res, grads):
@@ -1132,15 +1159,23 @@ def test_per_iteration_mode_runs():
     assert len(etas) > 5  # per-iteration steps vary within rounds
 
 
-def test_per_iteration_step_uses_exact_global_index():
-    """Each gradient's step is eta(rho(c, i, h)), not eta(prefix + n*h)."""
+def test_per_iteration_step_uses_exact_global_index(monkeypatch):
+    """Each gradient's step is eta(rho(c, i, h)), not eta(prefix + n*h),
+    and the run is the same whatever the windows of rows it sorts."""
     sam = SampleSchedule.constant(12)
     st = StepSchedule.inverse_t(0.1, 0.05, mode=schedules.PER_ITERATION)
     ds = synthetic_quadratic(120, 2, seed=11)
     part = partition(ds, 3, p=[0.6, 0.3, 0.1], seed=11)
     table = build_assignment(sam, part.p, 3, rounds=30, seed=11)
-    res = run(Problem.quadratic_mean(2), part, table, sam, st, None, K=200,
-              seed=11, record_trace=True)
+    runs = []
+    for window in (1, 7, 30, 8192):  # 8192: one window holds every row
+        monkeypatch.setattr(engine, "_WINDOW", window)
+        runs.append(run(Problem.quadratic_mean(2), part, table, sam, st,
+                        None, K=200, seed=11, record_trace=True))
+    res = runs[-1]
+    assert all(r.trace.records.tobytes() == res.trace.records.tobytes()
+               and r.w_final.tobytes() == res.w_final.tobytes()
+               for r in runs)
     assert len(res.trace.records) == 200
     for rec in res.trace.records:
         assert rec.eta == schedules.per_iteration_step(
