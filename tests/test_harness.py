@@ -747,9 +747,6 @@ def test_cli_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
     (dict(dataset={"synthetic": "quadratic", "M": 150, "dim": 3,
                    "scale": 1e160}),
      "config error: objective is non-finite at the optimum"),
-    # a run would draw the 10**15 slots of round 0 to count them
-    (dict(samples={"kind": "constant", "s": 10 ** 15}),
-     "round T=0 holds more than 2**30 slots past K=400"),
     # a 21.3 PiB data set, which no host allocates
     (dict(dataset={"synthetic": "quadratic", "M": 10 ** 15, "dim": 3}),
      "config error: Unable to allocate"),
@@ -768,6 +765,9 @@ def test_cli_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
     (dict(n=2, p=[0.999, 0.001],
           dataset={"synthetic": "quadratic", "M": 200, "dim": 3}),
      "unbiased partitioning of 200 samples leaves a node with none"),
+    # a run would draw the 10**15 slots of round 0 to count them
+    (dict(samples={"kind": "constant", "s": 10 ** 15}),
+     "round T=0 holds more than 2**30 slots past K=400"),
 ])
 def test_cli_run_rejects_bad_nested_spec(tmp_path, capsys, fields,
                                          fragment):
