@@ -34,10 +34,10 @@ s_j (the table's row starts), the scales, the delay-draw bounds
 the gate's expiry ticks (see gate_expiry).  The counts come from one pass
 over the table's slots, drawn a block at a time (AssignmentTable.counts).
 Per iteration, step h of cell (i, c) takes eta at rho(c, i, h): node
-c's slots in a window of rows whose first slots share a block of _WINDOW
-slots, ascending, are its steps in order.  A window is drawn and sorted
-as the fastest node enters it and dropped once the slowest has left it.
-So an untraced run holds no per-slot array.
+c's slots, ascending, are its steps in order: one stream, read as its
+sample indices are.  The nodes share blocks of _WINDOW slots, each drawn
+and sorted by node as the fastest node enters it and dropped once the
+slowest node's row starts past it: no per-slot array in an untraced run.
 
 One event per cell: node c runs the s_{i,c} steps of its cell (i, c) one
 per tick, in one event at the tick of the last step, when every
@@ -221,19 +221,19 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
 # final state depends on the chunk size.
 _DRAW_CHUNK = 1024
 
-# Slots per block of the windows of rows that per-iteration runs sort
+# Global slots per block that per-iteration runs draw and sort by node
 _WINDOW = 8192
 
 
 class _Node:
     __slots__ = ("c", "i", "h", "s_ic", "UW", "U", "w", "k", "acc_round",
-                 "wait", "grad_at", "X", "y", "next_index", "inbox", "r1",
-                 "seq", "pos", "slots")
+                 "wait", "grad_at", "X", "y", "next_index", "next_slot",
+                 "inbox")
 
     def __init__(self, c: int, problem: Problem, w0: np.ndarray,
-                 g: np.ndarray, local, gen: np.random.Generator):
-        self.c = c
-        self.i = self.h = self.s_ic = self.k = self.acc_round = self.r1 = 0
+                 g: np.ndarray, local, gen: np.random.Generator, next_slot):
+        self.c, self.next_slot = c, next_slot  # rho of each step, in order
+        self.i = self.h = self.s_ic = self.k = self.acc_round = 0
         check_features(problem, local.X.shape[1])
         self.UW = np.array([np.zeros_like(w0), w0])  # one buffer for the run
         self.U, self.w = self.UW  # the round update and the local model
@@ -313,9 +313,10 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     s_rows = counts.tolist() + [[1] * (n + 1)]  # s_{i,c}, then a sentinel
     # per round: the updates the server waits for, and those it has applied
     need = np.count_nonzero(counts, axis=1).tolist() + [-1]
+    del counts
     arrived = [0] * (rounds + 1)
     expiry = gate_expiry(P, gate, d, delay_fn)
-    windows = {}  # per iteration: window -> (end row, slots per node)
+    blocks = {}  # per iteration: block -> each node's slots in it
 
     word = rng.words(seed, rng.INTERLEAVE)  # one 64-bit word per draw
     G = np.empty((2, dim))  # every node's gradient g, then its step
@@ -325,8 +326,27 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     eta_cell, cell_v = memoryview(cell), np.broadcast_to(cell, (dim,))
     # scale[i] as a stride-0 dim-vector: array-array calls are the cheapest
     scales = np.broadcast_to(np.array(scale, float)[:, None], (rounds, dim))
+
+    def block(b: int) -> list:
+        # node c's slots in block b, ascending, at c - 1; blocks the slowest
+        # node's row starts past are dropped as a new one is drawn
+        if b not in blocks:
+            slowest = P[min(nd.i for nd in nodes)] // _WINDOW
+            for old in [x for x in blocks if x < slowest]:
+                del blocks[old]
+            lo = b * _WINDOW
+            node = table.slots(lo, min(lo + _WINDOW, P[-1]))
+            order = memoryview(np.argsort(node, kind="stable") + lo)
+            first = np.bincount(node, minlength=n + 1).cumsum().tolist()
+            blocks[b] = [order[a:z] for a, z in zip(first, first[1:])]
+        return blocks[b]
+
+    def slot_stream(c: int):  # c bound here, not by a loop over the nodes
+        return itertools.chain.from_iterable(
+            block(b)[c - 1] for b in itertools.count()).__next__
+
     nodes = [_Node(c, problem, base_w, g, partition.local(c),
-                   rng.stream(seed, rng.NODE_SAMPLING, c))
+                   rng.stream(seed, rng.NODE_SAMPLING, c), slot_stream(c))
              for c in range(1, n + 1)]
 
     v_hat = base_w.copy()
@@ -404,35 +424,12 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         if arrived[k_srv] == need[k_srv]:
             broadcast()
 
-    def window(nd: _Node, i: int) -> None:
-        # nd.seq: nd's global slots, ascending, in the window of rows that
-        # holds row i, which ends at row nd.r1
-        b = P[i] // _WINDOW
-        if b not in windows:
-            slowest = P[min(x.i for x in nodes)] // _WINDOW
-            for old in [w for w in windows if w < slowest]:
-                del windows[old]
-            r0, r1 = table.start[:-1].searchsorted(
-                [b * _WINDOW, (b + 1) * _WINDOW]).tolist()
-            node = table.slots(P[r0], P[r1])
-            order = np.argsort(node, kind="stable")
-            first = node[order].searchsorted(np.arange(1, n + 2)).tolist()
-            order = memoryview(order + P[r0])
-            windows[b] = r1, [order[a:z] for a, z in zip(first, first[1:])]
-        nd.r1, seqs = windows[b]
-        nd.seq, nd.pos = seqs[nd.c - 1], 0
-
     def enter(nd: _Node, i: int, t0: int) -> None:
         # nd's first round >= i with work, its first step from tick t0; or stop
         while not s_rows[i][nd.c]:
             i += 1
         nd.i, nd.h, nd.s_ic = i, 0, s_rows[i][nd.c]
         if i < rounds and grads < K:
-            if per_iter:  # rho(c, i, h) for each h, as Python ints
-                if i >= nd.r1:
-                    window(nd, i)
-                nd.slots = nd.seq[nd.pos:nd.pos + nd.s_ic]
-                nd.pos += nd.s_ic
             schedule(nd, t0, P[i + 1] - nd.s_ic - 1)
 
     def node_run(nd: _Node) -> None:
@@ -468,7 +465,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
             idx = next_index()
             grad_at(X[idx], y[idx])
             if per_iter:  # U sums the steps eta_t g
-                eta_cell[0] = eta = per_iteration_step(steps, nd.slots[h])
+                eta_cell[0] = eta = per_iteration_step(steps, nd.next_slot())
                 multiply(g, cell_v, g)
                 add(U, g, U)
                 subtract(w, g, w)
@@ -529,7 +526,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     # in flight: the server's entries in the buckets and the unrun events
     inflight = sorted(m for b in (*buckets.values(), events)  # by (i, c)
                       for _w, f, m in b if f is server_apply)
-    buckets = node_run = None  # break the handlers' cycles: free at return
+    buckets = node_run = block = None  # break the cycles: free at return
     for i, c, payload in inflight:  # named here: a one-node w_final has none
         check_update(i, c, payload)
     # serialize: flush in-flight round updates and unsent partials; with a
