@@ -218,8 +218,8 @@ class AssignmentTable:
     The table holds no slot: slots(lo, hi) returns the node ids of global
     slots lo..hi - 1, drawn anew at each call (build_assignment's source
     redraws any range bit for bit).  counts() draws them a block at a
-    time; node and index() draw every slot on their first use, by traces,
-    audits and rho, and keep it.  Untraced runs never read those two."""
+    time; index() draws every slot on its first use, by traces, audits
+    and rho, into its three arrays.  Untraced runs never call it."""
 
     start: np.ndarray
     n: int
@@ -229,11 +229,6 @@ class AssignmentTable:
     @property
     def rounds(self) -> int:
         return len(self.start) - 1
-
-    @functools.cached_property
-    def node(self) -> np.ndarray:
-        """node[t], the node of global slot t, for every slot."""
-        return self.slots(0, int(self.start[-1]))
 
     def counts(self) -> np.ndarray:
         """counts[i, c] = s_{i,c} (column 0 is zero): rnd * (n + 1) + node
@@ -252,21 +247,20 @@ class AssignmentTable:
         return counts.reshape(self.rounds, n1)
 
     def index(self):
-        """Flat arrays (node, rnd, occ, first, order), built on first call:
-        global slot t is in row rnd[t], of node node[t], that node's occ[t]-th
-        slot in the row.  The slots of key i * n + c - 1, ascending, are
-        order[first[key]:first[key + 1]]."""
+        """(node, first, order), built on first call: slot t is of node
+        node[t], and the slots of cell key i * n + c - 1 (every cell, empty
+        or not), ascending, are order[first[key]:first[key + 1]].  No
+        column holds a slot's round or rank: rho_inverse and the audit
+        search start for the round, and a rank is a position in a cell."""
         if self._index is None:
-            node = self.node
-            rnd = np.repeat(np.arange(self.rounds, dtype=np.int64),
+            node = self.slots(0, int(self.start[-1]))
+            key = np.repeat(np.arange(self.rounds) * self.n - 1,
                             np.diff(self.start))
-            key = rnd * self.n + node - 1
+            key += node  # i * n + c - 1
             order = np.argsort(key, kind="stable")
-            first = np.searchsorted(key[order],
-                                    np.arange(self.rounds * self.n + 1))
-            occ = np.empty_like(node)
-            occ[order] = np.arange(len(node)) - first[key[order]]
-            self._index = node, rnd, occ, first, order
+            first = np.concatenate(([0], np.bincount(
+                key, minlength=self.rounds * self.n).cumsum()))
+            self._index = node, first, order
         return self._index
 
 

@@ -35,9 +35,9 @@ the gate's expiry ticks (see gate_expiry).  The counts come from one pass
 over the table's slots, drawn a block at a time (AssignmentTable.counts).
 Per iteration, step h of cell (i, c) takes eta at rho(c, i, h): node
 c's slots, ascending, are its steps in order: one stream, read as its
-sample indices are.  The nodes share blocks of _WINDOW slots, each drawn
-and sorted by node as the fastest node enters it and dropped once the
-slowest node's row starts past it: no per-slot array in an untraced run.
+sample indices are.  The nodes share blocks of data._BLOCK slots, each
+drawn and sorted by node as the fastest node enters it, and dropped once
+the slowest node's row starts past it: no slot array in an untraced run.
 
 One event per cell: node c runs the s_{i,c} steps of its cell (i, c) one
 per tick, in one event at the tick of the last step, when every
@@ -85,7 +85,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng
+from . import data, rng
 from .data import AssignmentTable, Partition
 from .problems import Problem, check_features, kernel
 from .schedules import (DelayFunction, SampleSchedule, StepSchedule,
@@ -119,7 +119,7 @@ def rho(table: AssignmentTable, c, i, h):
     c in row i.  c, i and h may be integer arrays of one shape; t is then
     an array of that shape.
     """
-    _node, _rnd, _occ, first, order = table.index()
+    _node, first, order = table.index()
     c, i, h = np.asarray(c), np.asarray(i), np.asarray(h)
     ok = (0 <= i) & (i < table.rounds) & (1 <= c) & (c <= table.n)
     key = np.where(ok, i * table.n + c - 1, 0)
@@ -132,11 +132,14 @@ def rho(table: AssignmentTable, c, i, h):
 
 
 def rho_inverse(table: AssignmentTable, t: int):
-    """Inverse of rho: global index t back to the label (c, i, h)."""
-    node, rnd, occ, _first, _order = table.index()
+    """Inverse of rho: global index t back to the label (c, i, h); i is
+    the last row to start at or before t, h the rank of t in its cell."""
+    node, first, order = table.index()
     if not (0 <= t < len(node)):
         raise IndexError(f"t={t} out of range")
-    return int(node[t]), int(rnd[t]), int(occ[t])
+    c, i = int(node[t]), int(table.start.searchsorted(t, side="right")) - 1
+    key = i * table.n + c - 1
+    return c, i, int(order[first[key]:first[key + 1]].searchsorted(t))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +223,6 @@ def serial_sgd(problem: Problem, dataset, step_fn: Callable[[int], float],
 # consumed are those of one scalar draw per gradient; only the generator's
 # final state depends on the chunk size.
 _DRAW_CHUNK = 1024
-
-# Global slots per block that per-iteration runs draw and sort by node
-_WINDOW = 8192
 
 
 class _Node:
@@ -316,7 +316,7 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
     del counts
     arrived = [0] * (rounds + 1)
     expiry = gate_expiry(P, gate, d, delay_fn)
-    blocks = {}  # per iteration: block -> each node's slots in it
+    blocks, span = {}, data._BLOCK  # per iteration: block -> its slots
 
     word = rng.words(seed, rng.INTERLEAVE)  # one 64-bit word per draw
     G = np.empty((2, dim))  # every node's gradient g, then its step
@@ -331,11 +331,11 @@ def run(problem: Problem, partition: Partition, table: AssignmentTable,
         # node c's slots in block b, ascending, at c - 1; blocks the slowest
         # node's row starts past are dropped as a new one is drawn
         if b not in blocks:
-            slowest = P[min(nd.i for nd in nodes)] // _WINDOW
+            slowest = P[min(nd.i for nd in nodes)] // span
             for old in [x for x in blocks if x < slowest]:
                 del blocks[old]
-            lo = b * _WINDOW
-            node = table.slots(lo, min(lo + _WINDOW, P[-1]))
+            lo = b * span
+            node = table.slots(lo, min(lo + span, P[-1]))
             order = memoryview(np.argsort(node, kind="stable") + lo)
             first = np.bincount(node, minlength=n + 1).cumsum().tolist()
             blocks[b] = [order[a:z] for a, z in zip(first, first[1:])]
@@ -563,10 +563,12 @@ def audit_consistency(trace: RunTrace, df: DelayFunction):
     For the gradient at global index t, every update with index strictly
     below t - ceil(tau(t)) must have been included in the local model that
     the gradient was computed on.  Returns (True, None) or (False, first
-    violating t).
+    violating t).  A window's rounds are found in the table's row starts;
+    its slots are below t, so those of the node's own round i are earlier
+    steps of that round, which its model holds: no rank is compared.
     """
     table, rec = trace.table, trace.records
-    node, rnd, occ, _first, _order = table.index()
+    node, _first, _order = table.index()
     c, i, h, b, acc = rec.c, rec.i, rec.h, rec.bcast_id, rec.acc_round
     t = rho(table, c, i, h)
     base = table.start[b]  # broadcast b holds every round below b
@@ -574,11 +576,11 @@ def audit_consistency(trace: RunTrace, df: DelayFunction):
     # updates t' in [base, upper) are not known to be in the model: each
     # must be in the broadcast or be the node's own surviving update
     for j in np.flatnonzero(upper > base).tolist():
-        win = slice(base[j], upper[j])
-        cp, ip, hp = node[win], rnd[win], occ[win]
+        cp = node[base[j]:upper[j]]
+        ip = table.start.searchsorted(np.arange(base[j], upper[j]),
+                                      side="right") - 1
         s = trace.stamp[ip, cp]
-        own = (cp == c[j]) & (((acc[j] <= ip) & (ip < i[j]))
-                              | ((ip == i[j]) & (hp < h[j])))
+        own = (cp == c[j]) & (((acc[j] <= ip) & (ip < i[j])) | (ip == i[j]))
         if not (((0 <= s) & (s < b[j])) | own).all():
             return False, int(t[j])
     return True, None

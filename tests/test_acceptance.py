@@ -156,7 +156,7 @@ def test_criterion_5_rho_bijectivity():
         sam = SampleSchedule.explicit([int(gen.integers(1, 15))
                                        for _ in range(rounds)])
         table = build_assignment(sam, np.full(n, 1.0 / n), n, rounds, seed)
-        total = sum(len(r) for r in np.split(table.node, table.start[1:-1]))
+        total = int(table.start[-1])  # the slots of every row
         for t in range(total):
             c, i, h = rho_inverse(table, t)
             if rho(table, c, i, h) != t:
@@ -348,7 +348,8 @@ def test_criterion_11_distribution_identity():
     gens = {c: rng.stream(5, rng.NODE_SAMPLING, c) for c in (1, 2, 3)}
     local = {c: part.local(c) for c in (1, 2, 3)}
     draws = []
-    for row in np.split(table.node, table.start[1:-1]):
+    slots = table.slots(0, int(table.start[-1]))
+    for row in np.split(slots, table.start[1:-1]):
         for c in row.tolist():
             gen = gens[c]
             x, _y = local[c].sample(int(gen.integers(0, len(local[c]))))

@@ -30,7 +30,8 @@ from asyncsgd.schedules import (DelayFunction, SampleSchedule, StepSchedule,
 
 
 def table_rows(table):
-    return np.split(table.node, table.start[1:-1])
+    return np.split(table.slots(0, int(table.start[-1])),
+                    table.start[1:-1])
 
 
 class FakeGen:
@@ -85,6 +86,9 @@ def test_rho_out_of_range():
     table = table_from_rows([[1, 2]], n=2)
     with pytest.raises(IndexError):
         rho(table, 1, 0, 1)  # node 1 appears once
+    # the index has a cell for every (round, node), the last empty too
+    with pytest.raises(IndexError, match="label .* out of range"):
+        rho(table_from_rows([[1, 2], [1]], n=2), 2, 1, 0)
     with pytest.raises(IndexError):
         rho(table, 3, 0, 0)
     with pytest.raises(IndexError):
@@ -281,6 +285,13 @@ def audit_oracle(trace, df):
        K=hs.integers(40, 400), seed=hs.integers(0, 2 ** 16),
        mutation=hs.sampled_from([None, "bcast_id", "acc_round", "h"]),
        pick=hs.integers(0, 2 ** 16))
+# records claiming a later acc_round: past its own round i, its earlier
+# steps of round i are still in its model; below i, its own updates of the
+# rounds it no longer claims are not
+@example(n=1, gate="lag", convex=False, s=4, g=2, slack=0, K=40, seed=0,
+         mutation="acc_round", pick=3)
+@example(n=2, gate="lag", convex=False, s=2, g=3, slack=0, K=40, seed=0,
+         mutation="acc_round", pick=0)
 def test_audit_matches_scalar_oracle(n, gate, convex, s, g, slack, K, seed,
                                      mutation, pick):
     """The vectorized audit and the scalar oracle agree on the verdict and
@@ -1177,9 +1188,9 @@ def test_per_iteration_mode_runs():
 def test_per_iteration_step_uses_exact_global_index(monkeypatch):
     """Each gradient's step is eta(rho(c, i, h)), not eta(prefix + n*h),
     and the run is the same whatever the blocks of slots it sorts, under
-    both gates at n = 3 and 20: at _WINDOW 1 or 7 the nodes read from many
-    blocks at once, which are dropped as the slowest node's row passes
-    them."""
+    both gates at n = 3 and 20: at data._BLOCK 1 or 7 the nodes read from
+    many blocks at once, which are dropped as the slowest node's row
+    passes them."""
     sam = SampleSchedule.constant(12)
     st = StepSchedule.inverse_t(0.1, 0.05, mode=schedules.PER_ITERATION)
     ds = synthetic_quadratic(120, 2, seed=11)
@@ -1190,8 +1201,8 @@ def test_per_iteration_step_uses_exact_global_index(monkeypatch):
         part = partition(ds, n, p=p, seed=11)
         table = build_assignment(sam, part.p, n, rounds=30, seed=11)
         runs = []
-        for window in (1, 7, 30, 8192):  # 8192: one block holds every slot
-            monkeypatch.setattr(engine, "_WINDOW", window)
+        for block in (1, 7, 30, 8192):  # 8192: one block holds every slot
+            monkeypatch.setattr(data, "_BLOCK", block)
             runs.append(run(Problem.quadratic_mean(2), part, table, sam, st,
                             df, K=200, seed=11, gate=gate, record_trace=True))
         res = runs[-1]
