@@ -564,8 +564,9 @@ def audit_consistency(trace: RunTrace, df: DelayFunction):
     below t - ceil(tau(t)) must have been included in the local model that
     the gradient was computed on.  Returns (True, None) or (False, first
     violating t).  A window's rounds are found in the table's row starts;
-    its slots are below t, so those of the node's own round i are earlier
-    steps of that round, which its model holds: no rank is compared.
+    its slots are below t, which lies in round i, so none is in a later
+    round and those of round i are earlier steps of that round, which the
+    model holds: no rank is compared.
     """
     table, rec = trace.table, trace.records
     node, _first, _order = table.index()
@@ -580,7 +581,7 @@ def audit_consistency(trace: RunTrace, df: DelayFunction):
         ip = table.start.searchsorted(np.arange(base[j], upper[j]),
                                       side="right") - 1
         s = trace.stamp[ip, cp]
-        own = (cp == c[j]) & (((acc[j] <= ip) & (ip < i[j])) | (ip == i[j]))
+        own = (cp == c[j]) & ((ip == i[j]) | (acc[j] <= ip))
         if not (((0 <= s) & (s < b[j])) | own).all():
             return False, int(t[j])
     return True, None

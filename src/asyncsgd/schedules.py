@@ -19,10 +19,10 @@ doubling up to 65,536), each one numpy pass of that formula text with the
 nudge in array form.  numpy's log and pow may differ from libm in the last
 bit, so a value whose nudged value lies within a relative 1e-9 of an
 integer, and any value that is non-finite or above 2**63 - 1, is left to
-the scalar ``sample_size`` (only the last two for the exact forms: a power
-law with c = 0 or 1, a matched power with g = 2), in round order and for
-no round past the first one whose sum reaches the budget.  Every s_i and
-every ScheduleError is therefore the scalar code's.
+the scalar ``sample_size`` (a power law with c = 0 or 1 calls no pow, so
+only the last two are), in round order and for no round past the first
+one whose sum reaches the budget.  Every s_i and every ScheduleError is
+therefore the scalar code's.
 """
 from __future__ import annotations
 
@@ -378,8 +378,8 @@ def _block_sizes(sched: SampleSchedule, start: int, stop: int):
     scalar sample_size (sizes[j] is 0 there): rounds past an explicit list,
     values above 2**63 - 1, every round of a kind without a formula, and
     formula values that are non-finite or whose nudged value lies near an
-    integer (for the exact forms, only those non-finite or too large).
-    Raises nothing."""
+    integer (for a power law with c = 0 or 1, which calls no pow, only
+    those non-finite or too large).  Raises nothing."""
     n = stop - start
     if sched.kind == CONSTANT:
         return [sched.s] * n, [] if sched.s <= _INT64_MAX else list(range(n))
@@ -388,11 +388,6 @@ def _block_sizes(sched: SampleSchedule, start: int, stop: int):
         past = list(range(len(vals), n))
         return ([v if v <= _INT64_MAX else 0 for v in vals] + [0] * len(past),
                 [j for j, v in enumerate(vals) if v > _INT64_MAX] + past)
-    # i**0, i**1 and base**1.0 are the scalar code's float ops, bit for bit,
-    # while i + m + 1 and d + 1 are exact as floats
-    exact = (sched.c in (0, 1) if sched.kind == POWER_LAW else
-             sched.kind == MATCHED_POWER and sched.g == 2
-             and stop + sched.m + sched.d <= 2 ** 53)
     i = np.arange(start, stop, dtype=float)
     with np.errstate(all="ignore"):
         try:  # NaN for a parameter beyond the float range or another kind
@@ -400,7 +395,9 @@ def _block_sizes(sched: SampleSchedule, start: int, stop: int):
         except (OverflowError, ScheduleError):
             x = np.full(n, np.nan)
         y = x - _CEIL_EPS * np.maximum(1.0, np.abs(x))
-        if exact:  # False for NaN, inf and every ceil above 2**63 - 1
+        if sched.kind == POWER_LAW and sched.c in (0, 1):
+            # i**0 and i**1 are exact: the scalar code's float ops, bit for
+            # bit; False for NaN, inf and every ceil above 2**63 - 1
             kept = np.abs(y) < 2.0 ** 63
         else:
             kept = ~_near_int(y)  # False for NaN, inf and every |y| >= 5e8

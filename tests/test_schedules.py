@@ -527,9 +527,6 @@ all_schedules = st.one_of(
 @given(sched=all_schedules, start=st.integers(0, 10 ** 6),
        n=st.integers(0, 300))
 @example(sched=SampleSchedule.matched_power(g=2.0), start=0, n=64)
-# i + m + 1 past 2**53 rounds as a float: s_i differs from the scalar one
-@example(sched=SampleSchedule.matched_power(g=2.0, m=2 ** 60), start=0,
-         n=300)
 @example(sched=SampleSchedule.power_law(a=1.0, c=1000.0), start=0, n=9)
 @example(sched=SampleSchedule.explicit([3, 2 ** 63, 4]), start=1, n=5)
 def test_block_sizes_are_the_scalar_ones(sched, start, n):
@@ -543,39 +540,11 @@ def test_block_sizes_are_the_scalar_ones(sched, start, n):
         [sample_size(sched, start + j) for j in kept]
 
 
-NONE_LEFT = hashlib.sha256(b"[]").hexdigest()
-
-
-# The offsets of rounds 0..10**5 - 1 that each schedule leaves to the
-# scalar code, as the sha256 of their JSON list.  A g = 2 matched power
-# leaves none: its pow has exponent 1, exact in numpy and libm, while its
-# ints are exact as floats; past 2**53 it leaves every value above 5e8.
-@pytest.mark.parametrize("sched,digest", [
-    (SampleSchedule.matched_power(g=2.0), NONE_LEFT),
-    (SampleSchedule.matched_power(g=2.0, m=7, d=3), NONE_LEFT),
-    (SampleSchedule.matched_power(g=2.0, m=7747, d=1), NONE_LEFT),
-    (SampleSchedule.matched_power(g=2.0, m=2 ** 60),  # all 10**5
-     "6aeb7c9ebdefc91e74faf8610aa2e152ff3c80619a1064898a9e1a5753254506"),
-    (SampleSchedule.matched_power(g=1.5),  # 68,987 near an integer
-     "c2db85d340fa22f9d41783425d8d5fb1ea66597b75814c05363e61412f56dd2e"),
-    (SampleSchedule.power_law(a=2.0, c=2.0),  # all 10**5: integers
-     "6aeb7c9ebdefc91e74faf8610aa2e152ff3c80619a1064898a9e1a5753254506"),
-    (SampleSchedule.matched_power(g=3.5, m=7, d=2), NONE_LEFT),
-    (SampleSchedule.matched_log(m=7747, d=1), NONE_LEFT)],
-    ids=["g2", "g2-m7-d3", "g2-m7747-d1", "g2-m2**60", "g1.5", "a2-c2",
-         "g3.5", "log"])
-def test_block_sizes_leave_pinned_rounds_to_the_scalar_code(sched, digest):
-    sizes, scalar = schedules._block_sizes(sched, 0, 10 ** 5)
-    assert hashlib.sha256(json.dumps(scalar).encode()).hexdigest() == digest
-    kept = sorted(set(range(10 ** 5)) - set(scalar))
-    assert [sizes[i] for i in kept] == [sample_size(sched, i) for i in kept]
-
-
 # Frozen s_0..s_{N-1}: a change to a formula's text or operation order
 # shows here, also where the array and scalar evaluations would change
 # together.  One in eight g = 2 values is an integer before the ceiling,
-# which the walk keeps on the array path (its pow has exponent 1); the
-# matched_log rounds are those of K = 1e5.
+# which the walk leaves to the scalar code; the matched_log rounds are
+# those of K = 1e5.
 @pytest.mark.parametrize("sched,rounds,digest", [
     (SampleSchedule.matched_power(g=2.0, m=10, d=1), 10_000,
      "c795787a8f304d04ff34016ef9742afff787bb7b58212b68fc6b47e8486d4b5e"),
